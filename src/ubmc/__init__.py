@@ -24,7 +24,6 @@ from .couplings import (
     DistanceLike,
     LevelSchedule,
     MarkovKernel,
-    coupled_contraction_delta,
     contraction_delta_generator,
     estimate_contraction,
     minorized_step,
@@ -43,7 +42,6 @@ __all__ = [
     "Stream",
     "SurvivalDistribution",
     "UnbiasedDraw",
-    "coupled_contraction_delta",
     "contraction_delta_generator",
     "estimate_batch",
     "estimate_once",

@@ -27,8 +27,9 @@ __all__ = [
     "CoupledKernel",
     "LevelSchedule",
     "DistanceLike",
-    "coupled_contraction_delta",
     "contraction_delta_generator",
+    "strictly_increasing",
+    "pad_to",
     "minorized_step",
     "estimate_contraction",
     "ContractionFit",
@@ -103,54 +104,27 @@ class LevelSchedule:
         return cls(lambda i: m * (i + 1), dims)
 
     def steps_at(self, i: int) -> int:
-        cache = self._steps_cache
-        while len(cache) <= i:
-            k = len(cache)
-            a_k = int(self._steps_fn(k))
-            if k == 0 and a_k < 1:
-                raise ValueError("a_0 must be >= 1")
-            if k > 0 and a_k <= cache[-1]:
-                raise ValueError(f"steps must be strictly increasing; a_{k} = {a_k}")
-            cache.append(a_k)
-        return cache[i]
+        return _checked_prefix(self._steps_cache, self._steps_fn, i, "a", strict=True)
 
     def dims_at(self, i: int) -> int:
-        cache = self._dims_cache
-        while len(cache) <= i:
-            k = len(cache)
-            j_k = int(self._dims_fn(k))
-            if j_k < 1:
-                raise ValueError("dimensions must be positive")
-            if k > 0 and j_k < cache[-1]:
-                raise ValueError(f"dimensions must be nondecreasing; j_{k} = {j_k}")
-            cache.append(j_k)
-        return cache[i]
+        return _checked_prefix(self._dims_cache, self._dims_fn, i, "j", strict=False)
 
 
-def coupled_contraction_delta(
-    kernel: MarkovKernel,
-    coupling: CoupledKernel,
-    schedule: LevelSchedule,
-    level: int,
-    x0,
-    f: Callable[[object], float],
-    stream: Stream,
-) -> tuple[float, float]:
-    """One coupled level difference for a fixed-space chain.
-
-    Level 0 runs the chain ``a_0`` steps from ``x0`` and returns
-    ``f(endpoint)``.  Level ``i >= 1`` runs the top chain alone for
-    ``a_i - a_{i-1}`` steps from ``x0``, resets the bottom chain to ``x0``,
-    then evolves the pair jointly for ``a_{i-1}`` steps and returns
-    ``f(top) - f(bottom)``.  The whole level consumes one stream: the lone
-    prefix draws first, the joint phase the rest, which reproduces the
-    backward-composition law of the chain at times ``a_i`` and ``a_{i-1}``.
-
-    Returns ``(delta, work)`` with ``work = a_i * kernel.work_per_step``.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return _delta(kernel, coupling, schedule, level, x0, f, stream.generator())
+def _checked_prefix(cache: list, fn, i: int, name: str, strict: bool) -> int:
+    """Extend ``cache`` with ``int(fn(k))`` up to ``i``, checking each term is
+    positive and increasing (strictly or not); returns term ``i``."""
+    if i < 0:
+        raise ValueError("level index must be >= 0")
+    while len(cache) <= i:
+        k = len(cache)
+        v = int(fn(k))
+        if v < 1:
+            raise ValueError(f"{name}_{k} = {v} must be >= 1")
+        if cache and (v <= cache[-1] if strict else v < cache[-1]):
+            order = "strictly increasing" if strict else "nondecreasing"
+            raise ValueError(f"{name} must be {order}; {name}_{k} = {v}")
+        cache.append(v)
+    return cache[i]
 
 
 def contraction_delta_generator(
@@ -160,7 +134,17 @@ def contraction_delta_generator(
     f: Callable[[object], float],
     x0,
 ) -> LevelDifferenceGenerator:
-    """Package :func:`coupled_contraction_delta` as a level-difference generator."""
+    """Coupled level differences of a fixed-space chain.
+
+    Level 0 runs the chain ``a_0`` steps from ``x0`` and returns
+    ``f(endpoint)``.  Level ``i >= 1`` runs the top chain alone for
+    ``a_i - a_{i-1}`` steps from ``x0``, resets the bottom chain to ``x0``,
+    then evolves the pair jointly for ``a_{i-1}`` steps and returns
+    ``f(top) - f(bottom)``.  The whole level consumes one generator: the
+    lone prefix draws first, the joint phase the rest, which reproduces
+    the backward-composition law of the chain at times ``a_i`` and
+    ``a_{i-1}``.  Work is ``a_i * kernel.work_per_step``.
+    """
 
     def gen(level: int, rng: np.random.Generator):
         return _delta(kernel, coupling, schedule, level, x0, f, rng)
@@ -169,21 +153,69 @@ def contraction_delta_generator(
 
 
 def _delta(kernel, coupling, schedule, level, x0, f, rng):
-    if level == 0:
-        a0 = schedule.steps_at(0)
-        x = x0
-        for _ in range(a0):
-            x = kernel.step(x, rng)
-        return f(x), a0 * kernel.work_per_step
-    a_hi = schedule.steps_at(level)
-    a_lo = schedule.steps_at(level - 1)
-    top = x0
+    # The kernel's own step functions are handed through unwrapped: the
+    # inner loops are the hot path of every generic chain.
+    return _level_difference(
+        schedule, level, x0, f, rng,
+        lambda j: kernel.step,
+        lambda j_lo, j_hi: coupling.step,
+        lambda x, j: x,
+        lambda j: kernel.work_per_step,
+    )
+
+
+def _level_difference(schedule, level, x0, f, rng, lone, joint, embed, cost):
+    """The lone and joint phases of one level, shared by every chain.
+
+    ``lone(j)`` is the step ``(x, rng) -> x`` at dimension ``j``,
+    ``joint(j_lo, j_hi)`` the step ``((top, bottom), rng) -> (top, bottom)``,
+    ``embed(x, j)`` maps a state into dimension ``j`` and ``cost(j)`` is
+    the work of one step there.  The top chain starts at ``embed(x0, j_i)``
+    and the bottom chain at ``embed(x0, j_{i-1})``; ``f`` sees both
+    embedded at ``j_i``.  Returns ``(delta, a_i * cost(j_i))``.
+    """
+    a_hi, j_hi = schedule.steps_at(level), schedule.dims_at(level)
+    a_lo = schedule.steps_at(level - 1) if level > 0 else 0
+    step = lone(j_hi)
+    top = embed(x0, j_hi)
     for _ in range(a_hi - a_lo):
-        top = kernel.step(top, rng)
-    bottom = x0
+        top = step(top, rng)
+    if level == 0:
+        return f(top), a_hi * cost(j_hi)
+    j_lo = schedule.dims_at(level - 1)
+    step = joint(j_lo, j_hi)
+    bottom = embed(x0, j_lo)
     for _ in range(a_lo):
-        top, bottom = coupling.step((top, bottom), rng)
-    return f(top) - f(bottom), a_hi * kernel.work_per_step
+        top, bottom = step((top, bottom), rng)
+    return f(embed(top, j_hi)) - f(embed(bottom, j_hi)), a_hi * cost(j_hi)
+
+
+def strictly_increasing(fn: Callable[[int], float]) -> Callable[[int], int]:
+    """Cached integer sequence ``s_k = max(int(fn(k)), s_{k-1} + 1)``, ``s_{-1} = 0``.
+
+    Rounding can make a growing formula stall (``ceil(k**q)`` repeats
+    values for small ``q``); bumping each term past its predecessor keeps
+    it usable as level steps or dimensions.
+    """
+    cache: list[int] = []
+
+    def at(i: int) -> int:
+        if i < 0:
+            raise ValueError("level index must be >= 0")
+        while len(cache) <= i:
+            prev = cache[-1] if cache else 0
+            cache.append(max(int(fn(len(cache))), prev + 1))
+        return cache[i]
+
+    return at
+
+
+def pad_to(state, n: int) -> np.ndarray:
+    """Embed a coefficient vector into dimension ``n``: zero-pad or truncate."""
+    state = np.atleast_1d(np.asarray(state, dtype=float))
+    if state.size >= n:
+        return state[:n]
+    return np.pad(state, (0, n - state.size))
 
 
 def minorized_step(

@@ -15,6 +15,7 @@ to tune them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
@@ -368,24 +369,28 @@ def estimate_batch(
         estimate_once(gen, survival, root.child(r), keep_levels=keep_levels)
         for r in range(replicates)
     ]
-    values = np.asarray([d.value for d in draws], dtype=float)
-    if values.ndim == 1:
-        mean = math.fsum(values) / replicates
-        var = (
-            math.fsum((v - mean) ** 2 for v in values) / (replicates - 1)
-            if replicates > 1
-            else 0.0
-        )
-    else:
-        mean = np.array([math.fsum(col) for col in values.T]) / replicates
-        if replicates > 1:
-            var = np.array(
-                [math.fsum((col - m) ** 2) for col, m in zip(values.T, mean)]
-            ) / (replicates - 1)
-        else:
-            var = np.zeros_like(mean)
+    mean, var = _mean_variance(np.asarray([d.value for d in draws], dtype=float))
     total_work = math.fsum(d.work for d in draws)
     return BatchResult(mean=mean, variance=var, total_work=total_work, draws=draws)
+
+
+def _mean_variance(values: np.ndarray):
+    """``math.fsum`` mean and unbiased variance of draws along axis 0.
+
+    Columns of a 2-d array are treated separately.  One draw has no
+    sample variance, so it gets NaN rather than a spurious 0.
+    """
+    if values.ndim > 1:
+        columns = [_mean_variance(col) for col in values.T]
+        return np.array([m for m, _ in columns]), np.array([v for _, v in columns])
+    n = values.size
+    mean = math.fsum(values) / n
+    if n == 1:
+        return mean, math.nan
+    # Square in slices: fsum is exact in any order, and a temporary the
+    # size of the column would only raise the peak memory of large runs.
+    squares = ((values[k : k + 8192] - mean) ** 2 for k in range(0, n, 8192))
+    return mean, math.fsum(itertools.chain.from_iterable(squares)) / (n - 1)
 
 
 def second_moment_formula(

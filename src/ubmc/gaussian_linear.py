@@ -22,8 +22,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .couplings import strictly_increasing
 from .estimator import LevelDifferenceGenerator, SurvivalDistribution
-from .rng import Stream
 
 __all__ = [
     "GaussianLinearModel",
@@ -226,21 +226,6 @@ def tail_generator(
     return gen
 
 
-def _strictly_increasing(fn: Callable[[int], int]) -> Callable[[int], int]:
-    cache: list[int] = []
-
-    def wrapped(i: int) -> int:
-        while len(cache) <= i:
-            k = len(cache)
-            v = int(fn(k))
-            if cache:
-                v = max(v, cache[-1] + 1)
-            cache.append(max(v, 1))
-        return cache[i]
-
-    return wrapped
-
-
 def make_schedule(
     variant: str,
     geometry: str,
@@ -299,7 +284,7 @@ def make_schedule(
         if not 0.0 < eps <= eps_ub:
             raise ValueError(f"requires 0 < eps <= {eps_ub}")
         rate = 2.0 ** ((2.0 - eps) * decay / 2.0)
-        dims = _strictly_increasing(lambda i: 2**i)
+        dims = strictly_increasing(lambda i: 2**i)
         return dims, SurvivalDistribution.geometric(rate)
 
     if q is None:
@@ -311,5 +296,5 @@ def make_schedule(
     if not 0.0 < eps < eps_ub:
         raise ValueError(f"requires 0 < eps < s - 3 - q (1 + s - 2 a s) = {eps_ub}")
     exponent = -(s * (q - 1.0 - 2.0 * a * q) + 2.0 + eps)
-    dims = _strictly_increasing(lambda i: math.ceil(max(i, 1) ** q))
+    dims = strictly_increasing(lambda i: math.ceil(max(i, 1) ** q))
     return dims, SurvivalDistribution.polynomial(exponent)

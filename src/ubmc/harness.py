@@ -16,15 +16,15 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from . import gaussian_linear, independence_sampler, models, pcn, tuning
 from .couplings import LevelSchedule, MarkovKernel, contraction_delta_generator, estimate_contraction
-from .estimator import SurvivalDistribution, estimate_once
+from .estimator import SurvivalDistribution, _mean_variance, estimate_once
 from .rng import Stream
 
 __all__ = [
@@ -66,10 +66,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        extra = set(raw) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        if "experiment" not in raw:
+            raise ConfigError("config needs the 'experiment' field")
+        for name, kind in get_type_hints(cls).items():
+            value = raw.get(name)
+            # bool is an int subclass, but true/false is never a count or seed.
+            if name in raw and (
+                not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+            ):
+                kind = getattr(kind, "__name__", kind)
+                raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
         return cls(**raw)
 
     @classmethod
@@ -83,18 +94,28 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _survival_from_config(spec: dict) -> SurvivalDistribution:
+def _survival_from_config(
+    spec: dict, default: SurvivalDistribution | None
+) -> SurvivalDistribution:
+    """The config's truncation law, or ``default`` when none is given."""
+    if not spec and default is not None:
+        return default
     kind = spec.get("kind")
-    if kind == "geometric":
-        return SurvivalDistribution.geometric(
-            spec["rate"], spec.get("exponent", 1.0)
-        )
-    if kind == "polynomial":
-        return SurvivalDistribution.polynomial(spec["exponent"])
-    if kind == "tabulated":
-        return SurvivalDistribution.tabulated(
-            spec["values"], spec.get("tail_ratio")
-        )
+    try:
+        if kind == "geometric":
+            return SurvivalDistribution.geometric(
+                spec["rate"], spec.get("exponent", 1.0)
+            )
+        if kind == "polynomial":
+            return SurvivalDistribution.polynomial(spec["exponent"])
+        if kind == "tabulated":
+            return SurvivalDistribution.tabulated(
+                spec["values"], spec.get("tail_ratio")
+            )
+    except KeyError as exc:
+        raise ConfigError(f"{kind} survival needs survival.{exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid survival spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown survival spec {spec!r}")
 
 
@@ -104,8 +125,8 @@ def _survival_from_config(spec: dict) -> SurvivalDistribution:
 #
 # prepare_* validates a config and returns a "plan": a dict with
 #   run_block(stream, count, offset) -> dict of per-draw arrays
-#   columns: names of the value columns (["z"] unless vector-valued)
 #   meta: summary extras
+#   replicates_override (optional): fixed row count
 # Plans are cached per process keyed by the config JSON, so worker
 # processes validate once.
 
@@ -147,7 +168,7 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
         )
         survival = tuning.contracting_optimal_survival(rho, m)
     else:
-        survival = _survival_from_config(config.survival)
+        survival = _survival_from_config(config.survival, None)
 
     def run_block(stream: Stream, count: int, offset: int):
         out = models.contracting_unbiased_block(
@@ -162,7 +183,6 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
 
     return {
         "run_block": run_block,
-        "columns": ["z"],
         "meta": {"target_mean": 0.0, "step_multiplier": m},
     }
 
@@ -172,11 +192,7 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
     _require(m >= 1, "schedule.m must be a positive integer")
     # Default truncation law: geometric at 0.7, comfortably above the
     # discrete-metric contraction rate 1 - (8 - 2 pi)/4 of the coupling.
-    survival = (
-        _survival_from_config(config.survival)
-        if config.survival
-        else SurvivalDistribution.geometric(0.7)
-    )
+    survival = _survival_from_config(config.survival, SurvivalDistribution.geometric(0.7))
     x0 = float(config.params.get("x0", 0.0))
     model = models.CircleChainModel()
     schedule = LevelSchedule.arithmetic(m)
@@ -185,7 +201,6 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
     )
     return {
         "run_block": _scalar_block(gen, survival, lambda n: 1),
-        "columns": ["z"],
         "meta": {"target_mean": 0.0},
     }
 
@@ -204,20 +219,16 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
     coord = int(params.get("coordinate", 1))
     _require(coord >= 1, "params.coordinate must be >= 1")
     geometry = config.schedule.get("kind", "dyadic")
-    try:
-        dims, survival = gaussian_linear.make_schedule(
-            variant,
-            geometry,
-            a=a,
-            p=p,
-            s=s,
-            q=config.schedule.get("q"),
-            eps=params.get("eps", config.schedule.get("eps", 0.5)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if config.survival:
-        survival = _survival_from_config(config.survival)
+    dims, survival = gaussian_linear.make_schedule(
+        variant,
+        geometry,
+        a=a,
+        p=p,
+        s=s,
+        q=config.schedule.get("q"),
+        eps=params.get("eps", config.schedule.get("eps", 0.5)),
+    )
+    survival = _survival_from_config(config.survival, survival)
     model = gaussian_linear.GaussianLinearModel(p=p, a=a)
     if variant == "holder":
 
@@ -230,7 +241,6 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
     target, _ = gaussian_linear.posterior_spectral(model, coord)
     return {
         "run_block": _scalar_block(gen, survival, dims),
-        "columns": ["z"],
         "meta": {"target_mean": target, "coordinate": coord},
     }
 
@@ -248,6 +258,13 @@ def _elliptic_is_model(params: dict) -> tuple:
         noise = float(data_spec.get("noise", 0.02))
         y = y + noise * stream.child(1).generator().standard_normal(y.size)
     alpha_star = params.get("alpha_star")
+    is_model = independence_sampler.UniformPriorModel(
+        half_widths=model.half_width,
+        forward=lambda j, x: model.forward(j, x),
+        y=y,
+        alpha_star=1e-12 if alpha_star is None else float(alpha_star),
+        work_exponent=model.work_exponent,
+    )
     if alpha_star is None:
         # Pilot-calibrated floor: half the smallest acceptance seen across
         # prior-vs-prior proposals.  The model's worst-case bound is far
@@ -255,27 +272,11 @@ def _elliptic_is_model(params: dict) -> tuple:
         rng = Stream(int(data_spec.get("seed", 2024))).child(2).generator()
         j_pilot = int(params.get("pilot_dim", 32))
         worst = 1.0
-        is_model_probe = independence_sampler.UniformPriorModel(
-            half_widths=model.half_width,
-            forward=lambda j, x: model.forward(j, x),
-            y=y,
-            alpha_star=1e-12,
-            work_exponent=model.work_exponent,
-        )
         for _ in range(int(params.get("pilot_proposals", 512))):
-            x = independence_sampler.propose(is_model_probe, j_pilot, rng)
-            xi = independence_sampler.propose(is_model_probe, j_pilot, rng)
-            worst = min(
-                worst, independence_sampler.is_acceptance(is_model_probe, j_pilot, x, xi)
-            )
-        alpha_star = 0.5 * worst
-    is_model = independence_sampler.UniformPriorModel(
-        half_widths=model.half_width,
-        forward=lambda j, x: model.forward(j, x),
-        y=y,
-        alpha_star=float(alpha_star),
-        work_exponent=model.work_exponent,
-    )
+            x = independence_sampler.propose(is_model, j_pilot, rng)
+            xi = independence_sampler.propose(is_model, j_pilot, rng)
+            worst = min(worst, independence_sampler.is_acceptance(is_model, j_pilot, x, xi))
+        is_model = replace(is_model, alpha_star=0.5 * worst)
     return model, is_model
 
 
@@ -318,13 +319,10 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
             t = float(sched["t"])
         else:
             t = 0.5 * ((1.0 + th * q) + (min(b_eff, k_eff) * q - 2.0))
-        try:
-            schedule, survival = independence_sampler.make_schedule(
-                q=q, beta=b_eff, kappa=k_eff, theta=th,
-                alpha_star=is_model.alpha_star, t=t,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        schedule, survival = independence_sampler.make_schedule(
+            q=q, beta=b_eff, kappa=k_eff, theta=th,
+            alpha_star=is_model.alpha_star, t=t,
+        )
     elif sched_kind == "saturating":
         # Dimensions climb one per level up to the model's state size; the
         # remaining levels refine only the time direction.
@@ -335,11 +333,10 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         survival = SurvivalDistribution.geometric(float(sched.get("rate", 0.6)))
     elif sched_kind == "sequence":
         schedule = LevelSchedule(sched["steps"], sched["dims"])
-        survival = _survival_from_config(config.survival)
+        survival = None  # the config must supply the law
     else:
         raise ConfigError(f"unknown schedule kind {sched_kind!r}")
-    if config.survival:
-        survival = _survival_from_config(config.survival)
+    survival = _survival_from_config(config.survival, survival)
 
     fname = params.get("f", "sum")
     if fname == "sum":
@@ -352,7 +349,6 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     gen = independence_sampler.delta_generator(is_model, schedule, f, x0)
     return {
         "run_block": _scalar_block(gen, survival, schedule.dims_at),
-        "columns": ["z"],
         "meta": {"alpha_star": is_model.alpha_star},
     }
 
@@ -380,24 +376,19 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     else:
         raise ConfigError(f"unknown observable {fname!r}")
     sched = config.schedule
-    try:
-        schedule, survival = pcn.make_schedule(
-            model,
-            sched.get("variant", "bounded"),
-            m=int(sched.get("m", 2)),
-            r=float(sched.get("r", 0.6)),
-            theta=float(sched.get("theta", 1.0)),
-            eps=float(sched.get("eps", 0.25)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if config.survival:
-        survival = _survival_from_config(config.survival)
+    schedule, survival = pcn.make_schedule(
+        model,
+        sched.get("variant", "bounded"),
+        m=int(sched.get("m", 2)),
+        r=float(sched.get("r", 0.6)),
+        theta=float(sched.get("theta", 1.0)),
+        eps=float(sched.get("eps", 0.25)),
+    )
+    survival = _survival_from_config(config.survival, survival)
     x0 = np.zeros(schedule.dims_at(0))
     gen = pcn.delta_generator(model, schedule, f, x0)
     return {
         "run_block": _scalar_block(gen, survival, schedule.dims_at),
-        "columns": ["z"],
         "meta": {"tau": tau},
     }
 
@@ -433,11 +424,7 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     r = math.exp(0.5 * pilot.slope)
     m = tuning.step_multiplier(r)
     schedule = LevelSchedule.arithmetic(m)
-    survival = (
-        _survival_from_config(config.survival)
-        if config.survival
-        else SurvivalDistribution.geometric(r**m)
-    )
+    survival = _survival_from_config(config.survival, SurvivalDistribution.geometric(r**m))
     coord = int(params.get("coordinate", 1))
     f = lambda beta: float(np.asarray(beta)[coord - 1])
     gen = contraction_delta_generator(
@@ -445,7 +432,6 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     )
     return {
         "run_block": _scalar_block(gen, survival, lambda n: model.dim),
-        "columns": ["z"],
         "meta": {
             "contraction_slope": pilot.slope,
             "contraction_rate": r,
@@ -482,7 +468,6 @@ def _prepare_tune(config: ExperimentConfig) -> dict:
 
     return {
         "run_block": run_block,
-        "columns": ["z"],
         "meta": {
             "w": w,
             "rho_grid": [float(r) for r in grid],
@@ -509,7 +494,17 @@ def _prepare_cached(plan_json: str) -> dict:
     prepare = EXPERIMENTS.get(config.experiment)
     if prepare is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    return prepare(config)
+    # A plan is built from the config alone (pilot fits included), so a
+    # value it rejects, a missing key or a wrong type is a config error;
+    # failures while sampling stay runtime errors.
+    try:
+        return prepare(config)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{config.experiment} config needs {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{config.experiment}: {exc}") from exc
 
 
 def _config_key(config: ExperimentConfig) -> str:
@@ -534,17 +529,18 @@ def _run_block_task(config_json: str, block: int, count: int, seed: int, timed: 
     return block, out
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Run one experiment; returns the summary and optionally writes files.
+def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
+    """Prepare the plan and run every block; returns ``(plan, records)``.
 
-    Emits a per-draw CSV (``replicate, N, z, work, level_max_dim``) and a
-    JSON summary carrying the batch statistics and the config echo.  With
-    a fixed seed the bytes are identical for every parallelism degree.
+    Records are the per-draw columns concatenated in block order, so they
+    do not depend on ``config.parallel``.
     """
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
     if config.parallel < 1:
         raise ConfigError("parallel must be >= 1")
+    if config.seed < 0:
+        raise ConfigError("seed must be >= 0")
     key = _config_key(config)
     plan = _prepare_cached(key)
     replicates = plan.get("replicates_override", config.replicates)
@@ -559,25 +555,38 @@ def run_experiment(config: ExperimentConfig) -> dict:
         with ProcessPoolExecutor(max_workers=config.parallel) as pool:
             results = list(pool.map(_run_block_task, *zip(*tasks)))
     results.sort(key=lambda item: item[0])
-    records: dict[str, np.ndarray] = {}
-    for name in results[0][1]:
-        records[name] = np.concatenate([out[name] for _, out in results])
+    records = {
+        name: np.concatenate([out[name] for _, out in results])
+        for name in results[0][1]
+    }
+    return plan, records
 
+
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run one experiment; returns the summary and optionally writes files.
+
+    Emits a per-draw CSV (``replicate, N, z, work, level_max_dim``) and a
+    JSON summary carrying the batch statistics and the config echo.  With
+    a fixed seed the bytes are identical for every parallelism degree.
+    A single draw has no sample variance: ``variance``, ``se`` and
+    ``msework_product`` are then ``None`` (JSON ``null``).
+    """
+    plan, records = _run_blocks(config)
     z = records["z"]
-    work = records["work"]
     n = z.size
-    mean = math.fsum(z) / n
-    variance = math.fsum((v - mean) ** 2 for v in z) / (n - 1) if n > 1 else 0.0
-    expected_work = math.fsum(work) / n
+    mean, variance = _mean_variance(z)
+    expected_work = math.fsum(records["work"]) / n
+    if n == 1:
+        variance = None
     summary = {
         "experiment": config.experiment,
         "replicates": n,
         "seed": config.seed,
         "mean": mean,
         "variance": variance,
-        "se": math.sqrt(variance / n) if n > 0 else float("nan"),
+        "se": None if variance is None else math.sqrt(variance / n),
         "expected_work": expected_work,
-        "msework_product": variance * expected_work,
+        "msework_product": None if variance is None else variance * expected_work,
         "max_level": int(records["N"].max()),
         "columns": ["replicate"] + list(records.keys()),
         "config": config.to_dict(),
@@ -734,16 +743,8 @@ def _side_unbiased(spec: dict):
         config = spec["config"]
         if isinstance(config, dict):
             config = ExperimentConfig.from_dict(config)
-        key = _config_key(config)
-        plan = _prepare_cached(key)
-        replicates = plan.get("replicates_override", config.replicates)
-        zs, ws = [], []
-        for b in range((replicates + BLOCK_SIZE - 1) // BLOCK_SIZE):
-            count = min(BLOCK_SIZE, replicates - b * BLOCK_SIZE)
-            _, out = _run_block_task(key, b, count, config.seed, False)
-            zs.append(out["z"])
-            ws.append(out["work"])
-        return np.concatenate(zs), np.concatenate(ws)
+        _, records = _run_blocks(config)
+        return records["z"], records["work"]
     raise ValueError("unbiased side needs 'values'/'work' or 'config'")
 
 

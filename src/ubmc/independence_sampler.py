@@ -21,9 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .couplings import LevelSchedule
+from .couplings import LevelSchedule, _level_difference, pad_to, strictly_increasing
 from .estimator import LevelDifferenceGenerator, SurvivalDistribution
-from .rng import Stream
 
 __all__ = [
     "UniformPriorModel",
@@ -36,7 +35,6 @@ __all__ = [
     "split_step",
     "sampler_step",
     "coupled_is_step",
-    "unbiased_is_delta",
     "delta_generator",
     "make_schedule",
     "pad_to",
@@ -119,14 +117,6 @@ class UniformPriorModel:
         return float(r @ r)
 
 
-def pad_to(state: np.ndarray, n: int) -> np.ndarray:
-    """Embed a coefficient vector into dimension ``n`` by zero-padding."""
-    state = np.asarray(state, dtype=float)
-    if state.size >= n:
-        return state[:n]
-    return np.pad(state, (0, n - state.size))
-
-
 def propose(model: UniformPriorModel, j: int, rng: np.random.Generator) -> np.ndarray:
     """Fresh prior draw on the level-``j`` box."""
     return (2.0 * rng.random(j) - 1.0) * model.widths(j)
@@ -203,33 +193,20 @@ def coupled_is_step(
     return (new_lo, new_hi), (b_lo, b_hi)
 
 
-def unbiased_is_delta(
-    model: UniformPriorModel,
-    schedule: LevelSchedule,
-    level: int,
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    stream: Stream,
-) -> tuple[float, float]:
-    """One coupled level difference of the independence-sampler hierarchy.
-
-    Level 0 runs ``a_0`` split steps at dimension ``j_0`` and returns
-    ``f(end)``.  Level ``i >= 1`` embeds the start by zero-padding, runs
-    the top chain alone at dimension ``j_i`` for ``a_i - a_{i-1}`` steps,
-    resets the bottom chain to the start, then evolves the pair jointly
-    for ``a_{i-1}`` steps; all step randomness is drawn at the top
-    dimension, in forward order.  ``f`` receives states padded to the top
-    dimension.  Work is ``a_i * j_i^theta`` in the model's cost units.
-    """
-    return _delta(model, schedule, level, f, x0, stream.generator())
-
-
 def delta_generator(
     model: UniformPriorModel,
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
 ) -> LevelDifferenceGenerator:
+    """Coupled level differences of the independence-sampler hierarchy.
+
+    Phases as in :func:`ubmc.couplings.contraction_delta_generator`, with
+    split steps at dimensions ``j_i`` (top) and ``j_{i-1}`` (bottom) from
+    the zero-padded start; all step randomness is drawn at the top
+    dimension.  Work is ``a_i * j_i^theta`` in the model's cost units.
+    """
+
     def gen(level: int, rng: np.random.Generator):
         return _delta(model, schedule, level, f, x0, rng)
 
@@ -237,25 +214,22 @@ def delta_generator(
 
 
 def _delta(model, schedule, level, f, x0, rng):
-    if level == 0:
-        j0, a0 = schedule.dims_at(0), schedule.steps_at(0)
-        x = pad_to(x0, j0)
-        for _ in range(a0):
-            x, _ = split_step(model, j0, x, draw_randomness(model, j0, rng))
-        return f(x), a0 * float(j0) ** model.work_exponent
-    j_lo, j_hi = schedule.dims_at(level - 1), schedule.dims_at(level)
-    a_lo, a_hi = schedule.steps_at(level - 1), schedule.steps_at(level)
-    top = pad_to(x0, j_hi)
-    for _ in range(a_hi - a_lo):
-        top, _ = split_step(model, j_hi, top, draw_randomness(model, j_hi, rng))
-    bottom = pad_to(x0, j_lo)
-    for _ in range(a_lo):
-        w = draw_randomness(model, j_hi, rng)
-        (bottom, top), _ = coupled_is_step(model, (j_lo, j_hi), (bottom, top), w)
-    return (
-        f(pad_to(top, j_hi)) - f(pad_to(bottom, j_hi)),
-        a_hi * float(j_hi) ** model.work_exponent,
-    )
+    def lone(j):
+        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng))[0]
+
+    def joint(j_lo, j_hi):
+        def step(pair, rng):
+            top, bottom = pair
+            w = draw_randomness(model, j_hi, rng)
+            (bottom, top), _ = coupled_is_step(model, (j_lo, j_hi), (bottom, top), w)
+            return top, bottom
+
+        return step
+
+    def cost(j):
+        return float(j) ** model.work_exponent
+
+    return _level_difference(schedule, level, x0, f, rng, lone, joint, pad_to, cost)
 
 
 def make_schedule(
@@ -291,26 +265,6 @@ def make_schedule(
     c_star = -math.log1p(-alpha_star)
     rate = q * beta / c_star
 
-    dims_cache: list[int] = []
-
-    def dims(i: int) -> int:
-        while len(dims_cache) <= i:
-            k = len(dims_cache)
-            v = math.ceil(max(k, 1) ** q)
-            if dims_cache:
-                v = max(v, dims_cache[-1] + 1)
-            dims_cache.append(v)
-        return dims_cache[i]
-
-    steps_cache: list[int] = []
-
-    def steps(i: int) -> int:
-        while len(steps_cache) <= i:
-            k = len(steps_cache)
-            v = max(1, math.ceil(rate * math.log(k + 2.0)))
-            if steps_cache:
-                v = max(v, steps_cache[-1] + 1)
-            steps_cache.append(v)
-        return steps_cache[i]
-
+    steps = strictly_increasing(lambda k: math.ceil(rate * math.log(k + 2.0)))
+    dims = strictly_increasing(lambda k: math.ceil(max(k, 1) ** q))
     return LevelSchedule(steps, dims), SurvivalDistribution.polynomial(t)

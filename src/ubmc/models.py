@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .couplings import CoupledKernel, LevelSchedule, MarkovKernel
+from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, _level_difference
 from .estimator import SurvivalDistribution
 from .rng import Stream
 
@@ -99,28 +99,22 @@ def contracting_delta_batch(
 ) -> np.ndarray:
     """``count`` independent coupled level differences, vectorized.
 
-    Runs the same lone-prefix / joint-phase simulation as the generic
-    coupled driver, one vector lane per replicate.
+    Runs the generic coupled driver with one vector lane per replicate.
     """
     scale = math.sqrt(1.0 - rho**2)
-    if level == 0:
-        top = np.full(count, x0, dtype=float)
-        for _ in range(schedule.steps_at(0)):
-            top = rho * top + scale * rng.standard_normal(count)
-        return top if f is None else f(top)
-    a_hi = schedule.steps_at(level)
-    a_lo = schedule.steps_at(level - 1)
-    top = np.full(count, x0, dtype=float)
-    for _ in range(a_hi - a_lo):
-        top = rho * top + scale * rng.standard_normal(count)
-    bottom = np.full(count, x0, dtype=float)
-    for _ in range(a_lo):
-        xi = rng.standard_normal(count)
-        top = rho * top + scale * xi
-        bottom = rho * bottom + scale * xi
-    if f is None:
-        return top - bottom
-    return f(top) - f(bottom)
+
+    def lone(j):
+        return lambda top, rng: rho * top + scale * rng.standard_normal(count)
+
+    def joint(j_lo, j_hi):
+        return lambda pair, rng: contracting_normals_coupling(
+            pair, rng.standard_normal(count), rho
+        )
+
+    return _level_difference(
+        schedule, level, np.full(count, x0, dtype=float), f or (lambda x: x), rng,
+        lone, joint, lambda x, j: x, lambda j: 1.0,
+    )[0]
 
 
 def contracting_unbiased_block(

@@ -23,9 +23,15 @@ from typing import Callable
 
 import numpy as np
 
-from .couplings import CoupledKernel, LevelSchedule, MarkovKernel
+from .couplings import (
+    CoupledKernel,
+    LevelSchedule,
+    MarkovKernel,
+    _level_difference,
+    pad_to,
+    strictly_increasing,
+)
 from .estimator import LevelDifferenceGenerator, SurvivalDistribution
-from .rng import Stream
 
 __all__ = [
     "PcnModel",
@@ -35,7 +41,6 @@ __all__ = [
     "propose_noise",
     "pcn_step",
     "coupled_pcn_step",
-    "unbiased_pcn_delta",
     "delta_generator",
     "sampler_step",
     "kernel",
@@ -165,13 +170,8 @@ class PcnDistance:
 
 
 def _norm_gap(x, y) -> tuple[float, float, float]:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = max(x.size, y.size)
-    if x.size < n:
-        x = np.pad(x, (0, n - x.size))
-    if y.size < n:
-        y = np.pad(y, (0, n - y.size))
+    n = max(np.size(x), np.size(y))
+    x, y = pad_to(x, n), pad_to(y, n)
     return float(np.linalg.norm(x - y)), float(np.linalg.norm(x)), float(np.linalg.norm(y))
 
 
@@ -258,66 +258,46 @@ def sampler_step(
     return pcn_step(model, j, x, (propose_noise(model, j, rng), rng.random()))
 
 
-def unbiased_pcn_delta(
-    model: PcnModel,
-    schedule: LevelSchedule,
-    level: int,
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    stream: Stream,
-) -> tuple[float, float]:
-    """One coupled level difference of the truncation hierarchy.
-
-    Same phase structure as the other coupled drivers: lone top phase of
-    ``a_i - a_{i-1}`` steps at dimension ``j_i`` from the zero-padded
-    start, bottom chain reset to the start, ``a_{i-1}`` joint steps with
-    shared ``(noise, uniform)``; level 0 is ``f`` after ``a_0`` lone
-    steps.  Work is ``a_i * j_i^work_exponent``.
-    """
-    return _delta(model, schedule, level, f, x0, stream.generator())
-
-
 def delta_generator(
     model: PcnModel,
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
 ) -> LevelDifferenceGenerator:
+    """Coupled level differences of the truncation hierarchy.
+
+    Phases as in :func:`ubmc.couplings.contraction_delta_generator`, at
+    dimensions ``j_i`` (top) and ``j_{i-1}`` (bottom) from the zero-padded
+    start, sharing ``(noise, uniform)`` in the joint phase.  Work is
+    ``a_i * j_i^work_exponent``.
+    """
+
     def gen(level: int, rng: np.random.Generator):
         return _delta(model, schedule, level, f, x0, rng)
 
     return gen
 
 
-def _pad(state, n: int) -> np.ndarray:
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    if state.size >= n:
-        return state[:n].copy()
-    return np.pad(state, (0, n - state.size))
-
-
 def _delta(model, schedule, level, f, x0, rng):
     if model.recentred:
         raise ValueError("truncation levels require the diagonal reference")
-    if level == 0:
-        j0, a0 = schedule.dims_at(0), schedule.steps_at(0)
-        x = _pad(x0, j0)
-        for _ in range(a0):
-            x = sampler_step(model, j0, x, rng)
-        return f(x), a0 * float(j0) ** model.work_exponent
-    j_lo, j_hi = schedule.dims_at(level - 1), schedule.dims_at(level)
-    a_lo, a_hi = schedule.steps_at(level - 1), schedule.steps_at(level)
-    top = _pad(x0, j_hi)
-    for _ in range(a_hi - a_lo):
-        top = sampler_step(model, j_hi, top, rng)
-    bottom = _pad(x0, j_lo)
-    for _ in range(a_lo):
-        w = (propose_noise(model, j_hi, rng), rng.random())
-        bottom, top = coupled_pcn_step(model, (j_lo, j_hi), (bottom, top), w)
-    return (
-        f(_pad(top, j_hi)) - f(_pad(bottom, j_hi)),
-        a_hi * float(j_hi) ** model.work_exponent,
-    )
+
+    def lone(j):
+        return lambda x, rng: sampler_step(model, j, x, rng)
+
+    def joint(j_lo, j_hi):
+        def step(pair, rng):
+            top, bottom = pair
+            w = (propose_noise(model, j_hi, rng), rng.random())
+            bottom, top = coupled_pcn_step(model, (j_lo, j_hi), (bottom, top), w)
+            return top, bottom
+
+        return step
+
+    def cost(j):
+        return float(j) ** model.work_exponent
+
+    return _level_difference(schedule, level, x0, f, rng, lone, joint, pad_to, cost)
 
 
 def kernel(model: PcnModel, j: int | None = None) -> MarkovKernel:
@@ -406,17 +386,7 @@ def make_schedule(
         )
     exponent = growth * m / (1.0 - 2.0 * a)  # negative, so dims grow
 
-    dims_cache: list[int] = []
-
-    def dims(i: int) -> int:
-        while len(dims_cache) <= i:
-            k = len(dims_cache)
-            v = math.ceil(r ** (exponent * k))
-            if dims_cache:
-                v = max(v, dims_cache[-1] + 1)
-            dims_cache.append(v)
-        return dims_cache[i]
-
+    dims = strictly_increasing(lambda k: math.ceil(r ** (exponent * k)))
     schedule = LevelSchedule(lambda i: m * (i + 1), dims)
     survival = SurvivalDistribution.geometric(r ** (m - eps))
     return schedule, survival

@@ -31,7 +31,6 @@ from ubmc.independence_sampler import (
     is_acceptance,
     make_schedule as is_schedule,
     split_step,
-    unbiased_is_delta,
 )
 from ubmc.models import (
     ContractingNormalsModel,
@@ -300,8 +299,8 @@ def test_criterion_09_independence_sampler():
     for level in range(2, 7):
         deltas = np.array(
             [
-                unbiased_is_delta(
-                    is_model, schedule, level, f, np.zeros(1), Stream(93 + level).child(rep)
+                is_delta_generator(is_model, schedule, f, np.zeros(1))(
+                    level, Stream(93 + level).child(rep).generator()
                 )[0]
                 for rep in range(250)
             ]

@@ -11,11 +11,11 @@ from ubmc import (
     LevelSchedule,
     MarkovKernel,
     Stream,
-    coupled_contraction_delta,
+    contraction_delta_generator,
     estimate_contraction,
     minorized_step,
 )
-from ubmc.couplings import subgeometric_schedule
+from ubmc.couplings import strictly_increasing, subgeometric_schedule
 from ubmc.models import CircleChainModel, ContractingNormalsModel, contracting_delta_batch
 
 from conftest import ConstantStreamDouble, ScriptedNormals, four_se
@@ -42,6 +42,24 @@ class TestLevelSchedule:
         with pytest.raises(ValueError):
             sched.dims_at(2)
 
+    def test_negative_index_rejected(self):
+        # Neither an empty nor a filled cache may be indexed from the end.
+        empty, filled = LevelSchedule([1, 2], [1, 2]), LevelSchedule([1, 2], [1, 2])
+        assert (filled.steps_at(1), filled.dims_at(1)) == (2, 2)
+        for sched in (empty, filled):
+            with pytest.raises(ValueError):
+                sched.steps_at(-1)
+            with pytest.raises(ValueError):
+                sched.dims_at(-1)
+
+    def test_strictly_increasing_bumps_stalled_terms(self):
+        seq = strictly_increasing(lambda k: math.ceil(max(k, 1) ** 0.5))
+        assert [seq(i) for i in range(5)] == [1, 2, 3, 4, 5]
+        assert [strictly_increasing(lambda k: 2**k)(i) for i in range(4)] == [1, 2, 4, 8]
+        assert strictly_increasing(lambda k: -3)(0) == 1
+        with pytest.raises(ValueError):
+            seq(-1)
+
 
 class TestCoupledDriver:
     def test_scripted_hand_value(self):
@@ -51,20 +69,28 @@ class TestCoupledDriver:
         model = ContractingNormalsModel(0.5)
         sched = LevelSchedule([1, 2])
         stream = ConstantStreamDouble(ScriptedNormals([1.0, 1.0]))
-        delta, work = coupled_contraction_delta(
-            model.kernel(), model.coupling(), sched, 1, 0.0, lambda x: x, stream
-        )
+        delta, work = contraction_delta_generator(
+            model.kernel(), model.coupling(), sched, lambda x: x, 0.0
+        )(1, stream.generator())
         assert delta == pytest.approx(0.5 * math.sqrt(0.75))
         assert work == pytest.approx(2.0)
+
+    def test_negative_level_rejected(self):
+        model = ContractingNormalsModel(0.5)
+        gen = contraction_delta_generator(
+            model.kernel(), model.coupling(), LevelSchedule([1, 2]), lambda x: x, 0.0
+        )
+        with pytest.raises(ValueError):
+            gen(-1, Stream(0).generator())
 
     def test_zero_noise_gives_zero_delta(self):
         model = ContractingNormalsModel(0.5)
         sched = LevelSchedule([1, 2, 4])
         for level in (1, 2):
             stream = ConstantStreamDouble(ScriptedNormals([0.0] * 10))
-            delta, _ = coupled_contraction_delta(
-                model.kernel(), model.coupling(), sched, level, 0.0, lambda x: x, stream
-            )
+            delta, _ = contraction_delta_generator(
+                model.kernel(), model.coupling(), sched, lambda x: x, 0.0
+            )(level, stream.generator())
             assert delta == 0.0
 
     def test_stream_consumption_audit(self):
@@ -74,27 +100,20 @@ class TestCoupledDriver:
         sched = LevelSchedule([3, 7, 11])
         for level, expected in [(0, 3), (1, 7), (2, 11)]:
             script = ScriptedNormals([0.1] * expected)
-            coupled_contraction_delta(
-                model.kernel(),
-                model.coupling(),
-                sched,
-                level,
-                0.0,
-                lambda x: x,
-                ConstantStreamDouble(script),
-            )
+            contraction_delta_generator(
+                model.kernel(), model.coupling(), sched, lambda x: x, 0.0
+            )(level, ConstantStreamDouble(script).generator())
             assert script.calls == expected
             assert script.values == []
 
     def test_replay_determinism(self, stream):
         model = ContractingNormalsModel(0.6)
         sched = LevelSchedule.arithmetic(3)
-        first = coupled_contraction_delta(
-            model.kernel(), model.coupling(), sched, 2, 0.0, lambda x: x, stream.child(1)
+        gen = contraction_delta_generator(
+            model.kernel(), model.coupling(), sched, lambda x: x, 0.0
         )
-        second = coupled_contraction_delta(
-            model.kernel(), model.coupling(), sched, 2, 0.0, lambda x: x, stream.child(1)
-        )
+        first = gen(2, stream.child(1).generator())
+        second = gen(2, stream.child(1).generator())
         assert first == second
 
     def test_rms_decay_against_pilot(self, stream):

@@ -192,6 +192,25 @@ class TestEstimateBatch:
         assert single.mean == direct.value
         assert single.total_work == direct.work
 
+    def test_variance_equals_exact_loop_reference(self):
+        # fsum is exact, so the sliced array form must match a plain loop
+        # of correctly rounded squares bit for bit, past one 8192 slice.
+        def gen(level, rng):
+            return rng.standard_cauchy(), 1.0
+
+        result = estimate_batch(gen, SurvivalDistribution.tabulated([1.0]), 10_000, seed=5)
+        values = [d.value for d in result.draws]
+        mean = math.fsum(values) / len(values)
+        assert result.mean == mean
+        loop = math.fsum((v - mean) * (v - mean) for v in values) / (len(values) - 1)
+        assert result.variance == loop
+
+    def test_single_replicate_has_no_variance(self):
+        # One draw carries no spread information; 0 would read as exact.
+        single = estimate_batch(stub_generator(lambda i: 1.0), GEOM_HALF, 1, seed=4)
+        assert math.isnan(single.variance)
+        assert math.isnan(single.std_error)
+
     def test_determinism(self):
         def gen(level, rng):
             return rng.standard_normal() * 2.0**-level, float(level + 1)

@@ -82,6 +82,16 @@ class TestRunExperiment:
         header = Path(summary["csv_path"]).read_text().splitlines()[0]
         assert "wall_ns" in header.split(",")
 
+    def test_single_replicate_reports_null_spread(self, tmp_path):
+        summary = run_experiment(contracting_config(replicates=1, out=str(tmp_path)))
+        text = (tmp_path / "contracting-normals-summary.json").read_text()
+        written = json.loads(text)
+        for key in ("variance", "se", "msework_product"):
+            assert summary[key] is None
+            assert written[key] is None
+        assert "NaN" not in text
+        assert math.isfinite(written["mean"])
+
     def test_config_round_trip(self, tmp_path):
         config = contracting_config(replicates=64, out=str(tmp_path))
         summary = run_experiment(config)
@@ -282,6 +292,43 @@ class TestCli:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert cli_main(["circle", "--config", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"survival": {"kind": "geometric"}},
+            {"survival": {"kind": "geometric", "rate": 1.5}},
+            {"replicates": "10"},
+            {"parallel": "2"},
+            {"seed": True},
+            {"params": [0.8]},
+            {"params": {"rho": "0.8"}},
+            {"schedule": {"kind": "arithmetic", "m": "four"}},
+        ],
+        ids=[
+            "survival-missing-rate",
+            "survival-invalid-rate",
+            "replicates-string",
+            "parallel-string",
+            "seed-bool",
+            "params-not-object",
+            "rho-string",
+            "steps-not-a-number",
+        ],
+    )
+    def test_config_type_and_value_errors_exit_2(self, tmp_path, capsys, change):
+        config = contracting_config(replicates=16).to_dict()
+        config.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["contracting-normals", "--config", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_rejected_model_parameter_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "pcn.json"
+        path.write_text(json.dumps({"experiment": "pcn", "params": {"rho": 1.5}}))
+        assert cli_main(["pcn", "--config", str(path)]) == 2
+        assert "rho must lie in (0, 1)" in capsys.readouterr().err
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         # Improper survival law passes static validation but cannot be

@@ -21,7 +21,6 @@ from ubmc.independence_sampler import (
     propose,
     sampler_step,
     split_step,
-    unbiased_is_delta,
 )
 from ubmc.models import EllipticModel
 
@@ -218,18 +217,17 @@ class TestUnbiasedDelta:
             j_lo, j_hi = schedule.dims_at(level - 1), schedule.dims_at(level)
             envelope = sum(1.0 / k for k in range(j_lo + 1, j_hi + 1))
             for rep in range(50):
-                delta, _ = unbiased_is_delta(
-                    model, schedule, level, lambda u: float(np.sum(u)), np.zeros(1),
-                    stream.child(level, rep),
-                )
+                delta, _ = delta_generator(
+                    model, schedule, lambda u: float(np.sum(u)), np.zeros(1)
+                )(level, stream.child(level, rep).generator())
                 assert abs(delta) <= envelope + 1e-12
 
     def test_coordinate_one_synchronized_gives_zero(self, stream):
         model = constant_forward_model(alpha_star=1.0)
         schedule = LevelSchedule([1, 3], [1, 2])
-        delta, work = unbiased_is_delta(
-            model, schedule, 1, lambda u: float(u[0]), np.zeros(1), stream
-        )
+        delta, work = delta_generator(
+            model, schedule, lambda u: float(u[0]), np.zeros(1)
+        )(1, stream.generator())
         assert delta == 0.0
         assert work == pytest.approx(3 * 2.0)  # a_1 * j_1^theta, theta = 1
 

@@ -137,8 +137,8 @@ class TestUnbiasedDelta:
         model = norm_model()
         sched = LevelSchedule.arithmetic(2, dims=lambda i: i + 1)
         for level in (1, 2, 3):
-            delta, _ = pcn.unbiased_pcn_delta(
-                model, sched, level, lambda x: 4.5, np.zeros(1), stream.child(level)
+            delta, _ = pcn.delta_generator(model, sched, lambda x: 4.5, np.zeros(1))(
+                level, stream.child(level).generator()
             )
             assert delta == 0.0
 
@@ -149,9 +149,8 @@ class TestUnbiasedDelta:
         sched = LevelSchedule.arithmetic(2, dims=lambda i: i + 1)
         deltas = np.array(
             [
-                pcn.unbiased_pcn_delta(
-                    model, sched, 2, lambda x: float(x[0]), np.zeros(1),
-                    stream.child(r),
+                pcn.delta_generator(model, sched, lambda x: float(x[0]), np.zeros(1))(
+                    2, stream.child(r).generator()
                 )[0]
                 for r in range(4000)
             ]
@@ -177,8 +176,8 @@ class TestUnbiasedDelta:
         for i in range(1, 7):
             deltas = np.array(
                 [
-                    pcn.unbiased_pcn_delta(
-                        model, sched, i, f, np.zeros(1), Stream(100 + i).child(rep)
+                    pcn.delta_generator(model, sched, f, np.zeros(1))(
+                        i, Stream(100 + i).child(rep).generator()
                     )[0]
                     for rep in range(400)
                 ]
@@ -192,8 +191,8 @@ class TestUnbiasedDelta:
         model = norm_model()
         model.work_exponent = 1.5
         sched = LevelSchedule([2, 5], [2, 3])
-        _, work = pcn.unbiased_pcn_delta(
-            model, sched, 1, lambda x: 0.0, np.zeros(2), stream
+        _, work = pcn.delta_generator(model, sched, lambda x: 0.0, np.zeros(2))(
+            1, stream.generator()
         )
         assert work == pytest.approx(5 * 3.0**1.5)
 
@@ -372,4 +371,6 @@ class TestRecentred:
         )
         sched = LevelSchedule.arithmetic(1, dims=lambda i: i + 1)
         with pytest.raises(ValueError):
-            pcn.unbiased_pcn_delta(model, sched, 1, lambda x: 0.0, np.zeros(1), Stream(0))
+            pcn.delta_generator(model, sched, lambda x: 0.0, np.zeros(1))(
+                1, Stream(0).generator()
+            )
