@@ -8,13 +8,14 @@ random truncation level ``N`` with survival probabilities
     Z = sum_{i<=N} delta_i / Fbar_i
 
 gives an unbiased estimator whenever each level difference is generated
-independently.  This module houses the truncation law, the single-draw and
-batched estimators, and the second-moment / expected-work identities used
-to tune them.
+independently.  This module houses the truncation law, the single-draw,
+block and batched estimators, and the second-moment / expected-work
+identities used to tune them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ __all__ = [
     "NonFiniteDeltaError",
     "sample_truncation",
     "estimate_once",
+    "estimate_block",
     "estimate_batch",
     "second_moment_formula",
     "expected_work",
@@ -43,8 +45,8 @@ __all__ = [
 # as malformed.
 MAX_LEVEL = 10**9
 
-# Sub-stream keys used by estimate_once: the truncation draw and each level
-# difference consume distinct children so deltas are mutually independent.
+# Sub-stream keys: the truncation draw and each level difference consume
+# distinct children so deltas are mutually independent.
 _KEY_TRUNCATION = 0
 _KEY_LEVEL_BASE = 1
 
@@ -69,11 +71,13 @@ class NonFiniteDeltaError(EstimatorError):
 class LevelDifferenceGenerator(Protocol):
     """Contract for one level difference.
 
-    A generator is a callable ``(level, rng) -> (value, work)`` where
-    ``rng`` is a ``numpy.random.Generator`` private to that invocation.
-    Successive invocations receive independent streams, which is what
-    makes the deltas of one draw mutually independent.  ``value`` is a
-    float, or a fixed-length 1-d array for vector-valued targets.
+    A generator is a callable ``(level, rng) -> (value, work)`` that draws
+    its randomness from the ``numpy.random.Generator`` ``rng`` alone.  The
+    levels of one draw receive independent streams, which is what makes
+    its deltas mutually independent; the lanes of a block share one
+    generator per level, each reading on where the last stopped.
+    ``value`` is a float, or a fixed-length 1-d array for vector-valued
+    targets (:func:`estimate_once` only).
     """
 
     def __call__(self, level: int, rng: np.random.Generator): ...
@@ -170,20 +174,8 @@ class SurvivalDistribution:
         return float(values[-1] * self.tail_ratio ** (i - values.size + 1))
 
     def survival_array(self, n: int) -> np.ndarray:
-        """``[Fbar_0, ..., Fbar_{n-1}]``."""
-        i = np.arange(n)
-        if self.kind == "geometric":
-            return self.rate ** (self.exponent * i)
-        if self.kind == "polynomial":
-            return (i + 1.0) ** (-self.exponent)
-        values = self.table
-        out = np.zeros(n)
-        head = min(n, values.size)
-        out[:head] = values[:head]
-        if n > values.size and self.tail_ratio is not None:
-            j = np.arange(1, n - values.size + 1)
-            out[values.size:] = values[-1] * self.tail_ratio**j
-        return out
+        """``[Fbar_0, ..., Fbar_{n-1}]``, entry for entry :meth:`survival`."""
+        return np.array([self.survival(i) for i in range(n)], dtype=float)
 
     def pmf(self, i: int) -> float:
         """``P(N = i)``."""
@@ -192,53 +184,38 @@ class SurvivalDistribution:
     def quantile_level(self, u: float) -> int:
         """``max{ i : Fbar_i > u }`` for ``u`` in (0, 1).
 
-        This is the inverse-survival transform used by :func:`sample_truncation`;
-        ties ``u == Fbar_i`` resolve by the strict inequality.
+        This is the inverse-survival transform used by :func:`sample_truncation`
+        and :meth:`sample_many`; ties ``u == Fbar_i`` resolve by the strict
+        inequality.
         """
         if not 0.0 < u < 1.0:
             raise ValueError("u must lie strictly in (0, 1)")
+        table = self._sampling_table
+        if u >= table[-1]:
+            return int(_last_above(table, u))
+        # Past the table: start from a closed form, then settle it against
+        # the exact predicate (it can be off by one unit in floating point).
+        last = table.size - 1
         if self.kind == "geometric":
             guess = math.log(u) / (self.exponent * math.log(self.rate))
         elif self.kind == "polynomial":
             guess = u ** (-1.0 / self.exponent) - 1.0
+        elif u >= self.table[-1] or self.tail_ratio is None:
+            return int(_last_above(self.table, u))
+        elif self.tail_ratio == 1.0:
+            raise EstimatorError("improper survival (constant tail) cannot be sampled")
         else:
-            return self._quantile_tabulated(u)
+            values = self.table
+            guess = values.size - 1 + math.log(u / values[-1]) / math.log(self.tail_ratio)
         if guess > MAX_LEVEL:
             raise EstimatorError(
                 f"truncation sample exceeded the {MAX_LEVEL} level cap; "
                 "survival tail is too heavy"
             )
-        # The closed form can be off by one unit in floating point; settle it
-        # against the exact predicate.
-        n = max(0, int(math.ceil(guess)) - 1)
+        n = max(last, int(math.ceil(guess)) - 1)
         while self.survival(n + 1) > u:
             n += 1
-        while n > 0 and self.survival(n) <= u:
-            n -= 1
-        return n
-
-    def _quantile_tabulated(self, u: float) -> int:
-        values = self.table
-        n = int(np.searchsorted(-values, -u, side="left")) - 1
-        if n < values.size - 1 or self.tail_ratio is None:
-            return max(n, 0)
-        if u >= values[-1]:
-            return max(n, 0)
-        if self.tail_ratio == 1.0:
-            raise EstimatorError(
-                "improper survival (constant tail) cannot be sampled"
-            )
-        # Continue through the geometric tail in closed form.
-        j = math.log(u / values[-1]) / math.log(self.tail_ratio)
-        n = values.size - 1 + max(0, int(math.ceil(j)) - 1)
-        if n > MAX_LEVEL:
-            raise EstimatorError(
-                f"truncation sample exceeded the {MAX_LEVEL} level cap; "
-                "survival tail is too heavy"
-            )
-        while self.survival(n + 1) > u:
-            n += 1
-        while n > values.size - 1 and self.survival(n) <= u:
+        while n > last and self.survival(n) <= u:
             n -= 1
         return n
 
@@ -250,24 +227,29 @@ class SurvivalDistribution:
         return self.quantile_level(u)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` independent truncation levels (vectorized)."""
+        """Draw ``n`` independent truncation levels (vectorized).
+
+        Uniforms are inverted against :attr:`_sampling_table`, whose entries
+        are the values :meth:`quantile_level` compares against, so both
+        resolve ties ``u == Fbar_i`` alike; uniforms below the table's last
+        entry (essentially never hit) take the scalar path.
+        """
         u = rng.random(n)
         u[u <= 0.0] = 0.5  # measure-zero guard
-        if self.kind == "tabulated" and self.tail_ratio is None:
-            table = self.table
-            return np.maximum(np.searchsorted(-table, -u, side="left") - 1, 0)
-        # Tabulate down to negligible mass, fall back to the scalar path for
-        # the (essentially never hit) residual tail.
-        limit = 1e-17
-        size = 64
-        while self.survival(size - 1) > limit and size < 2**20:
-            size *= 2
-        table = self.survival_array(size)
-        out = np.maximum(np.searchsorted(-table, -u, side="left") - 1, 0)
+        table = self._sampling_table
+        out = _last_above(table, u)
         deep = u < table[-1]
         if np.any(deep):
             out[deep] = [self.quantile_level(ui) for ui in u[deep]]
         return out
+
+    @functools.cached_property
+    def _sampling_table(self) -> np.ndarray:
+        """``Fbar_0, Fbar_1, ...`` down to negligible mass or ``2**12`` levels."""
+        values = [self.survival(0)]
+        while values[-1] > 1e-17 and len(values) < 2**12:
+            values.append(self.survival(len(values)))
+        return np.array(values)
 
     def __repr__(self) -> str:
         if self.kind == "geometric":
@@ -278,6 +260,12 @@ class SurvivalDistribution:
             f"SurvivalDistribution.tabulated(<{self.table.size} values>, "
             f"tail_ratio={self.tail_ratio})"
         )
+
+
+def _last_above(table: np.ndarray, u):
+    """``max{i : table[i] > u}``, or 0 when there is none, for a
+    nonincreasing ``table``; ``u`` may be an array."""
+    return np.maximum(np.searchsorted(-table, -u, side="left") - 1, 0)
 
 
 @dataclass
@@ -346,6 +334,57 @@ def estimate_once(
     if value.ndim == 0:
         value = float(value)
     return UnbiasedDraw(value=value, level=n, work=work, levels_detail=detail)
+
+
+def estimate_block(
+    delta_batch: Callable[[int, int, np.random.Generator], tuple],
+    survival: SurvivalDistribution,
+    stream: Stream,
+    count: int,
+) -> dict:
+    """``count`` independent draws of ``Z``, run as lanes sharing one stream.
+
+    Every lane draws ``N`` from child 0 of ``stream``.  The lanes with
+    ``N >= i`` then get their level-``i`` differences from one generator
+    on child ``1 + i``, as ``delta_batch(i, lanes, rng) -> (deltas, works)``
+    with ``lanes`` the number of such lanes, in lane order.  The children
+    are disjoint, so the deltas are independent of ``N`` and of the other
+    levels, and the block is a pure function of ``(stream, count)``.
+    Returns the arrays ``N``, ``z`` and ``work``.
+    """
+    if not survival.proper:
+        raise EstimatorError("cannot draw from an improper survival distribution")
+    ns = survival.sample_many(count, stream.child(_KEY_TRUNCATION).generator())
+    z = np.zeros(count)
+    work = np.zeros(count)
+    for i in range(int(ns.max()) + 1):
+        reached = ns >= i
+        rng_i = stream.child(_KEY_LEVEL_BASE + i).generator()
+        deltas, works = delta_batch(i, int(reached.sum()), rng_i)
+        finite = np.isfinite(deltas)
+        if not finite.all():
+            raise NonFiniteDeltaError(i, deltas[~finite][0])
+        z[reached] += deltas / survival.survival(i)
+        work[reached] += works
+    return {"N": ns, "z": z, "work": work}
+
+
+def _per_lane(gen: LevelDifferenceGenerator):
+    """Lift a scalar per-draw generator into a ``delta_batch``.
+
+    The lanes run one after another on the level's one generator.  Each
+    lane reads a fresh segment of an i.i.d. stream, independent of ``N``
+    and of the other lanes, so the law of every draw is unchanged.
+    """
+
+    def delta_batch(level: int, lanes: int, rng: np.random.Generator):
+        pairs = [gen(level, rng) for _ in range(lanes)]
+        return (
+            np.array([delta for delta, _ in pairs], dtype=float),
+            np.array([t for _, t in pairs], dtype=float),
+        )
+
+    return delta_batch
 
 
 def estimate_batch(

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import gaussian_linear, independence_sampler, models, pcn, tuning
 from .couplings import LevelSchedule, MarkovKernel, contraction_delta_generator, estimate_contraction
-from .estimator import SurvivalDistribution, _mean_variance, estimate_once
+from .estimator import SurvivalDistribution, _mean_variance, _per_lane, estimate_block
+from .estimator import estimate_once  # noqa: F401 - name the benchmark's trace probe wraps
 from .rng import Stream
 
 __all__ = [
@@ -101,22 +102,27 @@ def _survival_from_config(
     if not spec and default is not None:
         return default
     kind = spec.get("kind")
+    if kind not in ("geometric", "polynomial", "tabulated"):
+        raise ConfigError(f"unknown survival spec {spec!r}")
     try:
         if kind == "geometric":
-            return SurvivalDistribution.geometric(
-                spec["rate"], spec.get("exponent", 1.0)
-            )
-        if kind == "polynomial":
-            return SurvivalDistribution.polynomial(spec["exponent"])
-        if kind == "tabulated":
-            return SurvivalDistribution.tabulated(
-                spec["values"], spec.get("tail_ratio")
-            )
+            law = SurvivalDistribution.geometric(spec["rate"], spec.get("exponent", 1.0))
+        elif kind == "polynomial":
+            law = SurvivalDistribution.polynomial(spec["exponent"])
+        else:
+            law = SurvivalDistribution.tabulated(spec["values"], spec.get("tail_ratio"))
     except KeyError as exc:
         raise ConfigError(f"{kind} survival needs survival.{exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid survival spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown survival spec {spec!r}")
+    # Every level costs at least one work unit, so E[work] >= sum_i Fbar_i:
+    # a law whose mean level diverges would never finish sampling.
+    _require(
+        kind != "polynomial" or law.exponent > 1.0,
+        "polynomial survival needs exponent > 1 (sum_i Fbar_i diverges otherwise)",
+    )
+    _require(law.proper, "tail_ratio 1 never decays (sum_i Fbar_i diverges)")
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +137,14 @@ def _survival_from_config(
 # processes validate once.
 
 
-def _scalar_block(gen, survival, f_dim_of_level):
+def _scalar_block(gen, survival, dim_of_level):
+    delta_batch = _per_lane(gen)
+
     def run_block(stream: Stream, count: int, offset: int):
-        ns = np.empty(count, dtype=np.int64)
-        zs = np.empty(count, dtype=float)
-        ws = np.empty(count, dtype=float)
-        dims = np.empty(count, dtype=np.int64)
-        for r in range(count):
-            draw = estimate_once(gen, survival, stream.child(r))
-            ns[r] = draw.level
-            zs[r] = draw.value
-            ws[r] = draw.work
-            dims[r] = f_dim_of_level(draw.level)
-        return {"N": ns, "z": zs, "work": ws, "level_max_dim": dims}
+        out = estimate_block(delta_batch, survival, stream, count)
+        dims = [dim_of_level(n) for n in out["N"].tolist()]
+        out["level_max_dim"] = np.array(dims, dtype=np.int64)
+        return out
 
     return run_block
 
@@ -174,12 +175,8 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
         out = models.contracting_unbiased_block(
             rho, schedule, survival, stream, count, x0=x0
         )
-        return {
-            "N": out["level"],
-            "z": out["value"],
-            "work": out["work"],
-            "level_max_dim": np.ones(count, dtype=np.int64),
-        }
+        out["level_max_dim"] = np.ones(count, dtype=np.int64)
+        return out
 
     return {
         "run_block": run_block,

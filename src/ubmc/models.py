@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, _level_difference
-from .estimator import SurvivalDistribution
+from .estimator import SurvivalDistribution, estimate_block
 from .rng import Stream
 
 TWO_PI = 2.0 * math.pi
@@ -27,7 +27,6 @@ __all__ = [
     "contracting_normals_coupling",
     "contracting_delta_batch",
     "contracting_unbiased_block",
-    "contracting_unbiased_batch",
     "CircleChainModel",
     "circle_maximal_coupling",
     "circle_arc",
@@ -95,7 +94,6 @@ def contracting_delta_batch(
     count: int,
     rng: np.random.Generator,
     x0: float = 0.0,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """``count`` independent coupled level differences, vectorized.
 
@@ -112,7 +110,7 @@ def contracting_delta_batch(
         )
 
     return _level_difference(
-        schedule, level, np.full(count, x0, dtype=float), f or (lambda x: x), rng,
+        schedule, level, np.full(count, x0, dtype=float), lambda x: x, rng,
         lone, joint, lambda x, j: x, lambda j: 1.0,
     )[0]
 
@@ -124,59 +122,17 @@ def contracting_unbiased_block(
     stream: Stream,
     count: int,
     x0: float = 0.0,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> dict:
-    """One block of unbiased draws, all lanes sharing one stream.
-
-    The truncation draws use child 0 of the stream, level ``i`` uses child
-    ``i + 1``, and replicate lanes are columns, so the block is a pure
-    function of (stream, count).  Returns arrays ``level``, ``value``,
-    ``work``.
+    """One block of unbiased draws: :func:`contracting_delta_batch` bound
+    into :func:`~ubmc.estimator.estimate_block`.  Returns arrays ``N``,
+    ``z`` and ``work``.
     """
-    ns = survival.sample_many(count, stream.child(0).generator())
-    z = np.zeros(count)
-    w = np.zeros(count)
-    for i in range(int(ns.max()) + 1):
-        mask = ns >= i
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        rng_i = stream.child(1 + i).generator()
-        deltas = contracting_delta_batch(rho, schedule, i, cnt, rng_i, x0=x0, f=f)
-        z[mask] += deltas / survival.survival(i)
-        w[mask] += schedule.steps_at(i)
-    return {"level": ns, "value": z, "work": w}
 
+    def delta_batch(level, lanes, rng):
+        deltas = contracting_delta_batch(rho, schedule, level, lanes, rng, x0=x0)
+        return deltas, schedule.steps_at(level)
 
-def contracting_unbiased_batch(
-    rho: float,
-    schedule: LevelSchedule,
-    survival: SurvivalDistribution,
-    replicates: int,
-    seed: int,
-    x0: float = 0.0,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
-    block: int = 4096,
-) -> dict:
-    """Vectorized batch of unbiased draws for the contracting chain.
-
-    Replicates are processed in fixed-size blocks; block ``b`` consumes
-    the stream ``(seed, b)``, so results do not depend on how blocks are
-    distributed over workers.  Returns arrays ``level``, ``value``,
-    ``work``.
-    """
-    parts = []
-    root = Stream(seed)
-    for b_start in range(0, replicates, block):
-        nb = min(block, replicates - b_start)
-        parts.append(
-            contracting_unbiased_block(
-                rho, schedule, survival, root.child(b_start // block), nb, x0=x0, f=f
-            )
-        )
-    return {
-        key: np.concatenate([p[key] for p in parts]) for key in ("level", "value", "work")
-    }
+    return estimate_block(delta_batch, survival, stream, count)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Every stochastic routine in this package is a pure function of its inputs
 and a :class:`Stream`.  A stream is an immutable (seed, path) pair; child
-streams are derived by extending the path with integer keys, so replicate
-``r``, level ``i`` and phase ``p`` of an experiment always draw from the
-stream keyed ``(seed, r, i, p)`` no matter how the work is scheduled.
+streams are derived by extending the path with integer keys, so level
+``i`` of block ``b`` of an experiment always draws from the stream keyed
+``(seed, b, 1 + i)`` no matter how the work is scheduled.
 Philox is used as the bit generator, so streams with distinct keys are
 statistically independent and cheap to construct.
 """

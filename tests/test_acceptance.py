@@ -39,7 +39,7 @@ from ubmc.models import (
     TWO_PI,
     circle_arc,
     circle_maximal_coupling,
-    contracting_unbiased_batch,
+    contracting_unbiased_block,
     logistic_reference_fit,
 )
 from ubmc.tuning import (
@@ -66,13 +66,13 @@ def tuned_batch(replicates: int, seed: int):
     rho, m = 0.8, 4
     schedule = LevelSchedule.arithmetic(m)
     survival = contracting_optimal_survival(rho, m)
-    out = contracting_unbiased_batch(rho, schedule, survival, replicates, seed=seed)
+    out = contracting_unbiased_block(rho, schedule, survival, Stream(seed), replicates)
     return out, survival
 
 
 def test_criterion_01_unbiasedness_contracting():
     out, _ = tuned_batch(100_000, seed=101)
-    z = out["value"]
+    z = out["z"]
     se = z.std(ddof=1) / math.sqrt(z.size)
     report(
         1,
@@ -88,7 +88,7 @@ def test_criterion_02_second_moment_identity():
     steps = [4 * (i + 1) for i in range(levels)]
     nus = contracting_delta_variances(0.8, steps, levels)
     formula = second_moment_formula(nus, survival)
-    zsq = out["value"] ** 2
+    zsq = out["z"] ** 2
     se = zsq.std(ddof=1) / math.sqrt(zsq.size)
     report(
         2,

@@ -16,6 +16,7 @@ from ubmc import (
     expected_work,
     second_moment_formula,
 )
+from ubmc.estimator import _per_lane, estimate_block
 from ubmc.models import contracting_delta_batch
 from ubmc.tuning import contracting_delta_variances, contracting_optimal_survival
 
@@ -166,6 +167,42 @@ class TestEstimateOnce:
         assert draw.work == pytest.approx(sum(e[2] for e in draw.levels_detail))
 
 
+class TestEstimateBlock:
+    def test_forced_level_hand_value(self):
+        # Every lane draws N = 2 (see TestEstimateOnce): Z = 3, work = 3.
+        delta_batch = _per_lane(stub_generator(lambda i: 2.0**-i))
+        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 5)
+        assert out["N"].tolist() == [2] * 5
+        assert out["z"] == pytest.approx(np.full(5, 3.0))
+        assert out["work"].tolist() == [3.0] * 5
+
+    def test_lanes_run_in_order_on_one_stream_per_level(self):
+        # Level i of the block reads child 1 + i, lane after lane.
+        delta_batch = _per_lane(lambda level, rng: (rng.random(), 1.0))
+        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2, seed=9), 4)
+        expected = sum(
+            Stream(9).child(1 + i).generator().random(4) / GEOM_HALF.survival(i)
+            for i in range(3)
+        )
+        assert np.array_equal(out["z"], expected)
+
+    def test_non_finite_lane_reports_level(self):
+        def delta_batch(level, lanes, rng):
+            deltas = np.ones(lanes)
+            if level == 1:
+                deltas[lanes // 2] = math.nan
+            return deltas, 1.0
+
+        with pytest.raises(NonFiniteDeltaError) as err:
+            estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.1), 8)
+        assert err.value.level == 1
+
+    def test_improper_survival_rejected(self):
+        flat = SurvivalDistribution.tabulated([1.0, 1.0], tail_ratio=1.0)
+        with pytest.raises(EstimatorError):
+            estimate_block(_per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0), 4)
+
+
 class TestEstimateBatch:
     @pytest.mark.parametrize(
         "law",
@@ -292,10 +329,10 @@ class TestMomentFormulas:
         survival = contracting_optimal_survival(rho, m, levels=levels)
         formula = second_moment_formula(nus, survival)
         schedule = LevelSchedule.arithmetic(m)
-        from ubmc.models import contracting_unbiased_batch
+        from ubmc.models import contracting_unbiased_block
 
-        out = contracting_unbiased_batch(rho, schedule, survival, 200_000, seed=31)
-        zsq = out["value"] ** 2
+        out = contracting_unbiased_block(rho, schedule, survival, Stream(31), 200_000)
+        zsq = out["z"] ** 2
         se = zsq.std(ddof=1) / math.sqrt(zsq.size)
         assert abs(zsq.mean() - formula) <= 3.0 * se
 

@@ -304,6 +304,9 @@ class TestCli:
             {"params": [0.8]},
             {"params": {"rho": "0.8"}},
             {"schedule": {"kind": "arithmetic", "m": "four"}},
+            {"survival": {"kind": "polynomial", "exponent": 0.9}},
+            {"survival": {"kind": "polynomial", "exponent": 1.0}},
+            {"survival": {"kind": "tabulated", "values": [1.0, 1.0], "tail_ratio": 1.0}},
         ],
         ids=[
             "survival-missing-rate",
@@ -314,6 +317,9 @@ class TestCli:
             "params-not-object",
             "rho-string",
             "steps-not-a-number",
+            "survival-mean-level-diverges",
+            "survival-harmonic-tail",
+            "survival-constant-tail",
         ],
     )
     def test_config_type_and_value_errors_exit_2(self, tmp_path, capsys, change):
@@ -331,10 +337,25 @@ class TestCli:
         assert "rho must lie in (0, 1)" in capsys.readouterr().err
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
-        # Improper survival law passes static validation but cannot be
-        # sampled.
+        # The declared acceptance floor passes static validation, but the
+        # split sampler sees acceptances below it while sampling.
+        config = {
+            "experiment": "indep-sampler",
+            "params": {"model": "linear2d", "f": "coord1", "alpha_star": 0.9},
+            "replicates": 16,
+        }
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["indep-sampler", "--config", str(path)]) == 3
+        assert "below declared floor" in capsys.readouterr().err
+
+    def test_non_finite_lane_draw_exit_3(self, tmp_path, capsys):
+        # A chain started at infinity yields NaN differences; the block
+        # driver must fail the run rather than average them away.
         config = contracting_config(replicates=16).to_dict()
-        config["survival"] = {"kind": "tabulated", "values": [1.0, 1.0], "tail_ratio": 1.0}
-        path = tmp_path / "improper.json"
+        config["params"] = {"rho": 0.8, "x0": math.inf}
+        config["survival"] = {"kind": "geometric", "rate": 0.5}
+        path = tmp_path / "infinite.json"
         path.write_text(json.dumps(config))
         assert cli_main(["contracting-normals", "--config", str(path)]) == 3
+        assert "non-finite level difference" in capsys.readouterr().err

@@ -77,20 +77,20 @@ class TestContractingNormals:
         # scalar driver, batched; their first two moments must agree.
         from ubmc import LevelSchedule, estimate_batch
         from ubmc.couplings import contraction_delta_generator
-        from ubmc.models import contracting_unbiased_batch
+        from ubmc.models import contracting_unbiased_block
         from ubmc.tuning import contracting_optimal_survival
 
         rho, m, n = 0.6, 2, 30_000
         schedule = LevelSchedule.arithmetic(m)
         survival = contracting_optimal_survival(rho, m)
-        vector = contracting_unbiased_batch(rho, schedule, survival, n, seed=51)
+        vector = contracting_unbiased_block(rho, schedule, survival, Stream(51), n)
         model = ContractingNormalsModel(rho)
         gen = contraction_delta_generator(
             model.kernel(), model.coupling(), schedule, lambda x: x, 0.0
         )
         scalar = estimate_batch(gen, survival, n, seed=52)
         zs = np.array([d.value for d in scalar.draws])
-        zv = vector["value"]
+        zv = vector["z"]
         se_mean = math.hypot(zs.std(ddof=1), zv.std(ddof=1)) / math.sqrt(n)
         assert abs(zs.mean() - zv.mean()) <= 4.0 * se_mean
         se_sq = math.hypot((zs**2).std(ddof=1), (zv**2).std(ddof=1)) / math.sqrt(n)

@@ -61,13 +61,36 @@ class _ReplayUniforms:
 
 
 # Tiny uniforms reach past the table sample_many builds into its scalar
-# fallback.  Exact ties are left out: ``survival_array`` and ``survival``
-# may differ in the last bit, which only matters for u == Fbar_i exactly.
+# fallback; exact ties u == Fbar_i are drawn on purpose.
 uniforms = st.one_of(st.floats(1e-12, 1.0, exclude_max=True), st.floats(1e-12, 1e-6))
 
 
 @PROPERTY
-@given(law=laws, u=st.lists(uniforms, min_size=1, max_size=200))
-def test_sample_many_agrees_with_quantile_level_on_the_same_uniforms(law, u):
+@given(law=laws, data=st.data())
+def test_sample_many_agrees_with_quantile_level_on_the_same_uniforms(law, data):
+    ties = [v for v in map(law.survival, range(1, 80)) if 0.0 < v < 1.0]
+    u = data.draw(
+        st.lists(st.one_of(uniforms, st.sampled_from(ties or [0.5])), min_size=1, max_size=200)
+    )
     drawn = law.sample_many(len(u), _ReplayUniforms(u))
     assert drawn.tolist() == [law.quantile_level(v) for v in u]
+
+
+def test_sample_many_resolves_an_exact_tie_like_quantile_level():
+    # survival(41) of this law is one ulp below numpy's vectorized power
+    # at the same level; both samplers must compare against survival(41).
+    law = SurvivalDistribution.geometric(0.32499999999999996, 1.3)
+    u = law.survival(41)
+    assert law.quantile_level(u) == 40
+    assert law.sample_many(1, _ReplayUniforms([u])).tolist() == [40]
+
+
+def test_long_tabulated_law_past_the_sampling_table():
+    # 6000 entries and a tail: uniforms below the cached table's last
+    # entry continue through the rest of the table, then the tail.
+    values = 0.998 ** np.arange(6000)
+    law = SurvivalDistribution.tabulated(values, tail_ratio=0.5)
+    u = [values[5000], 0.5 * (values[4500] + values[4501]), 0.3 * values[-1], values[-1] / 8]
+    expected = [max(i for i in range(6010) if law.survival(i) > v) for v in u]
+    assert [law.quantile_level(v) for v in u] == expected
+    assert law.sample_many(len(u), _ReplayUniforms(u)).tolist() == expected

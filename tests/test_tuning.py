@@ -7,7 +7,7 @@ import pytest
 
 from ubmc import LevelSchedule, Stream
 from ubmc.estimator import SurvivalDistribution, expected_work, second_moment_formula
-from ubmc.models import contracting_delta_batch, contracting_unbiased_batch
+from ubmc.models import contracting_delta_batch, contracting_unbiased_block
 from ubmc.tuning import (
     contracting_delta_variances,
     contracting_optimal_survival,
@@ -184,8 +184,8 @@ class TestEmpiricalProduct:
         rho, m = 0.8, 8
         schedule = LevelSchedule.arithmetic(m)
         survival = contracting_optimal_survival(rho, m)
-        out = contracting_unbiased_batch(rho, schedule, survival, 100_000, seed=3)
-        product = out["value"].var(ddof=1) * out["work"].mean()
+        out = contracting_unbiased_block(rho, schedule, survival, Stream(3), 100_000)
+        product = out["z"].var(ddof=1) * out["work"].mean()
         assert product == pytest.approx(unbiased_msework(rho, m), rel=0.10)
 
 
