@@ -8,9 +8,10 @@ random truncation level ``N`` with survival probabilities
     Z = sum_{i<=N} delta_i / Fbar_i
 
 gives an unbiased estimator whenever each level difference is generated
-independently.  This module houses the truncation law, the single-draw,
-block and batched estimators, and the second-moment / expected-work
-identities used to tune them.
+independently.  This module houses the truncation law, the block driver
+that every draw runs through (one draw, a batch, or an experiment's
+block of lanes), and the second-moment / expected-work identities used
+to tune them.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class LevelDifferenceGenerator(Protocol):
     its deltas mutually independent; the lanes of a block share one
     generator per level, each reading on where the last stopped.
     ``value`` is a float, or a fixed-length 1-d array for vector-valued
-    targets (:func:`estimate_once` only).
+    targets.
     """
 
     def __call__(self, level: int, rng: np.random.Generator): ...
@@ -131,7 +132,9 @@ class SurvivalDistribution:
                     raise ValueError("tail_ratio must be in (0, 1]")
                 if values[-1] == 0.0:
                     raise ValueError("geometric tail requires a positive last entry")
-            self.table = values
+            # Rises within the tolerance would give a negative pmf and an
+            # unsorted table to invert against.
+            self.table = np.minimum.accumulate(values)
         else:
             raise ValueError(f"unknown survival family {kind!r}")
 
@@ -184,9 +187,8 @@ class SurvivalDistribution:
     def quantile_level(self, u: float) -> int:
         """``max{ i : Fbar_i > u }`` for ``u`` in (0, 1).
 
-        This is the inverse-survival transform used by :func:`sample_truncation`
-        and :meth:`sample_many`; ties ``u == Fbar_i`` resolve by the strict
-        inequality.
+        This is the inverse-survival transform used by :meth:`sample_many`;
+        ties ``u == Fbar_i`` resolve by the strict inequality.
         """
         if not 0.0 < u < 1.0:
             raise ValueError("u must lie strictly in (0, 1)")
@@ -218,13 +220,6 @@ class SurvivalDistribution:
         while n > last and self.survival(n) <= u:
             n -= 1
         return n
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one truncation level ``N``."""
-        u = rng.random()
-        while u <= 0.0:  # random() returns [0, 1); 0 has measure zero
-            u = rng.random()
-        return self.quantile_level(u)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` independent truncation levels (vectorized).
@@ -279,61 +274,48 @@ class UnbiasedDraw:
     value: float | np.ndarray
     level: int
     work: float
-    levels_detail: list[tuple] | None = None
 
 
 @dataclass
 class BatchResult:
-    """Aggregate of independent draws; see :func:`estimate_batch`."""
+    """Aggregate of independent draws; see :func:`estimate_batch`.
+
+    ``z``, ``N`` and ``work`` hold the draws, one row per replicate.
+    """
 
     mean: float | np.ndarray
     variance: float | np.ndarray
     total_work: float
-    draws: list[UnbiasedDraw] = field(repr=False, default_factory=list)
+    z: np.ndarray = field(repr=False)
+    N: np.ndarray = field(repr=False)
+    work: np.ndarray = field(repr=False)
 
     @property
     def std_error(self):
-        n = len(self.draws)
-        return np.sqrt(self.variance / n) if n > 0 else np.nan
+        return np.sqrt(self.variance / len(self.z))
 
 
 def sample_truncation(survival: SurvivalDistribution, rng: np.random.Generator) -> int:
     """Draw the truncation level ``N`` with ``P(N = i) = Fbar_i - Fbar_{i+1}``."""
-    return survival.sample(rng)
+    return int(survival.sample_many(1, rng)[0])
 
 
 def estimate_once(
     gen: LevelDifferenceGenerator,
     survival: SurvivalDistribution,
     stream: Stream,
-    keep_levels: bool = False,
 ) -> UnbiasedDraw:
     """Generate one unbiased draw ``Z = sum_{i<=N} delta_i / Fbar_i``.
 
-    The truncation level and every level difference consume disjoint
-    children of ``stream``, so the deltas are mutually independent of each
-    other and of ``N``.
+    The draw is a one-lane :func:`estimate_block` on ``stream``.
     """
-    if not survival.proper:
-        raise EstimatorError("cannot draw from an improper survival distribution")
-    n = sample_truncation(survival, stream.child(_KEY_TRUNCATION).generator())
-    value = None
-    work = 0.0
-    detail = [] if keep_levels else None
-    for i in range(n + 1):
-        rng_i = stream.child(_KEY_LEVEL_BASE, i).generator()
-        delta, t_i = gen(i, rng_i)
-        delta = np.asarray(delta, dtype=float)
-        if not np.all(np.isfinite(delta)):
-            raise NonFiniteDeltaError(i, delta)
-        term = delta / survival.survival(i)
-        value = term if value is None else value + term
-        work += t_i
-        if detail is not None:
-            detail.append((i, delta if delta.ndim else float(delta), t_i))
-    if value.ndim == 0:
-        value = float(value)
-    return UnbiasedDraw(value=value, level=n, work=work, levels_detail=detail)
+    out = estimate_block(_per_lane(gen), survival, stream, 1)
+    value = out["z"][0]
+    return UnbiasedDraw(
+        value=value if value.ndim else float(value),
+        level=int(out["N"][0]),
+        work=float(out["work"][0]),
+    )
 
 
 def estimate_block(
@@ -350,12 +332,13 @@ def estimate_block(
     with ``lanes`` the number of such lanes, in lane order.  The children
     are disjoint, so the deltas are independent of ``N`` and of the other
     levels, and the block is a pure function of ``(stream, count)``.
-    Returns the arrays ``N``, ``z`` and ``work``.
+    Returns the arrays ``N``, ``z`` and ``work``; ``z`` takes the shape of
+    the level-0 deltas, which every lane reaches, so vector-valued
+    targets give one row per lane.
     """
     if not survival.proper:
         raise EstimatorError("cannot draw from an improper survival distribution")
     ns = survival.sample_many(count, stream.child(_KEY_TRUNCATION).generator())
-    z = np.zeros(count)
     work = np.zeros(count)
     for i in range(int(ns.max()) + 1):
         reached = ns >= i
@@ -364,6 +347,8 @@ def estimate_block(
         finite = np.isfinite(deltas)
         if not finite.all():
             raise NonFiniteDeltaError(i, deltas[~finite][0])
+        if i == 0:
+            z = np.zeros(np.shape(deltas))
         z[reached] += deltas / survival.survival(i)
         work[reached] += works
     return {"N": ns, "z": z, "work": work}
@@ -392,25 +377,25 @@ def estimate_batch(
     survival: SurvivalDistribution,
     replicates: int,
     seed: int,
-    keep_levels: bool = False,
 ) -> BatchResult:
     """Average ``replicates`` independent draws of the estimator.
 
-    Replicate ``r`` always consumes the stream derived as ``(seed, r)``, so
-    a batch is reproducible draw-for-draw regardless of execution order,
-    and the aggregation below (``math.fsum``) is exact in any summation
-    order.
+    The replicates are the lanes of one :func:`estimate_block` on
+    ``Stream(seed)``, so a batch is reproducible draw-for-draw, and the
+    aggregation below (``math.fsum``) is exact in any summation order.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    root = Stream(seed)
-    draws = [
-        estimate_once(gen, survival, root.child(r), keep_levels=keep_levels)
-        for r in range(replicates)
-    ]
-    mean, var = _mean_variance(np.asarray([d.value for d in draws], dtype=float))
-    total_work = math.fsum(d.work for d in draws)
-    return BatchResult(mean=mean, variance=var, total_work=total_work, draws=draws)
+    out = estimate_block(_per_lane(gen), survival, Stream(seed), replicates)
+    mean, var = _mean_variance(out["z"])
+    return BatchResult(
+        mean=mean,
+        variance=var,
+        total_work=math.fsum(out["work"]),
+        z=out["z"],
+        N=out["N"],
+        work=out["work"],
+    )
 
 
 def _mean_variance(values: np.ndarray):

@@ -206,10 +206,11 @@ def propose_noise(model: PcnModel, j: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _accepts(u: float, alpha: float) -> bool:
-    # log-u comparison for numerical robustness; u == 0 accepts.
+    # log-u comparison for numerical robustness; u == 0 accepts, and an
+    # acceptance that underflowed to 0 rejects every u > 0.
     if alpha >= 1.0:
         return True
-    return u <= 0.0 or math.log(u) <= math.log(alpha)
+    return u <= 0.0 or (alpha > 0.0 and math.log(u) <= math.log(alpha))
 
 
 def pcn_step(

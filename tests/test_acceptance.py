@@ -171,14 +171,14 @@ def test_criterion_07_linear_gaussian():
     dims, survival = gl_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
     f = lambda u: float(u[coord - 1]) if u.size >= coord else 0.0
     batch = estimate_batch(truncation_generator(model, dims, f), survival, 100_000, seed=71)
-    vals = np.array([d.value for d in batch.draws])
+    vals = batch.z
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     ok &= abs(batch.mean - target) <= 4 * se
     details.append(f"truncation pipeline mean {batch.mean:.5f} vs m_3 {target:.5f} (4SE {4*se:.5f})")
 
     dims2, survival2 = gl_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
     batch2 = estimate_batch(tail_generator(model, dims2, {coord: 1.0}), survival2, 100_000, seed=72)
-    vals2 = np.array([d.value for d in batch2.draws])
+    vals2 = batch2.z
     se2 = vals2.std(ddof=1) / math.sqrt(vals2.size)
     ok &= abs(batch2.mean - target) <= 4 * se2
     details.append(f"prior-tail pipeline mean {batch2.mean:.5f} (4SE {4*se2:.5f})")

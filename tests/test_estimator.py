@@ -14,6 +14,7 @@ from ubmc import (
     estimate_batch,
     estimate_once,
     expected_work,
+    sample_truncation,
     second_moment_formula,
 )
 from ubmc.estimator import _per_lane, estimate_block
@@ -110,6 +111,14 @@ class TestSurvivalDistribution:
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(observed - p) <= 4.0 * se + 1e-12
 
+    def test_tabulated_rise_within_tolerance_is_flattened(self):
+        # The table rises by one ulp, inside the validation tolerance; the
+        # stored law must still be a proper nonincreasing survival.
+        law = SurvivalDistribution.tabulated([1.0, 0.5, 0.5000000000000001])
+        assert all(law.pmf(i) >= 0.0 for i in range(5))
+        for u in (0.1, 0.4999999999999999, 0.5, 0.5000000000000001, 0.7):
+            assert law.quantile_level(u) == max(i for i in range(5) if law.survival(i) > u)
+
     def test_vectorized_matches_scalar_path(self):
         law = SurvivalDistribution.polynomial(1.8)
         us = Stream(3).generator().random(2000)
@@ -158,13 +167,24 @@ class TestEstimateOnce:
         with pytest.raises(EstimatorError):
             estimate_once(stub_generator(lambda i: 0.0), flat, Stream(0))
 
-    def test_levels_detail(self):
-        gen = stub_generator(lambda i: 2.0**-i)
-        draw = estimate_once(
-            gen, GEOM_HALF, ForcedTruncationStream(0.2), keep_levels=True
-        )
-        assert [entry[0] for entry in draw.levels_detail] == [0, 1, 2]
-        assert draw.work == pytest.approx(sum(e[2] for e in draw.levels_detail))
+    def test_equals_one_lane_block(self):
+        def gen(level, rng):
+            return rng.standard_normal() * 2.0**-level, float(level + 1)
+
+        for seed in range(20):
+            draw = estimate_once(gen, GEOM_HALF, Stream(seed))
+            out = estimate_block(_per_lane(gen), GEOM_HALF, Stream(seed), 1)
+            assert draw.value == out["z"][0]
+            assert draw.level == out["N"][0]
+            assert draw.work == out["work"][0]
+
+    def test_truncation_inverts_the_first_uniform(self):
+        laws = [GEOM_HALF, SurvivalDistribution.polynomial(1.8)]
+        for law in laws:
+            for seed in range(500):
+                u = Stream(seed).generator().random()
+                level = sample_truncation(law, Stream(seed).generator())
+                assert level == law.quantile_level(u)
 
 
 class TestEstimateBlock:
@@ -202,6 +222,15 @@ class TestEstimateBlock:
         with pytest.raises(EstimatorError):
             estimate_block(_per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0), 4)
 
+    def test_vector_valued_lanes(self):
+        # z takes the shape of the level-0 deltas: one row per lane.
+        def delta_batch(level, lanes, rng):
+            return np.ones((lanes, 3)) * 2.0**-level, np.ones(lanes)
+
+        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 6)
+        assert out["z"].shape == (6, 3)
+        assert out["z"] == pytest.approx(np.full((6, 3), 3.0))
+
 
 class TestEstimateBatch:
     @pytest.mark.parametrize(
@@ -219,13 +248,13 @@ class TestEstimateBatch:
             return 2.0**-level * (1.0 + 0.3 * rng.standard_normal()), 1.0
 
         result = estimate_batch(gen, law, 100_000, seed=13)
-        values = np.array([d.value for d in result.draws])
+        values = result.z
         assert abs(result.mean - 2.0) <= four_se(values)
 
     def test_single_replicate_matches_estimate_once(self):
         gen = stub_generator(lambda i: 1.0 / (1 + i))
         single = estimate_batch(gen, GEOM_HALF, 1, seed=4)
-        direct = estimate_once(gen, GEOM_HALF, Stream(4).child(0))
+        direct = estimate_once(gen, GEOM_HALF, Stream(4))
         assert single.mean == direct.value
         assert single.total_work == direct.work
 
@@ -236,7 +265,7 @@ class TestEstimateBatch:
             return rng.standard_cauchy(), 1.0
 
         result = estimate_batch(gen, SurvivalDistribution.tabulated([1.0]), 10_000, seed=5)
-        values = [d.value for d in result.draws]
+        values = result.z.tolist()
         mean = math.fsum(values) / len(values)
         assert result.mean == mean
         loop = math.fsum((v - mean) * (v - mean) for v in values) / (len(values) - 1)
@@ -254,24 +283,35 @@ class TestEstimateBatch:
 
         a = estimate_batch(gen, GEOM_HALF, 500, seed=9)
         b = estimate_batch(gen, GEOM_HALF, 500, seed=9)
-        assert [d.value for d in a.draws] == [d.value for d in b.draws]
-        assert [d.level for d in a.draws] == [d.level for d in b.draws]
+        assert a.z.tolist() == b.z.tolist()
+        assert a.N.tolist() == b.N.tolist()
+
+    def test_batch_is_one_block_on_the_seed_stream(self):
+        def gen(level, rng):
+            return rng.standard_normal() * 2.0**-level, float(level + 1)
+
+        law = SurvivalDistribution.polynomial(2.5)
+        batch = estimate_batch(gen, law, 700, seed=23)
+        out = estimate_block(_per_lane(gen), law, Stream(23), 700)
+        assert np.array_equal(batch.z, out["z"])
+        assert np.array_equal(batch.N, out["N"])
+        assert np.array_equal(batch.work, out["work"])
 
     def test_levels_draw_independent_streams(self):
         # The per-level streams are keyed by the level index, so deltas of
         # one draw are uncorrelated across levels.
-        def gen(level, rng):
-            return rng.standard_normal(), 1.0
+        per_lane = _per_lane(lambda level, rng: (rng.standard_normal(), 1.0))
+        recorded = {}
+
+        def delta_batch(level, lanes, rng):
+            deltas, works = per_lane(level, lanes, rng)
+            recorded[level] = deltas
+            return deltas, works
 
         survival = SurvivalDistribution.tabulated([1.0, 1.0, 0.5], tail_ratio=0.5)
-        batch = estimate_batch(gen, survival, 20_000, seed=19, keep_levels=True)
-        pairs = np.array(
-            [
-                (d.levels_detail[0][1], d.levels_detail[1][1])
-                for d in batch.draws
-                if d.level >= 1
-            ]
-        )
+        out = estimate_block(delta_batch, survival, Stream(19), 20_000)
+        reached = out["N"] >= 1
+        pairs = np.column_stack([recorded[0][reached], recorded[1]])
         corr = np.corrcoef(pairs.T)[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(pairs.shape[0])
 
@@ -282,7 +322,7 @@ class TestEstimateBatch:
             return base + 0.1 * rng.standard_normal(2), 1.0
 
         result = estimate_batch(gen, GEOM_HALF, 30_000, seed=17)
-        values = np.array([d.value for d in result.draws])
+        values = result.z
         assert values.shape == (30_000, 2)
         target = np.array([2.0, -4.0])  # componentwise telescoped sums
         for k in range(2):
@@ -302,7 +342,7 @@ class TestEstimateBatch:
             model.kernel(), model.coupling(), schedule, lambda x: x, 0.0
         )
         result = estimate_batch(gen, survival, 20_000, seed=21)
-        values = np.array([d.value for d in result.draws])
+        values = result.z
         assert abs(result.mean) <= four_se(values)
 
 

@@ -186,14 +186,14 @@ class TestUnbiasedness:
         dims, survival = make_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
         f = lambda u: float(u[coord - 1]) if u.size >= coord else 0.0
         batch = estimate_batch(truncation_generator(model, dims, f), survival, 20_000, seed=5)
-        values = np.array([d.value for d in batch.draws])
+        values = batch.z
         assert abs(batch.mean - target) <= four_se(values)
 
         dims2, survival2 = make_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
         batch2 = estimate_batch(
             tail_generator(model, dims2, {coord: 1.0}), survival2, 20_000, seed=6
         )
-        values2 = np.array([d.value for d in batch2.draws])
+        values2 = batch2.z
         assert abs(batch2.mean - target) <= four_se(values2)
 
     def test_second_moment_matches_formula(self):
@@ -208,7 +208,7 @@ class TestUnbiasedness:
         formula = second_moment_formula(nus, survival)
         f = lambda u: float(u[coord - 1]) if u.size >= coord else 0.0
         batch = estimate_batch(truncation_generator(model, dims, f), survival, 50_000, seed=8)
-        zsq = np.array([d.value for d in batch.draws]) ** 2
+        zsq = batch.z ** 2
         se = zsq.std(ddof=1) / math.sqrt(zsq.size)
         assert abs(zsq.mean() - formula) <= 3.0 * se
 

@@ -250,7 +250,7 @@ class TestUnbiasedDelta:
         survival = SurvivalDistribution.geometric(0.6)
         gen = delta_generator(model, schedule, lambda u: float(u[0]), np.zeros(1))
         batch = estimate_batch(gen, survival, 20_000, seed=3)
-        values = np.array([d.value for d in batch.draws])
+        values = batch.z
         assert abs(batch.mean - target) <= four_se(values)
 
 

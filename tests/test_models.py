@@ -89,13 +89,13 @@ class TestContractingNormals:
             model.kernel(), model.coupling(), schedule, lambda x: x, 0.0
         )
         scalar = estimate_batch(gen, survival, n, seed=52)
-        zs = np.array([d.value for d in scalar.draws])
+        zs = scalar.z
         zv = vector["z"]
         se_mean = math.hypot(zs.std(ddof=1), zv.std(ddof=1)) / math.sqrt(n)
         assert abs(zs.mean() - zv.mean()) <= 4.0 * se_mean
         se_sq = math.hypot((zs**2).std(ddof=1), (zv**2).std(ddof=1)) / math.sqrt(n)
         assert abs(np.mean(zs**2) - np.mean(zv**2)) <= 4.0 * se_sq
-        works = np.array([d.work for d in scalar.draws])
+        works = scalar.work
         assert abs(works.mean() - vector["work"].mean()) <= 4.0 * math.hypot(
             works.std(ddof=1), vector["work"].std(ddof=1)
         ) / math.sqrt(n)

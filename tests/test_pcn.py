@@ -71,6 +71,19 @@ class TestStep:
         with pytest.raises(ValueError):
             pcn.pcn_step(model, 1, np.zeros(1), (np.ones(1), 0.5))
 
+    def test_underflowing_acceptance_rejects(self, stream):
+        # exp(-1000) underflows to 0: the step must reject, not take log(0).
+        model = pcn.PcnModel.diagonal(
+            0.5, lambda x: 0.0 if x[0] < 0 else 1000.0, lambda l: 1.0, regularity=2.0
+        )
+        x = np.array([-1.0, 0.0])
+        uphill = (np.array([2.0, 0.0]), 0.5)
+        assert pcn.pcn_acceptance(model, x, pcn.pcn_step(model, 2, x, (uphill[0], 0.0))) == 0.0
+        assert np.array_equal(pcn.pcn_step(model, 2, x, uphill), x)
+        rng = stream.generator()
+        for _ in range(50):
+            assert pcn.sampler_step(model, 2, x, rng)[0] < 0.0
+
 
 class TestCoupledStep:
     def test_faithfulness_exact(self, stream):
@@ -316,7 +329,7 @@ class TestStationarity:
         survival = SurvivalDistribution.geometric(0.6**3)
         gen = pcn.delta_generator(model, sched, f, np.zeros(1))
         batch = estimate_batch(gen, survival, 20_000, seed=7)
-        z = np.array([d.value for d in batch.draws])
+        z = batch.z
         se_z = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(chain_mean - batch.mean) <= 4.0 * math.hypot(chain_se, se_z)
 
