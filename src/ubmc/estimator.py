@@ -336,6 +336,8 @@ def estimate_block(
     the level-0 deltas, which every lane reaches, so vector-valued
     targets give one row per lane.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if not survival.proper:
         raise EstimatorError("cannot draw from an improper survival distribution")
     ns = survival.sample_many(count, stream.child(_KEY_TRUNCATION).generator())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -346,11 +346,31 @@ def logistic_reference_fit(
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    return float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
+def _sine_basis(j: int, points: np.ndarray) -> np.ndarray:
+    """``e_k(s) = sqrt(2) sin(k pi s)`` for ``k = 1..j``, one row per point."""
+    return math.sqrt(2.0) * np.sin(np.outer(points, np.arange(1, j + 1)) * math.pi)
 
 
-@dataclass
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Weights ``w`` with ``w @ y`` the composite trapezoidal rule on nodes ``x``."""
+    half = 0.5 * np.diff(x)
+    w = np.zeros(x.size)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+class _EllipticOperator(NamedTuple):
+    """The level-``(j, n)`` forward map as arrays over the evaluation points
+    (the grid, then each observation point that falls between grid nodes)."""
+
+    basis: np.ndarray  # (points, j): e_k at each point
+    h: np.ndarray  # (points,): source antiderivative H at each point
+    weights: np.ndarray  # (points,): trapezoid weights of int_0^1 on the grid
+    obs_weights: np.ndarray  # (obs, points): trapezoid weights of int_0^{x_k}
+
+
+@dataclass(frozen=True)
 class EllipticModel:
     """Diffusion-coefficient inverse problem for ``-(u p')' = h`` on (0, 1).
 
@@ -368,18 +388,19 @@ class EllipticModel:
     m0: float | None = None
     source_antiderivative: Callable[[np.ndarray], np.ndarray] = field(default=None)
     source_oscillation: float = 1.0
-    _basis_cache: dict = field(default_factory=dict, repr=False)
+    # Operators by (j, n); they hold H and the observation weights, hence frozen.
+    _operator_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma <= 3.0:
             raise ValueError("gamma must exceed 3")
         if self.m0 is None:
             # Guarantees u > 0 for every prior draw: sum_k u*_k = zeta(gamma).
-            self.m0 = 1.0 + float(zeta(self.gamma, 1))
+            object.__setattr__(self, "m0", 1.0 + float(zeta(self.gamma, 1)))
         if self.source_antiderivative is None:
             # Default source h = 1, antiderivative H(s) = s.
-            self.source_antiderivative = lambda s: s
-            self.source_oscillation = 1.0
+            object.__setattr__(self, "source_antiderivative", lambda s: s)
+            object.__setattr__(self, "source_oscillation", 1.0)
         if not all(0.0 < x < 1.0 for x in self.obs_points):
             raise ValueError("observation points must lie in (0, 1)")
 
@@ -413,22 +434,39 @@ class EllipticModel:
         """Cost exponent of one chain step at truncation ``j``."""
         return self.gamma / 2.0 - 0.25
 
-    def _basis(self, j: int, grid: np.ndarray, key) -> np.ndarray:
-        cached = self._basis_cache.get(key)
-        if cached is None:
-            k = np.arange(1, j + 1)
-            cached = math.sqrt(2.0) * np.sin(np.outer(grid, k) * math.pi)
-            self._basis_cache[key] = cached
-        return cached
+    def coefficient_values(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """``u`` at ``points`` for the coefficient vector ``coeffs``."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return self.m0 + _sine_basis(coeffs.size, points) @ coeffs
 
-    def coefficient_values(self, coeffs: np.ndarray, grid: np.ndarray, key=None) -> np.ndarray:
-        j = len(coeffs)
-        if key is not None:
-            basis = self._basis(j, grid, key)
-        else:
-            k = np.arange(1, j + 1)
-            basis = math.sqrt(2.0) * np.sin(np.outer(grid, k) * math.pi)
-        return self.m0 + basis @ np.asarray(coeffs, dtype=float)
+    def _operator(self, j: int, n: int) -> _EllipticOperator:
+        """The cached forward operator at truncation ``j`` on ``n`` grid points."""
+        op = self._operator_cache.get((j, n))
+        if op is None:
+            if n < 2:
+                raise ValueError("the quadrature grid needs at least 2 points")
+            grid = points = np.linspace(0.0, 1.0, n)
+            partial_nodes = []  # indices into points of each int_0^{x_k}
+            for x in self.obs_points:
+                cut = int(np.searchsorted(grid, x, side="right"))
+                nodes = list(range(cut))
+                if grid[cut - 1] < x:
+                    nodes.append(points.size)
+                    points = np.append(points, x)
+                partial_nodes.append(nodes)
+            weights = np.zeros(points.size)
+            weights[:n] = _trapezoid_weights(grid)
+            obs_weights = np.zeros((len(partial_nodes), points.size))
+            for row, nodes in zip(obs_weights, partial_nodes):
+                row[nodes] = _trapezoid_weights(points[nodes])
+            op = _EllipticOperator(
+                _sine_basis(j, points),
+                np.asarray(self.source_antiderivative(points), dtype=float),
+                weights,
+                obs_weights,
+            )
+            self._operator_cache[(j, n)] = op
+        return op
 
     def forward(self, j: int, coeffs, n_points: int | None = None) -> np.ndarray:
         return elliptic_forward(self, j, coeffs, n_points)
@@ -453,33 +491,24 @@ def elliptic_forward(
     ``C_u = -(int_0^1 H/u) / (int_0^1 1/u)``; both integrals use the same
     ``n_points``-point grid (default: the model's level-``j`` rule), and
     each partial integral appends the observation point to the grid.
+
+    Every quadrature is a fixed weight vector applied to ``H/u`` and ``1/u``
+    at the grid and off-grid observation points, so the map is evaluated
+    through ``model._operator(j, n)``, built once per ``(j, n)`` and cached
+    on the model: one matrix-vector product for ``u`` and three
+    weighted sums per call.
     """
     coeffs = np.asarray(coeffs, dtype=float)[:j]
     if coeffs.size < j:
         coeffs = np.pad(coeffs, (0, j - coeffs.size))
     n = model.quad_points(j) if n_points is None else int(n_points)
-    grid = np.linspace(0.0, 1.0, n)
-    u_vals = model.coefficient_values(coeffs, grid, key=(j, n))
+    op = model._operator(j, n)
+    u_vals = model.m0 + op.basis @ coeffs
     if np.any(u_vals <= 0.0):
         raise ValueError("diffusion coefficient is not positive on the grid")
-    h_anti = model.source_antiderivative(grid)
     inv_u = 1.0 / u_vals
-    c_u = -_trapezoid(h_anti * inv_u, grid) / _trapezoid(inv_u, grid)
-    integrand = (h_anti + c_u) * inv_u
-    out = np.empty(len(model.obs_points))
-    for idx, x_k in enumerate(model.obs_points):
-        cut = int(np.searchsorted(grid, x_k, side="right"))
-        xs = grid[:cut]
-        ys = integrand[:cut]
-        if xs[-1] < x_k:
-            u_at = model.coefficient_values(coeffs, np.array([x_k]))[0]
-            if u_at <= 0.0:
-                raise ValueError("diffusion coefficient is not positive on the grid")
-            y_at = (float(model.source_antiderivative(np.array([x_k]))[0]) + c_u) / u_at
-            xs = np.append(xs, x_k)
-            ys = np.append(ys, y_at)
-        out[idx] = -_trapezoid(ys, xs)
-    return out
+    c_u = -(op.weights @ (op.h * inv_u)) / (op.weights @ inv_u)
+    return -(op.obs_weights @ ((op.h + c_u) * inv_u))
 
 
 def elliptic_observation_gap(

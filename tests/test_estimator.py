@@ -222,6 +222,11 @@ class TestEstimateBlock:
         with pytest.raises(EstimatorError):
             estimate_block(_per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0), 4)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_block_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            estimate_block(_per_lane(stub_generator(lambda i: 0.0)), GEOM_HALF, Stream(0), count)
+
     def test_vector_valued_lanes(self):
         # z takes the shape of the level-0 deltas: one row per lane.
         def delta_batch(level, lanes, rng):

@@ -1,5 +1,6 @@
 """Model-level oracles: couplings, stationary laws, forward maps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -246,6 +247,49 @@ class TestLogistic:
         assert acceptance_rate(fitted, center, 17) > acceptance_rate(naive, center, 17)
 
 
+def _reference_trapezoid(y, x):
+    return float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
+
+
+def _reference_u(model, coeffs, points):
+    k = np.arange(1, len(coeffs) + 1)
+    return model.m0 + math.sqrt(2.0) * np.sin(np.outer(points, k) * math.pi) @ coeffs
+
+
+def _reference_forward(model, j, coeffs, n_points=None):
+    """The forward map as a loop over observation points, one trapezoid each."""
+    coeffs = np.asarray(coeffs, dtype=float)[:j]
+    if coeffs.size < j:
+        coeffs = np.pad(coeffs, (0, j - coeffs.size))
+    n = model.quad_points(j) if n_points is None else int(n_points)
+    grid = np.linspace(0.0, 1.0, n)
+    u_vals = _reference_u(model, coeffs, grid)
+    if np.any(u_vals <= 0.0):
+        raise ValueError("diffusion coefficient is not positive on the grid")
+    h_anti = model.source_antiderivative(grid)
+    inv_u = 1.0 / u_vals
+    c_u = -_reference_trapezoid(h_anti * inv_u, grid) / _reference_trapezoid(inv_u, grid)
+    integrand = (h_anti + c_u) * inv_u
+    out = np.empty(len(model.obs_points))
+    for idx, x_k in enumerate(model.obs_points):
+        cut = int(np.searchsorted(grid, x_k, side="right"))
+        xs = grid[:cut]
+        ys = integrand[:cut]
+        if xs[-1] < x_k:
+            u_at = _reference_u(model, coeffs, np.array([x_k]))[0]
+            if u_at <= 0.0:
+                raise ValueError("diffusion coefficient is not positive on the grid")
+            y_at = (float(model.source_antiderivative(np.array([x_k]))[0]) + c_u) / u_at
+            xs = np.append(xs, x_k)
+            ys = np.append(ys, y_at)
+        out[idx] = -_reference_trapezoid(ys, xs)
+    return out
+
+
+def _sin3(s):
+    return np.sin(3.0 * s)
+
+
 class TestElliptic:
     def test_zero_source_gives_zero_solution(self):
         model = EllipticModel(gamma=4.0, source_antiderivative=lambda s: 0.0 * s)
@@ -279,6 +323,47 @@ class TestElliptic:
         bad[0] = -5.0  # forces u <= 0 somewhere
         with pytest.raises(ValueError):
             model.forward(3, bad, n_points=101)
+
+    def test_off_grid_positivity_guard(self):
+        # u = m0 = 1 at both grid points {0, 1}, but u(0.25) = 1 - 2 < 0:
+        # only the off-grid observation point sees the sign change.
+        model = EllipticModel(gamma=4.0, m0=1.0)
+        with pytest.raises(ValueError):
+            model.forward(1, [-2.0], n_points=2)
+
+    @pytest.mark.parametrize(
+        "kwargs, j, n_points, size",
+        [
+            ({}, 6, 2, 6),
+            ({}, 6, 3, 6),
+            ({}, 6, 14, 6),
+            ({}, 6, 50, 6),
+            ({}, 6, 108, 6),
+            ({}, 6, 5, 6),  # 0.25, 0.5, 0.75 are grid nodes
+            ({}, 6, 9, 6),
+            ({"source_antiderivative": _sin3}, 6, 14, 6),
+            ({"obs_points": (0.1, 0.5, 0.9)}, 6, 14, 6),
+            ({}, 7, None, 4),  # coeffs shorter than j: zero-padded
+            ({}, 7, None, 12),  # coeffs longer than j: truncated
+            ({}, 32, None, 32),
+        ],
+    )
+    def test_operator_matches_reference_loop(self, stream, kwargs, j, n_points, size):
+        model = EllipticModel(gamma=3.2, **kwargs)
+        for r in range(20):
+            coeffs = model.prior_sample(size, stream.child(r).generator())
+            got = model.forward(j, coeffs, n_points=n_points)
+            expected = _reference_forward(model, j, coeffs, n_points)
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_replaced_model_builds_its_own_operator(self, stream):
+        model = EllipticModel(gamma=4.0)
+        coeffs = model.prior_sample(8, stream.generator())
+        model.forward(8, coeffs)
+        replaced = dataclasses.replace(model, source_antiderivative=_sin3)
+        fresh = EllipticModel(gamma=4.0, source_antiderivative=_sin3)
+        assert np.array_equal(replaced.forward(8, coeffs), fresh.forward(8, coeffs))
+        assert not np.allclose(replaced.forward(8, coeffs), model.forward(8, coeffs))
 
     def test_observation_gap_decay_slope(self, stream):
         # The gap between consecutive truncations falls like j^(1/2 - gamma)

@@ -26,8 +26,9 @@ LINEAR2D = {"experiment": "indep-sampler", "params": {"model": "linear2d"}}
         ("circle", None),
         ("pcn", None),
         ("indep-sampler", LINEAR2D),
+        ("indep-sampler", json.loads((ROOT / "perfbench/configs/elliptic-is.json").read_text())),
     ],
-    ids=["contracting-normals", "circle", "pcn", "indep-sampler-linear2d"],
+    ids=["contracting-normals", "circle", "pcn", "indep-sampler-linear2d", "indep-sampler-elliptic"],
 )
 def test_trace_probe_runs_the_cli(tmp_path, experiment, config):
     args = [experiment, "--replicates", "16"]
@@ -50,3 +51,12 @@ def test_trace_probe_runs_the_cli(tmp_path, experiment, config):
     report = json.loads(result.read_text())
     assert report["exit_code"] == 0
     assert report["draws"] == 16
+    if config is not None and config["params"].get("model") == "elliptic":
+        # The chain steps still call the forward map through the wrapped
+        # name; otherwise models.elliptic_forward_calls would read 0.
+        calls = sum(
+            row[2]
+            for row in report["stats"]
+            if row[0] == "models.elliptic_forward" and row[1] == "sample"
+        )
+        assert calls > 0

@@ -94,3 +94,31 @@ def test_long_tabulated_law_past_the_sampling_table():
     expected = [max(i for i in range(6010) if law.survival(i) > v) for v in u]
     assert [law.quantile_level(v) for v in u] == expected
     assert law.sample_many(len(u), _ReplayUniforms(u)).tolist() == expected
+
+
+# Steep drops push many tables' last entry below the sampling table's
+# 1e-17 floor, so the tail's closed-form inversion is reached as well.
+tailed_tables = st.builds(
+    lambda rs, tail: SurvivalDistribution.tabulated(_table(rs), tail),
+    st.lists(st.one_of(st.floats(0.05, 1.0), st.floats(1e-9, 1e-5)), min_size=1, max_size=12),
+    st.floats(0.05, 0.95),
+)
+
+
+@PROPERTY
+@given(law=tailed_tables, data=st.data())
+def test_tabulated_law_continues_into_its_tail(law, data):
+    last = law.table.size - 1
+    window = range(max(0, last - 2), last + 5)
+    assert all(law.survival(i) >= law.survival(i + 1) for i in window)
+    ties = [v for v in map(law.survival, window) if 0.0 < v < 1.0]
+    near = [w for v in ties for w in np.nextafter(v, [0.0, 1.0]) if w < 1.0]
+    high = min(law.survival(last - 2), np.nextafter(1.0, 0.0))
+    u = data.draw(
+        st.one_of(
+            st.floats(law.survival(last + 3), high),
+            st.sampled_from(ties),
+            st.sampled_from(near),
+        )
+    )
+    assert law.quantile_level(u) == max(i for i in range(last + 64) if law.survival(i) > u)
