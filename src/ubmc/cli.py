@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     ubmc <experiment> --config config.json [--seed S] [--replicates L]
-         [--out DIR] [--parallel P] [--wall-clock]
+         [--out DIR] [--parallel P]
 
 The config file carries the experiment parameters; the flags override its
 top-level fields.  Exit codes: 0 success, 2 configuration error, 3
@@ -40,11 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--parallel", type=int, default=None, help="worker processes"
     )
-    parser.add_argument(
-        "--wall-clock",
-        action="store_true",
-        help="record demonstration-only nanosecond timings per block",
-    )
     return parser
 
 
@@ -67,8 +62,6 @@ def main(argv=None) -> int:
             config.out = args.out
         if args.parallel is not None:
             config.parallel = args.parallel
-        if args.wall_clock:
-            config.wall_clock = True
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"ubmc: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -275,9 +275,8 @@ def estimate_contraction(
         raise ValueError("need at least two steps to fit a slope")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    d = distance if callable(distance) else distance.fn
     for x, y in pairs:
-        if d(x, y) == 0.0:
+        if distance(x, y) == 0.0:
             raise ValueError("pairs with d(x, y) = 0 are uninformative")
     totals = np.zeros(n_steps)
     for p, (x0, y0) in enumerate(pairs):
@@ -286,7 +285,7 @@ def estimate_contraction(
             x, y = x0, y0
             for k in range(n_steps):
                 x, y = coupling.step((x, y), rng)
-                totals[k] += d(x, y)
+                totals[k] += distance(x, y)
     means = totals / (len(pairs) * replicates)
     positive = means > 0.0
     cut = int(np.argmin(positive)) if not positive.all() else n_steps

@@ -5,8 +5,7 @@ experiment consumes the stream ``(seed, b)`` regardless of how blocks are
 distributed over workers, and records are concatenated in block order, so
 the emitted files are byte-identical across parallelism degrees.  Work is
 measured in model-declared units (kernel steps times dimension cost), not
-wall-clock; ``wall_clock=True`` additionally records block-averaged
-nanosecond timings for demonstration only.
+wall-clock.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -60,7 +58,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     parallel: int = 1
-    wall_clock: bool = False
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -329,11 +326,28 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         schedule = LevelSchedule(lambda i: m * (i + 1), lambda i: min(i + 1, dmax))
         survival = SurvivalDistribution.geometric(float(sched.get("rate", 0.6)))
     elif sched_kind == "sequence":
-        schedule = LevelSchedule(sched["steps"], sched["dims"])
+        steps, dims = sched["steps"], sched["dims"]
+        levels = len(steps) if isinstance(steps, list) else 0
+        _require(
+            levels >= 1 and isinstance(dims, list) and len(dims) == levels,
+            "sequence schedule needs steps and dims as lists of one length L >= 1",
+        )
+        schedule = LevelSchedule(steps, dims)
+        # Check every term now: the lists are otherwise read while sampling.
+        schedule.steps_at(levels - 1)
+        schedule.dims_at(levels - 1)
         survival = None  # the config must supply the law
     else:
         raise ConfigError(f"unknown schedule kind {sched_kind!r}")
     survival = _survival_from_config(config.survival, survival)
+    if sched_kind == "sequence":
+        _require(
+            survival.kind == "tabulated"
+            and survival.tail_ratio is None
+            and survival.table.size <= levels,
+            f"a sequence schedule of L = {levels} levels needs a tabulated survival "
+            f"law with at most {levels} values and no tail_ratio",
+        )
 
     fname = params.get("f", "sum")
     if fname == "sum":
@@ -516,14 +530,9 @@ def _config_key(config: ExperimentConfig) -> str:
     return json.dumps(plan_fields, sort_keys=True)
 
 
-def _run_block_task(config_json: str, block: int, count: int, seed: int, timed: bool):
+def _run_block_task(config_json: str, block: int, count: int, seed: int):
     plan = _prepare_cached(config_json)
-    start = time.perf_counter_ns() if timed else 0
-    out = plan["run_block"](Stream(seed).child(block), count, block * BLOCK_SIZE)
-    if timed:
-        elapsed = time.perf_counter_ns() - start
-        out["wall_ns"] = np.full(count, elapsed // max(count, 1), dtype=np.int64)
-    return block, out
+    return block, plan["run_block"](Stream(seed).child(block), count, block * BLOCK_SIZE)
 
 
 def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
@@ -545,7 +554,7 @@ def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
         (b, min(BLOCK_SIZE, replicates - b * BLOCK_SIZE))
         for b in range((replicates + BLOCK_SIZE - 1) // BLOCK_SIZE)
     ]
-    tasks = [(key, b, count, config.seed, config.wall_clock) for b, count in blocks]
+    tasks = [(key, b, count, config.seed) for b, count in blocks]
     if config.parallel == 1 or len(blocks) == 1:
         results = [_run_block_task(*t) for t in tasks]
     else:

@@ -152,44 +152,8 @@ def circle_arc(x: float) -> list[tuple[float, float]]:
     return [(lo, TWO_PI), (0.0, hi - TWO_PI)]
 
 
-def _intervals_intersect(a, b):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if hi > lo:
-                out.append((lo, hi))
-    return out
-
-
-def _intervals_difference(a, b):
-    out = list(a)
-    for lo2, hi2 in b:
-        nxt = []
-        for lo1, hi1 in out:
-            if hi2 <= lo1 or lo2 >= hi1:
-                nxt.append((lo1, hi1))
-                continue
-            if lo1 < lo2:
-                nxt.append((lo1, lo2))
-            if hi2 < hi1:
-                nxt.append((hi2, hi1))
-        out = nxt
-    return out
-
-
-def _intervals_measure(intervals) -> float:
-    return math.fsum(hi - lo for lo, hi in intervals)
-
-
-def _intervals_sample(intervals, rng: np.random.Generator) -> float:
-    u = rng.random() * _intervals_measure(intervals)
-    for lo, hi in intervals:
-        width = hi - lo
-        if u < width:
-            return lo + u
-        u -= width
-    return intervals[-1][1]  # unreachable up to rounding
+def _circle_step(x: float, rng: np.random.Generator) -> float:
+    return (x + rng.uniform(-2.0, 2.0)) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -203,7 +167,7 @@ class CircleChainModel:
     """
 
     def step(self, x: float, rng: np.random.Generator) -> float:
-        return (x + rng.uniform(-2.0, 2.0)) % TWO_PI
+        return _circle_step(x, rng)
 
     def kernel(self) -> MarkovKernel:
         return MarkovKernel(step=self.step, work_per_step=1.0, dim=1)
@@ -218,20 +182,23 @@ class CircleChainModel:
 def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple[float, float]:
     """One-step maximal coupling of the circle chain.
 
-    With probability ``|A_x1 ∩ A_x2| / 4`` both chains land on a common
-    uniform draw from the overlap arc; otherwise each draws independently
-    and uniformly from its residual arc.
+    The first chain takes an ordinary step ``y1``.  If ``y1`` lies on the
+    second chain's arc ``A_x2`` both chains move there, which happens with
+    probability ``|A_x1 ∩ A_x2| / 4`` at a point uniform on the overlap.
+    Otherwise ``y1`` is uniform on ``A_x1 \\ A_x2`` and the second chain
+    draws independently and uniformly from ``A_x2 \\ A_x1``.  That residual
+    is one arc of length ``min(d, 2 pi - 4)``, for circular distance ``d``,
+    next to the end of ``A_x1`` that faces ``x2``.  It is drawn directly:
+    a rejection loop would not end when the states differ only by rounding.
     """
     x1, x2 = pair
-    a1, a2 = circle_arc(x1), circle_arc(x2)
-    overlap = _intervals_intersect(a1, a2)
-    p_meet = _intervals_measure(overlap) / 4.0
-    if rng.random() <= p_meet:
-        y = _intervals_sample(overlap, rng)
-        return y, y
-    y1 = _intervals_sample(_intervals_difference(a1, overlap), rng)
-    y2 = _intervals_sample(_intervals_difference(a2, overlap), rng)
-    return y1, y2
+    y1 = _circle_step(x1, rng)
+    if x1 == x2 or (y1 - x2 + 2.0) % TWO_PI < 4.0:
+        return y1, y1
+    gap = (x2 - x1) % TWO_PI
+    width = min(gap, TWO_PI - gap, TWO_PI - 4.0)
+    start = x1 + 2.0 if gap <= math.pi else x1 - 2.0 - width
+    return y1, (start + rng.random() * width) % TWO_PI
 
 
 # ---------------------------------------------------------------------------

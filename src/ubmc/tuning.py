@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,15 +41,6 @@ __all__ = [
 # levels stop once a term falls below this fraction of the running sum.
 SERIES_RTOL = 1e-14
 SERIES_CAP = 10**4
-
-
-def _steps_fn(steps) -> Callable[[int], float]:
-    if callable(steps):
-        return steps
-    if hasattr(steps, "steps_at"):
-        return steps.steps_at
-    seq = list(steps)
-    return lambda i: seq[i]
 
 
 @dataclass
@@ -110,11 +101,10 @@ def contracting_delta_variances(rho: float, steps, levels: int) -> np.ndarray:
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    a = _steps_fn(steps)
     out = np.empty(levels)
     for i in range(levels):
-        a_prev = a(i - 1) if i > 0 else 0
-        out[i] = rho ** (2 * a_prev) * (1.0 - rho ** (2 * (a(i) - a_prev)))
+        a_prev = steps[i - 1] if i > 0 else 0
+        out[i] = rho ** (2 * a_prev) * (1.0 - rho ** (2 * (steps[i] - a_prev)))
     return out
 
 
@@ -326,18 +316,10 @@ def partial_knowledge_optimize(
         raise ValueError("exact variances must be positive")
     if horizon <= i0:
         raise ValueError("horizon must exceed the exactly-known range")
-    a = _steps_fn(steps)
-    a_head = np.array([a(i) for i in range(i0 + 1)], dtype=float)
-    tail_idx = np.arange(i0 + 1, horizon + 1)
-    a_tail = np.array([a(i) for i in tail_idx], dtype=float)
-    a_tail_prev = np.array([a(i - 1) for i in tail_idx], dtype=float)
-    nu_tail = np.array(
-        [
-            rho_bound ** (2 * a(i - 1)) * (1.0 - rho_bound ** (2 * (a(i) - a(i - 1))))
-            for i in tail_idx
-        ]
-    )
-    tail_shape = rho_bound**a_tail_prev  # Fbar_i / C on the tail
+    a = np.asarray(steps[: horizon + 1], dtype=float)
+    a_head, a_tail = a[: i0 + 1], a[i0 + 1 :]
+    nu_tail = contracting_delta_variances(rho_bound, steps, horizon + 1)[i0 + 1 :]
+    tail_shape = rho_bound ** a[i0:horizon]  # Fbar_i / C on the tail
     s_nu = math.fsum(nu_tail / tail_shape)
     s_w = math.fsum(a_tail * tail_shape)
 

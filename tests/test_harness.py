@@ -75,13 +75,6 @@ class TestRunExperiment:
         z_cell = row.split(",")[2]
         assert float(z_cell) == float(format(float(z_cell), ".17g"))
 
-    def test_wall_clock_column(self, tmp_path):
-        summary = run_experiment(
-            contracting_config(replicates=64, out=str(tmp_path), wall_clock=True)
-        )
-        header = Path(summary["csv_path"]).read_text().splitlines()[0]
-        assert "wall_ns" in header.split(",")
-
     def test_single_replicate_reports_null_spread(self, tmp_path):
         summary = run_experiment(contracting_config(replicates=1, out=str(tmp_path)))
         text = (tmp_path / "contracting-normals-summary.json").read_text()
@@ -307,6 +300,7 @@ class TestCli:
             {"survival": {"kind": "polynomial", "exponent": 0.9}},
             {"survival": {"kind": "polynomial", "exponent": 1.0}},
             {"survival": {"kind": "tabulated", "values": [1.0, 1.0], "tail_ratio": 1.0}},
+            {"wall_clock": True},
         ],
         ids=[
             "survival-missing-rate",
@@ -320,6 +314,7 @@ class TestCli:
             "survival-mean-level-diverges",
             "survival-harmonic-tail",
             "survival-constant-tail",
+            "unknown-field",
         ],
     )
     def test_config_type_and_value_errors_exit_2(self, tmp_path, capsys, change):
@@ -329,6 +324,32 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert cli_main(["contracting-normals", "--config", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "steps, dims, survival, code",
+        [
+            ([1, 2], [1, 2], {"kind": "geometric", "rate": 0.5}, 2),
+            ([2, 1, 3], [1, 2, 2], {"kind": "tabulated", "values": [1, 0.5, 0.25]}, 2),
+            ([1, 2, 3], [1, 2], {"kind": "tabulated", "values": [1, 0.5, 0.25]}, 2),
+            ([1, 2, 3], [1, 2, 2], {"kind": "tabulated", "values": [1, 0.5, 0.25]}, 0),
+        ],
+        ids=["untabulated-law", "steps-not-increasing", "length-mismatch", "valid"],
+    )
+    def test_sequence_schedule_checked_before_sampling(
+        self, tmp_path, capsys, steps, dims, survival, code
+    ):
+        config = {
+            "experiment": "indep-sampler",
+            "params": {"model": "linear2d"},
+            "schedule": {"kind": "sequence", "steps": steps, "dims": dims},
+            "survival": survival,
+            "replicates": 16,
+        }
+        path = tmp_path / "sequence.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["indep-sampler", "--config", str(path)]) == code
+        if code == 2:
+            assert "configuration error" in capsys.readouterr().err
 
     def test_rejected_model_parameter_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pcn.json"

@@ -22,15 +22,21 @@ from ubmc.models import (
     logistic_posterior_logdensity,
     logistic_reference_fit,
 )
-from ubmc.models import _intervals_difference, _intervals_intersect, _intervals_measure
-
 from conftest import four_se
+
+
+def arc_length(x):
+    return math.fsum(hi - lo for lo, hi in circle_arc(x))
+
+
+def on_arc(y, x):
+    return any(lo <= y < hi for lo, hi in circle_arc(x))
 
 
 def arc_cdf(x):
     """CDF of the uniform law on the one-step arc from ``x``."""
     intervals = sorted(circle_arc(x))
-    total = _intervals_measure(intervals)
+    total = arc_length(x)
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
@@ -105,19 +111,30 @@ class TestContractingNormals:
 class TestCircleChain:
     def test_arc_measure_is_four(self):
         for x in np.linspace(0, TWO_PI, 37):
-            assert _intervals_measure(circle_arc(x)) == pytest.approx(4.0)
+            assert arc_length(x) == pytest.approx(4.0)
 
-    def test_minimal_overlap_at_antipodes(self):
-        overlap = _intervals_intersect(circle_arc(0.0), circle_arc(math.pi))
-        assert _intervals_measure(overlap) == pytest.approx(8.0 - TWO_PI)
-
-    def test_difference_algebra(self):
-        a, b = circle_arc(0.0), circle_arc(1.0)
-        inter = _intervals_intersect(a, b)
-        resid = _intervals_difference(a, inter)
-        assert _intervals_measure(resid) + _intervals_measure(
-            inter
-        ) == pytest.approx(4.0)
+    @pytest.mark.parametrize(
+        "start", [(0.0, math.pi), (1.0, 2.5), (2.5, 1.0), (6.0, 0.5), (0.9, 4.0)]
+    )
+    def test_meet_rate_and_supports(self, stream, start):
+        # Meets happen with probability |A_x1 ∩ A_x2| / 4 = max(4 - d, 8 - 2 pi) / 4
+        # at circular distance d, on both arcs; otherwise each chain lands on
+        # its own arc off the other's.
+        x1, x2 = start
+        d = min(abs(x1 - x2), TWO_PI - abs(x1 - x2))
+        p = max(4.0 - d, 8.0 - TWO_PI) / 4.0
+        rng = stream.generator()
+        n = 20_000
+        met = 0
+        for _ in range(n):
+            y1, y2 = circle_maximal_coupling(start, rng)
+            if y1 == y2:
+                met += 1
+                assert on_arc(y1, x1) and on_arc(y1, x2)
+            else:
+                assert on_arc(y1, x1) and not on_arc(y1, x2)
+                assert on_arc(y2, x2) and not on_arc(y2, x1)
+        assert abs(met / n - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_equal_states_always_meet(self, stream):
         rng = stream.generator()
@@ -138,9 +155,9 @@ class TestCircleChain:
         se = math.sqrt(bound * (1 - bound) / n)
         assert met / n >= bound - 4.0 * se
 
-    def test_marginals_uniform_on_arcs(self, stream):
+    @pytest.mark.parametrize("start", [(0.9, 4.0), (2.5, 1.0), (6.0, 0.5)])
+    def test_marginals_uniform_on_arcs(self, stream, start):
         rng = stream.generator()
-        start = (0.9, 4.0)
         n = 10_000
         draws = np.array([circle_maximal_coupling(start, rng) for _ in range(n)])
         for component, x in enumerate(start):

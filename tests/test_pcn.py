@@ -85,6 +85,17 @@ class TestStep:
             assert pcn.sampler_step(model, 2, x, rng)[0] < 0.0
 
 
+    @pytest.mark.parametrize(
+        "eigenvalues, message",
+        [(lambda l: float(l), "nonincreasing"), (lambda l: 1.0 - 0.5 * l, "positive")],
+        ids=["rising", "nonpositive"],
+    )
+    def test_scales_reject_bad_eigenvalues(self, eigenvalues, message):
+        model = pcn.PcnModel.diagonal(0.5, lambda x: 0.0, eigenvalues, regularity=2.0)
+        with pytest.raises(ValueError, match=message):
+            model.scales(3)
+
+
 class TestCoupledStep:
     def test_faithfulness_exact(self, stream):
         model = norm_model()
