@@ -211,11 +211,12 @@ def strictly_increasing(fn: Callable[[int], float]) -> Callable[[int], int]:
 
 
 def pad_to(state, n: int) -> np.ndarray:
-    """Embed a coefficient vector into dimension ``n``: zero-pad or truncate."""
+    """Embed a coefficient vector, or each row of a ``(lanes, j)`` array,
+    into dimension ``n``: zero-pad or truncate."""
     state = np.atleast_1d(np.asarray(state, dtype=float))
-    if state.size >= n:
-        return state[:n]
-    return np.pad(state, (0, n - state.size))
+    if state.shape[-1] >= n:
+        return state[..., :n]
+    return np.pad(state, [(0, 0)] * (state.ndim - 1) + [(0, n - state.shape[-1])])
 
 
 def minorized_step(

@@ -134,13 +134,11 @@ def _survival_from_config(
 # processes validate once.
 
 
-def _scalar_block(gen, survival, dim_of_level):
-    delta_batch = _per_lane(gen)
-
+def _lane_block(delta_batch, survival, dim_of_level):
     def run_block(stream: Stream, count: int, offset: int):
         out = estimate_block(delta_batch, survival, stream, count)
-        dims = [dim_of_level(n) for n in out["N"].tolist()]
-        out["level_max_dim"] = np.array(dims, dtype=np.int64)
+        dims = [dim_of_level(i) for i in range(int(out["N"].max()) + 1)]
+        out["level_max_dim"] = np.array(dims, dtype=np.int64)[out["N"]]
         return out
 
     return run_block
@@ -194,7 +192,7 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
         model.kernel(), model.coupling(), schedule, math.cos, x0
     )
     return {
-        "run_block": _scalar_block(gen, survival, lambda n: 1),
+        "run_block": _lane_block(_per_lane(gen), survival, lambda n: 1),
         "meta": {"target_mean": 0.0},
     }
 
@@ -234,7 +232,7 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
         gen = gaussian_linear.tail_generator(model, dims, {coord: 1.0})
     target, _ = gaussian_linear.posterior_spectral(model, coord)
     return {
-        "run_block": _scalar_block(gen, survival, dims),
+        "run_block": _lane_block(_per_lane(gen), survival, dims),
         "meta": {"target_mean": target, "coordinate": coord},
     }
 
@@ -313,6 +311,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
             t = float(sched["t"])
         else:
             t = 0.5 * ((1.0 + th * q) + (min(b_eff, k_eff) * q - 2.0))
+        top_dim = math.inf  # the dimensions grow without bound
         schedule, survival = independence_sampler.make_schedule(
             q=q, beta=b_eff, kappa=k_eff, theta=th,
             alpha_star=is_model.alpha_star, t=t,
@@ -323,6 +322,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         m = int(sched.get("m", 2))
         dmax = int(sched.get("max_dim", len(widths) if kind == "linear2d" else 2))
         _require(m >= 1 and dmax >= 1, "saturating schedule needs m, max_dim >= 1")
+        top_dim = dmax
         schedule = LevelSchedule(lambda i: m * (i + 1), lambda i: min(i + 1, dmax))
         survival = SurvivalDistribution.geometric(float(sched.get("rate", 0.6)))
     elif sched_kind == "sequence":
@@ -335,10 +335,13 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         schedule = LevelSchedule(steps, dims)
         # Check every term now: the lists are otherwise read while sampling.
         schedule.steps_at(levels - 1)
-        schedule.dims_at(levels - 1)
+        top_dim = schedule.dims_at(levels - 1)
         survival = None  # the config must supply the law
     else:
         raise ConfigError(f"unknown schedule kind {sched_kind!r}")
+    if kind == "linear2d":  # one state coordinate per half-width
+        message = f"schedule dims reach {top_dim}, past {len(widths)} half_widths"
+        _require(top_dim <= len(widths), message)
     survival = _survival_from_config(config.survival, survival)
     if sched_kind == "sequence":
         _require(
@@ -359,7 +362,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     x0 = np.zeros(schedule.dims_at(0))
     gen = independence_sampler.delta_generator(is_model, schedule, f, x0)
     return {
-        "run_block": _scalar_block(gen, survival, schedule.dims_at),
+        "run_block": _lane_block(_per_lane(gen), survival, schedule.dims_at),
         "meta": {"alpha_star": is_model.alpha_star},
     }
 
@@ -369,10 +372,11 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     rho = float(params.get("rho", 0.7))
     a = float(params.get("a", 2.0))
     gname = params.get("g", "norm")
+    # Log-changes and observables act row-wise on (lanes, j) states.
     if gname == "norm":
-        g = lambda x: float(np.linalg.norm(x))
+        g = lambda x: np.linalg.norm(x, axis=-1)
     elif gname == "zero":
-        g = lambda x: 0.0
+        g = lambda x: np.zeros(np.shape(x)[:-1])
     else:
         raise ConfigError(f"unknown log-change {gname!r}")
     model = pcn.PcnModel.diagonal(
@@ -381,9 +385,9 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     tau = float(params.get("tau", 1.0))
     fname = params.get("f", "capped-norm")
     if fname == "capped-norm":
-        f = lambda x: min(1.0, float(np.linalg.norm(x)) / tau)
+        f = lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1) / tau)
     elif fname == "coord1":
-        f = lambda x: float(x[0])
+        f = lambda x: x[..., 0]
     else:
         raise ConfigError(f"unknown observable {fname!r}")
     sched = config.schedule
@@ -397,9 +401,8 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     )
     survival = _survival_from_config(config.survival, survival)
     x0 = np.zeros(schedule.dims_at(0))
-    gen = pcn.delta_generator(model, schedule, f, x0)
     return {
-        "run_block": _scalar_block(gen, survival, schedule.dims_at),
+        "run_block": _lane_block(pcn.delta_batch(model, schedule, f, x0), survival, schedule.dims_at),
         "meta": {"tau": tau},
     }
 
@@ -423,11 +426,12 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     # Pairs start two posterior deviations apart: the recentred reference
     # has lighter tails than the target, so chains released far outside
     # the posterior mass reject recentering moves and the fit would stall.
+    # The states carry their log-changes, so a step evaluates one, not two.
     spread = 2.0 * np.sqrt(np.diag(cov))
     pilot = estimate_contraction(
         pcn.coupling(chain),
-        lambda x, y: float(np.linalg.norm(np.asarray(x) - np.asarray(y))),
-        pairs=[(center + spread, center - spread)],
+        lambda x, y: float(np.linalg.norm(x.x - y.x)),
+        pairs=[(pcn.PcnState(center + spread), pcn.PcnState(center - spread))],
         n_steps=int(params.get("pilot_steps", 40)),
         replicates=int(params.get("pilot_replicates", 200)),
         stream=Stream(int(params.get("pilot_seed", 55))),
@@ -437,12 +441,9 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     schedule = LevelSchedule.arithmetic(m)
     survival = _survival_from_config(config.survival, SurvivalDistribution.geometric(r**m))
     coord = int(params.get("coordinate", 1))
-    f = lambda beta: float(np.asarray(beta)[coord - 1])
-    gen = contraction_delta_generator(
-        pcn.kernel(chain), pcn.coupling(chain), schedule, f, center
-    )
+    delta_batch = pcn.delta_batch(chain, schedule, lambda beta: beta[:, coord - 1], center)
     return {
-        "run_block": _scalar_block(gen, survival, lambda n: model.dim),
+        "run_block": _lane_block(delta_batch, survival, lambda n: model.dim),
         "meta": {
             "contraction_slope": pilot.slope,
             "contraction_rate": r,

@@ -9,6 +9,7 @@ elliptic inverse problem with a uniform series prior.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -206,11 +207,6 @@ def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple[float, floa
 # ---------------------------------------------------------------------------
 
 
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    # log h(z) = -log(1 + exp(-z)), stable for large |z|
-    return -np.logaddexp(0.0, -z)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -254,6 +250,11 @@ class LogisticModel:
     def dim(self) -> int:
         return self.design.shape[1]
 
+    @functools.cached_property
+    def _neg_margins(self) -> np.ndarray:
+        """``(d, n_obs)``: ``beta @ _neg_margins`` is ``-y_i beta . T_i``."""
+        return np.ascontiguousarray(-(self.labels[:, None] * self.design).T)
+
     def log_density(self, beta: np.ndarray) -> float:
         return logistic_posterior_logdensity(self, beta)
 
@@ -267,11 +268,17 @@ class LogisticModel:
         return -self.log_density(beta)
 
 
-def logistic_posterior_logdensity(model: LogisticModel, beta) -> float:
-    """Posterior log-density up to an additive constant."""
+def logistic_posterior_logdensity(model: LogisticModel, beta) -> float | np.ndarray:
+    """Posterior log-density up to an additive constant; one value per row
+    of a ``(lanes, d)`` array of coefficients."""
     beta = np.asarray(beta, dtype=float)
-    z = model.labels * (model.design @ beta)
-    return float(-0.5 * beta @ beta + _log_sigmoid(z).sum())
+    # -log h(z) = max(m, 0) + log1p(exp(-|m|)) at m = -z, summed per row in
+    # one (lanes, n_obs) buffer: the max terms sum to (sum m + sum |m|) / 2.
+    m = beta @ model._neg_margins
+    twice_max = np.add.reduce(m, axis=-1) + np.add.reduce(np.abs(m, out=m), axis=-1)
+    np.log1p(np.exp(np.negative(m, out=m), out=m), out=m)
+    squares = np.add.reduce(beta * beta, axis=-1)
+    return -0.5 * (squares + twice_max) - np.add.reduce(m, axis=-1)
 
 
 def logistic_reference_fit(

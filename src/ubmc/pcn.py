@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import couplings
 from .couplings import (
     CoupledKernel,
     LevelSchedule,
@@ -35,6 +36,7 @@ from .estimator import LevelDifferenceGenerator, SurvivalDistribution
 
 __all__ = [
     "PcnModel",
+    "PcnState",
     "PcnDistance",
     "pcn_distance",
     "pcn_acceptance",
@@ -42,6 +44,7 @@ __all__ = [
     "pcn_step",
     "coupled_pcn_step",
     "delta_generator",
+    "delta_batch",
     "sampler_step",
     "kernel",
     "coupling",
@@ -115,6 +118,7 @@ class PcnModel:
         The log-change of measure relative to the recentred reference is
         ``-log target + log reference-density`` up to constants, which is
         exactly what the acceptance ratio needs for detailed balance.
+        It is row-wise, as the lane steps need, when ``neg_log_target`` is.
         """
         center = np.asarray(center, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
@@ -122,7 +126,7 @@ class PcnModel:
 
         def log_change(x: np.ndarray) -> float:
             r = np.asarray(x, dtype=float) - center
-            return float(neg_log_target(x) - 0.5 * r @ cov_inv @ r)
+            return neg_log_target(x) - 0.5 * np.einsum("...i,ij,...j->...", r, cov_inv, r)
 
         return cls(
             rho=rho, log_change=log_change, center=center, covariance=covariance
@@ -189,58 +193,75 @@ def pcn_distance(variant: str, tau: float, x, y) -> float:
     raise ValueError("variant must be 'capped' or 'weighted'")
 
 
+@dataclass(frozen=True)
+class PcnState:
+    """Chain state(s) ``x``, one ``(j,)`` state or ``(lanes, j)`` lanes,
+    carried with the log-change ``g(x)`` (``None`` until a step fills it
+    in), so a step evaluates ``g`` at its proposal only."""
+
+    x: np.ndarray
+    g: np.ndarray | None = None
+
+
 def pcn_acceptance(model: PcnModel, x: np.ndarray, proposal: np.ndarray) -> float:
-    """``1 ^ exp(g(x) - g(x^))`` with the exponent clamped before exp."""
-    log_ratio = model.log_change(x) - model.log_change(proposal)
-    if not math.isfinite(log_ratio):
+    """``1 ^ exp(g(x) - g(x^))``, one value per lane for ``(lanes, j)`` states."""
+    return _acceptance(model.log_change(x) - model.log_change(proposal))
+
+
+def _acceptance(log_ratio):
+    if not np.isfinite(log_ratio).all():
         raise ValueError("log-change of measure returned a non-finite value")
-    return 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+    return np.exp(np.minimum(log_ratio, 0.0))
 
 
-def propose_noise(model: PcnModel, j: int, rng: np.random.Generator) -> np.ndarray:
+def propose_noise(model: PcnModel, j: int, rng: np.random.Generator, lanes: tuple = ()) -> np.ndarray:
     """Reference-measure noise: ``sqrt(lambda_l) zeta_l`` coordinatewise,
-    or ``chol(C) zeta`` in recentred mode (``j`` ignored there)."""
+    or ``chol(C) zeta`` in recentred mode (``j`` ignored there); one row
+    per lane for ``lanes = (count,)``."""
     if model.recentred:
-        return model._chol @ rng.standard_normal(model.center.size)
-    return model.scales(j) * rng.standard_normal(j)
+        return rng.standard_normal((*lanes, model.center.size)) @ model._chol.T
+    return model.scales(j) * rng.standard_normal((*lanes, j))
 
 
-def _accepts(u: float, alpha: float) -> bool:
-    # log-u comparison for numerical robustness; u == 0 accepts, and an
-    # acceptance that underflowed to 0 rejects every u > 0.
-    if alpha >= 1.0:
-        return True
-    return u <= 0.0 or (alpha > 0.0 and math.log(u) <= math.log(alpha))
+def _randomness(model: PcnModel, j: int, x, rng: np.random.Generator) -> tuple:
+    """``(noise, uniform)`` of one step of ``x``: a row and a uniform per lane."""
+    lanes = np.shape(x.x if isinstance(x, PcnState) else x)[:-1]
+    return propose_noise(model, j, rng, lanes), rng.random(lanes or None)
 
 
-def pcn_step(
-    model: PcnModel, j: int, x: np.ndarray, w: tuple[np.ndarray, float]
-) -> np.ndarray:
+def pcn_step(model: PcnModel, j: int, x, w: tuple[np.ndarray, float]):
     """One step at dimension ``j`` driven by ``w = (noise, uniform)``.
 
     Proposal ``rho x + sqrt(1 - rho^2) noise`` (recentred around
-    ``center`` in recentred mode), accepted with probability
-    ``1 ^ exp(g(x) - g(proposal))``.
+    ``center`` in recentred mode), accepted when ``u <= 1 ^ exp(g(x) -
+    g(proposal))``: ``u == 0`` always accepts, and an acceptance that
+    underflows to 0 rejects every ``u > 0``.  ``x`` is one state ``(j,)``
+    or lanes ``(lanes, j)`` with a noise row and a uniform per lane, each
+    row stepping exactly as a 1-d state would; a :class:`PcnState` comes
+    back as one, carrying ``g`` of the new state.
     """
     xi, u = w
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    state = x if isinstance(x, PcnState) else None
+    x = np.atleast_1d(np.asarray(x if state is None else state.x, dtype=float))
     spread = math.sqrt(1.0 - model.rho**2)
     if model.recentred:
         proposal = model.center + model.rho * (x - model.center) + spread * xi
     else:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))[:j]
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))[..., :j]
         proposal = model.rho * x + spread * xi
-    if _accepts(u, pcn_acceptance(model, x, proposal)):
-        return proposal
-    return x
+    g_x = model.log_change(x) if state is None or state.g is None else state.g
+    g_proposal = model.log_change(proposal)
+    accept = u <= _acceptance(g_x - g_proposal)
+    moved = np.where(accept[..., None], proposal, x)
+    return moved if state is None else PcnState(moved, np.where(accept, g_proposal, g_x))
 
 
 def coupled_pcn_step(
     model: PcnModel,
     dims: tuple[int, int],
-    states: tuple[np.ndarray, np.ndarray],
+    states: tuple,
     w: tuple[np.ndarray, float],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple:
     """Joint step: shared noise (projected for the low chain), shared uniform."""
     j_lo, j_hi = dims
     if j_lo > j_hi:
@@ -248,15 +269,13 @@ def coupled_pcn_step(
     x_lo, x_hi = states
     xi, u = w
     new_hi = pcn_step(model, j_hi, x_hi, (xi, u))
-    new_lo = pcn_step(model, j_lo, x_lo, (np.asarray(xi)[:j_lo], u))
+    new_lo = pcn_step(model, j_lo, x_lo, (np.asarray(xi)[..., :j_lo], u))
     return new_lo, new_hi
 
 
-def sampler_step(
-    model: PcnModel, j: int, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def sampler_step(model: PcnModel, j: int, x, rng: np.random.Generator):
     """One step with freshly drawn randomness."""
-    return pcn_step(model, j, x, (propose_noise(model, j, rng), rng.random()))
+    return pcn_step(model, j, x, _randomness(model, j, x, rng))
 
 
 def delta_generator(
@@ -279,6 +298,31 @@ def delta_generator(
     return gen
 
 
+def delta_batch(
+    model: PcnModel,
+    schedule: LevelSchedule,
+    f: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+) -> Callable[[int, int, np.random.Generator], tuple]:
+    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: all
+    lanes of a level step as one ``(lanes, j_i)`` chain from ``x0``, each
+    with the law of one :func:`delta_generator` draw (recentred mode: one
+    draw of the fixed-space driver on :func:`kernel` and :func:`coupling`).
+    ``f`` and ``model.log_change`` map ``(lanes, j)`` rows to ``(lanes,)``.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not model.recentred:
+        return lambda level, lanes, rng: _delta(
+            model, schedule, level, f, np.tile(x0, (lanes, 1)), rng
+        )
+    chain, joint = kernel(model), coupling(model)
+    # Looked up on the module at call time, as the benchmark's trace probe needs.
+    return lambda level, lanes, rng: couplings._delta(
+        chain, joint, schedule, level, PcnState(np.tile(x0, (lanes, 1))),
+        lambda s: f(s.x), rng,
+    )
+
+
 def _delta(model, schedule, level, f, x0, rng):
     if model.recentred:
         raise ValueError("truncation levels require the diagonal reference")
@@ -289,16 +333,21 @@ def _delta(model, schedule, level, f, x0, rng):
     def joint(j_lo, j_hi):
         def step(pair, rng):
             top, bottom = pair
-            w = (propose_noise(model, j_hi, rng), rng.random())
+            w = _randomness(model, j_hi, top, rng)
             bottom, top = coupled_pcn_step(model, (j_lo, j_hi), (bottom, top), w)
             return top, bottom
 
         return step
 
+    def embed(x, j):
+        return PcnState(pad_to(x.x if isinstance(x, PcnState) else x, j))
+
     def cost(j):
         return float(j) ** model.work_exponent
 
-    return _level_difference(schedule, level, x0, f, rng, lone, joint, pad_to, cost)
+    return _level_difference(
+        schedule, level, x0, lambda s: f(s.x), rng, lone, joint, embed, cost
+    )
 
 
 def kernel(model: PcnModel, j: int | None = None) -> MarkovKernel:
@@ -328,8 +377,8 @@ def coupling(model: PcnModel, j: int | None = None) -> CoupledKernel:
     dim = marginal.dim
 
     def joint(pair, rng):
-        w = (propose_noise(model, dim, rng), rng.random())
         x, y = pair
+        w = _randomness(model, dim, x, rng)
         return (
             pcn_step(model, dim, x, w),
             pcn_step(model, dim, y, w),

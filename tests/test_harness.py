@@ -68,6 +68,19 @@ class TestRunExperiment:
         assert Path(serial["csv_path"]).read_bytes() == Path(
             parallel["csv_path"]
         ).read_bytes()
+        # The lane-stepped chains, over two blocks (the second of one lane).
+        for experiment, params in [("logistic", {"rwm_steps": 10_000}), ("pcn", {})]:
+            runs = [
+                run_experiment(
+                    ExperimentConfig(
+                        experiment=experiment, params=params, replicates=1025, seed=11,
+                        out=str(tmp_path / f"{experiment}{p}"), parallel=p,
+                    )
+                )
+                for p in (1, 2)
+            ]
+            serial, parallel = (Path(run["csv_path"]).read_bytes() for run in runs)
+            assert serial == parallel, experiment
 
     def test_float_format_17_digits(self, tmp_path):
         summary = run_experiment(contracting_config(replicates=64, out=str(tmp_path)))
@@ -123,6 +136,82 @@ class TestRunExperiment:
         assert summary["replicates"] == 2
         assert summary["max_ratio"] <= 1.6
         assert summary["w"] == pytest.approx(-1.632, abs=0.01)
+
+
+def assert_same_law(z_lanes, z_reference):
+    """Mean and variance agree within 4 combined standard errors, and
+    neighbouring lanes, which share each level's generator, are
+    uncorrelated within 4 standard errors."""
+    lag1 = np.corrcoef(z_lanes[:-1], z_lanes[1:])[0, 1]
+    assert abs(lag1) <= 4.0 / math.sqrt(len(z_lanes)), lag1
+    stats = []
+    for z in (np.asarray(z_lanes), np.asarray(z_reference)):
+        var = z.var(ddof=1)
+        fourth = np.mean((z - z.mean()) ** 4)
+        stats.append((z.mean(), var, var / z.size, (fourth - var**2) / z.size))
+    (m1, v1, se_m1, se_v1), (m2, v2, se_m2, se_v2) = stats
+    assert abs(m1 - m2) <= 4.0 * math.sqrt(se_m1 + se_m2), (m1, m2)
+    assert abs(v1 - v2) <= 4.0 * math.sqrt(se_v1 + se_v2), (v1, v2)
+
+
+class TestLanePathLaw:
+    """The harness steps all lanes of a pCN level together; each draw must
+    keep the law of the scalar per-draw reference on the same plan."""
+
+    # Four levels and no tail: the default laws reach deep levels weighted
+    # by up to 1/Fbar_i ~ 10^3, whose rare draws make the sample variance
+    # and its standard error unreliable at these sizes.
+    SHORT_LAW = {"kind": "tabulated", "values": [1.0, 0.5, 0.25, 0.125]}
+
+    def test_pcn_matches_scalar_generator(self):
+        import ubmc.pcn as pcn
+        from ubmc import SurvivalDistribution, estimate_batch
+        from ubmc.harness import _run_blocks
+
+        config = ExperimentConfig(
+            experiment="pcn", survival=self.SHORT_LAW, replicates=20_000, seed=3
+        )
+        _, records = _run_blocks(config)
+        # The scalar reference with log-change and observable that only
+        # take one 1-d state.
+        model = pcn.PcnModel.diagonal(
+            0.7, lambda x: float(np.linalg.norm(x)), lambda l: float(l) ** -4.0,
+            regularity=2.0, lipschitz=1.0,
+        )
+        schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.6, theta=1.0, eps=0.25)
+        gen = pcn.delta_generator(
+            model, schedule, lambda x: min(1.0, float(np.linalg.norm(x))),
+            np.zeros(schedule.dims_at(0)),
+        )
+        law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
+        reference = estimate_batch(gen, law, replicates=6000, seed=4)
+        assert_same_law(records["z"], reference.z)
+
+    def test_logistic_matches_scalar_generator(self):
+        import ubmc.pcn as pcn
+        from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch
+        from ubmc.couplings import contraction_delta_generator
+        from ubmc.harness import _run_blocks
+        from ubmc.models import LogisticModel, logistic_reference_fit
+
+        config = ExperimentConfig(
+            experiment="logistic", params={"rwm_steps": 10_000}, survival=self.SHORT_LAW,
+            replicates=20_000, seed=5,
+        )
+        plan, records = _run_blocks(config)
+        meta = plan["meta"]
+        model = LogisticModel.synthetic()
+        center, cov = logistic_reference_fit(model, 10_000, seed=101)
+        assert list(center) == meta["reference_center"]
+        chain = pcn.PcnModel.gaussian_reference(0.5, model.neg_log_density, center, cov)
+        gen = contraction_delta_generator(
+            pcn.kernel(chain), pcn.coupling(chain),
+            LevelSchedule.arithmetic(meta["step_multiplier"]),
+            lambda beta: float(beta[0]), center,
+        )
+        law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
+        reference = estimate_batch(gen, law, replicates=4000, seed=6)
+        assert_same_law(records["z"], reference.z)
 
 
 class TestErgodicBaseline:
@@ -350,6 +439,32 @@ class TestCli:
         assert cli_main(["indep-sampler", "--config", str(path)]) == code
         if code == 2:
             assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "schedule, survival",
+        [
+            ({"kind": "saturating", "max_dim": 3}, {}),
+            (
+                {"kind": "sequence", "steps": [1, 2, 3], "dims": [1, 2, 3]},
+                {"kind": "tabulated", "values": [1, 0.5, 0.25]},
+            ),
+        ],
+        ids=["saturating", "sequence"],
+    )
+    def test_linear2d_dims_past_half_widths_exit_2(self, tmp_path, capsys, schedule, survival):
+        # Two half-widths make a two-coordinate state: dimension 3 would
+        # index past them while sampling.
+        config = {
+            "experiment": "indep-sampler",
+            "params": {"model": "linear2d"},
+            "schedule": schedule,
+            "survival": survival,
+            "replicates": 16,
+        }
+        path = tmp_path / "linear2d.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["indep-sampler", "--config", str(path)]) == 2
+        assert "past 2 half_widths" in capsys.readouterr().err
 
     def test_rejected_model_parameter_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pcn.json"

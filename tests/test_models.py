@@ -194,6 +194,21 @@ class TestLogistic:
         value = logistic_posterior_logdensity(model, beta)
         assert value == pytest.approx(-0.5 * float(beta @ beta), abs=1e-8)
 
+    def test_logdensity_rows_equal_one_dimensional_calls(self, stream):
+        model = LogisticModel.synthetic()
+        # Rows near the posterior mass and far out, where margins reach
+        # |z| ~ 1e3 and the log-sigmoid saturates on both sides.
+        betas = stream.generator().standard_normal((64, 3)) * np.geomspace(0.1, 300.0, 64)[:, None]
+        rows = logistic_posterior_logdensity(model, betas)
+        assert rows.shape == (64,)
+        for beta, value in zip(betas, rows):
+            assert value == pytest.approx(logistic_posterior_logdensity(model, beta), rel=1e-12)
+        # The 1-d value against the textbook sum of log h(y_i beta . T_i).
+        beta = betas[5]
+        z = model.labels * (model.design @ beta)
+        textbook = -0.5 * beta @ beta - np.logaddexp(0.0, -z).sum()
+        assert logistic_posterior_logdensity(model, beta) == pytest.approx(textbook, rel=1e-12)
+
     def test_gradient_matches_finite_differences(self, stream):
         model = LogisticModel.synthetic()
         rng = stream.generator()

@@ -96,6 +96,91 @@ class TestStep:
             model.scales(3)
 
 
+def logistic_chain():
+    from ubmc.models import LogisticModel
+
+    model = LogisticModel.synthetic()
+    center = np.array([1.0, -1.0, 0.5])
+    cov = np.array([[0.09, 0.01, 0.0], [0.01, 0.08, 0.005], [0.0, 0.005, 0.06]])
+    return pcn.PcnModel.gaussian_reference(0.5, model.neg_log_density, center, cov)
+
+
+def row_norm_model(rho=0.7, a=2.0):
+    # norm_model's log-change, applied to each row of a (lanes, j) array.
+    return pcn.PcnModel.diagonal(
+        rho,
+        lambda x: np.linalg.norm(x, axis=-1),
+        lambda l: float(l) ** (-2 * a),
+        regularity=a,
+        lipschitz=1.0,
+    )
+
+
+class TestLaneStep:
+    """A ``(lanes, j)`` step is the 1-d step applied to each row."""
+
+    @staticmethod
+    def assert_rows_match(lanes, rows):
+        for row, expected in zip(lanes, rows):
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["recentred", "diagonal"])
+    def test_rows_equal_one_dimensional_steps(self, stream, kind):
+        model, j = (logistic_chain(), 3) if kind == "recentred" else (row_norm_model(), 5)
+        rng = stream.generator()
+        # Starts spread so that some rows accept and some reject; u = 0 on
+        # two rows, which must accept whatever the acceptance.
+        x = (model.center if kind == "recentred" else 0.0) + 0.6 * rng.standard_normal((40, j))
+        xi, u = pcn.propose_noise(model, j, rng, (40,)), rng.random(40)
+        u[[3, 17]] = 0.0
+        moved = pcn.pcn_step(model, j, x, (xi, u))
+        rows = [pcn.pcn_step(model, j, x[k], (xi[k], u[k])) for k in range(40)]
+        self.assert_rows_match(moved, rows)
+        accepted = np.any(moved != x, axis=1)
+        assert accepted[[3, 17]].all() and accepted.any() and not accepted.all()
+        # A carried state steps the same way and carries g of its new state.
+        state = pcn.pcn_step(model, j, pcn.PcnState(x), (xi, u))
+        self.assert_rows_match(state.x, rows)
+        np.testing.assert_allclose(state.g, model.log_change(moved), rtol=1e-12)
+        carried = pcn.pcn_step(model, j, state, (xi, u))
+        self.assert_rows_match(carried.x, pcn.pcn_step(model, j, moved, (xi, u)))
+
+    def test_coupled_rows_equal_one_dimensional_steps(self, stream):
+        model, rng = row_norm_model(), stream.generator()
+        lo, hi = rng.standard_normal((30, 2)), rng.standard_normal((30, 4))
+        w = (pcn.propose_noise(model, 4, rng, (30,)), rng.random(30))
+        new_lo, new_hi = pcn.coupled_pcn_step(model, (2, 4), (lo, hi), w)
+        for k in range(30):
+            row_lo, row_hi = pcn.coupled_pcn_step(model, (2, 4), (lo[k], hi[k]), (w[0][k], w[1][k]))
+            self.assert_rows_match([new_lo[k], new_hi[k]], [row_lo, row_hi])
+
+    def test_underflowing_acceptance_rejects_and_zero_uniform_accepts(self):
+        # Rows stepping into x[0] > 0 face a log-change rise of 1000, whose
+        # acceptance underflows to 0: they reject unless u == 0.
+        model = pcn.PcnModel.diagonal(
+            0.5, lambda x: np.where(x[..., 0] < 0, 0.0, 1000.0), lambda l: 1.0, regularity=2.0
+        )
+        x = np.array([[-1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+        xi, u = np.array([[2.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]), np.array([0.5, 0.0, 0.5])
+        moved = pcn.pcn_step(model, 2, x, (xi, u))
+        np.testing.assert_array_equal(moved[0], x[0])
+        assert moved[1, 0] > 0.0 and moved[2, 0] < -1.0
+        self.assert_rows_match(moved, [pcn.pcn_step(model, 2, x[k], (xi[k], u[k])) for k in range(3)])
+
+    def test_non_finite_log_change_raises(self):
+        model = pcn.PcnModel.diagonal(
+            0.5, lambda x: np.where(x[..., 0] > 5.0, np.nan, 0.0), lambda l: 1.0, regularity=2.0
+        )
+        x, u = np.zeros((4, 1)), np.full(4, 0.5)
+        xi = np.array([[1.0], [20.0], [0.0], [1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            pcn.pcn_step(model, 1, x, (xi, u))
+        with pytest.raises(ValueError, match="non-finite"):
+            pcn.pcn_step(model, 1, x[1], (xi[1], u[1]))
+        with pytest.raises(ValueError, match="non-finite"):
+            pcn.pcn_step(model, 1, pcn.PcnState(x), (xi, u))
+
+
 class TestCoupledStep:
     def test_faithfulness_exact(self, stream):
         model = norm_model()
