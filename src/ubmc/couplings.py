@@ -28,6 +28,7 @@ __all__ = [
     "LevelSchedule",
     "DistanceLike",
     "contraction_delta_generator",
+    "contraction_delta_batch",
     "strictly_increasing",
     "pad_to",
     "minorized_step",
@@ -42,15 +43,14 @@ class MarkovKernel:
     """One-step transition ``x -> x'``.
 
     ``step`` draws the next state from ``P(x, .)`` using the supplied
-    generator.  ``step_many``, when present, advances a whole vector of
-    states with one call and is only an execution detail: it must realize
-    the same law coordinate-by-coordinate.
+    generator.  Kernels on a fixed space also take lanes: an array with a
+    leading lane axis steps every lane independently with the law of a
+    one-state step, drawing the lanes' randomness in one call.
     """
 
     step: Callable[[object, np.random.Generator], object]
     work_per_step: float = 1.0
     dim: int | None = None
-    step_many: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
 
 
 @dataclass
@@ -150,6 +150,25 @@ def contraction_delta_generator(
         return _delta(kernel, coupling, schedule, level, x0, f, rng)
 
     return gen
+
+
+def contraction_delta_batch(
+    kernel: MarkovKernel,
+    coupling: CoupledKernel,
+    schedule: LevelSchedule,
+    f: Callable[[np.ndarray], np.ndarray],
+    x0,
+) -> Callable[[int, int, np.random.Generator], tuple]:
+    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: all
+    lanes of a level step as one array of states tiled from ``x0``, each
+    lane with the law of one :func:`contraction_delta_generator` draw.
+    The steps and ``f`` must act on a leading lane axis.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    # _delta is looked up at call time, as the benchmark's trace probe needs.
+    return lambda level, lanes, rng: _delta(
+        kernel, coupling, schedule, level, np.full((lanes, *x0.shape), x0), f, rng
+    )
 
 
 def _delta(kernel, coupling, schedule, level, x0, f, rng):
@@ -266,9 +285,10 @@ def estimate_contraction(
 ) -> ContractionFit:
     """Fit the per-step log-contraction slope of a coupling.
 
-    Every (pair, replicate) evolves jointly for ``n_steps`` steps on its
-    own derived stream; distances are averaged per step and a line is
-    fitted to ``log`` mean distance over the strictly positive prefix.
+    The replicates of each pair evolve jointly for ``n_steps`` steps as
+    lanes on one generator per pair (``distance`` maps rows to values);
+    distances are averaged per step and a line is fitted to ``log`` mean
+    distance over the strictly positive prefix.
     The step-0 distance (the artificial initial gap) is discarded before
     fitting, and degenerate pairs ``x == y`` are rejected.
     """
@@ -276,17 +296,16 @@ def estimate_contraction(
         raise ValueError("need at least two steps to fit a slope")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    for x, y in pairs:
-        if distance(x, y) == 0.0:
-            raise ValueError("pairs with d(x, y) = 0 are uninformative")
     totals = np.zeros(n_steps)
-    for p, (x0, y0) in enumerate(pairs):
-        for r in range(replicates):
-            rng = stream.child(p, r).generator()
-            x, y = x0, y0
-            for k in range(n_steps):
-                x, y = coupling.step((x, y), rng)
-                totals[k] += distance(x, y)
+    for p, pair in enumerate(pairs):
+        rng = stream.child(p).generator()
+        x, y = (np.full((replicates, *np.shape(s)), s, dtype=float) for s in pair)
+        gap = distance(x, y)
+        if np.shape(gap) != (replicates,) or np.any(gap == 0.0):
+            raise ValueError(f"pair {p}: need d(x, y) > 0, one value per lane row")
+        for k in range(n_steps):
+            x, y = coupling.step((x, y), rng)
+            totals[k] += np.sum(distance(x, y))
     means = totals / (len(pairs) * replicates)
     positive = means > 0.0
     cut = int(np.argmin(positive)) if not positive.all() else n_steps

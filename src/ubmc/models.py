@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, _level_difference
+from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, contraction_delta_batch
 from .estimator import SurvivalDistribution, estimate_block
 from .rng import Stream
 
@@ -26,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "ContractingNormalsModel",
     "contracting_normals_coupling",
-    "contracting_delta_batch",
     "contracting_unbiased_block",
     "CircleChainModel",
     "circle_maximal_coupling",
@@ -59,61 +58,29 @@ class ContractingNormalsModel:
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
 
-    @property
-    def noise_scale(self) -> float:
-        return math.sqrt(1.0 - self.rho**2)
-
-    def step(self, x: float, rng: np.random.Generator) -> float:
-        return self.rho * x + self.noise_scale * rng.standard_normal()
-
-    def step_many(self, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.rho * xs + self.noise_scale * rng.standard_normal(xs.shape)
-
     def kernel(self) -> MarkovKernel:
-        return MarkovKernel(
-            step=self.step, work_per_step=1.0, dim=1, step_many=self.step_many
-        )
+        rho, scale = self.rho, math.sqrt(1.0 - self.rho**2)
+
+        def step(x, rng):
+            return rho * x + scale * rng.standard_normal(getattr(x, "shape", None) or None)
+
+        return MarkovKernel(step=step, work_per_step=1.0, dim=1)
 
     def coupling(self) -> CoupledKernel:
+        rho = self.rho
+
         def joint(pair, rng):
-            return contracting_normals_coupling(pair, rng.standard_normal(), self.rho)
+            noise = rng.standard_normal(getattr(pair[0], "shape", None) or None)
+            return contracting_normals_coupling(pair, noise, rho)
 
         return CoupledKernel(step=joint, marginal=self.kernel())
 
 
-def contracting_normals_coupling(pair, noise: float, rho: float) -> tuple[float, float]:
+def contracting_normals_coupling(pair, noise, rho: float) -> tuple:
     """Shared-noise joint step; the gap contracts deterministically by ``rho``."""
     x, y = pair
     scale = math.sqrt(1.0 - rho**2)
     return rho * x + scale * noise, rho * y + scale * noise
-
-
-def contracting_delta_batch(
-    rho: float,
-    schedule: LevelSchedule,
-    level: int,
-    count: int,
-    rng: np.random.Generator,
-    x0: float = 0.0,
-) -> np.ndarray:
-    """``count`` independent coupled level differences, vectorized.
-
-    Runs the generic coupled driver with one vector lane per replicate.
-    """
-    scale = math.sqrt(1.0 - rho**2)
-
-    def lone(j):
-        return lambda top, rng: rho * top + scale * rng.standard_normal(count)
-
-    def joint(j_lo, j_hi):
-        return lambda pair, rng: contracting_normals_coupling(
-            pair, rng.standard_normal(count), rho
-        )
-
-    return _level_difference(
-        schedule, level, np.full(count, x0, dtype=float), lambda x: x, rng,
-        lone, joint, lambda x, j: x, lambda j: 1.0,
-    )[0]
 
 
 def contracting_unbiased_block(
@@ -124,15 +91,15 @@ def contracting_unbiased_block(
     count: int,
     x0: float = 0.0,
 ) -> dict:
-    """One block of unbiased draws: :func:`contracting_delta_batch` bound
-    into :func:`~ubmc.estimator.estimate_block`.  Returns arrays ``N``,
-    ``z`` and ``work``.
+    """One block of unbiased draws: the model's kernel and coupling bound
+    by :func:`~ubmc.couplings.contraction_delta_batch` into
+    :func:`~ubmc.estimator.estimate_block`.  Returns arrays ``N``, ``z``
+    and ``work``.
     """
-
-    def delta_batch(level, lanes, rng):
-        deltas = contracting_delta_batch(rho, schedule, level, lanes, rng, x0=x0)
-        return deltas, schedule.steps_at(level)
-
+    model = ContractingNormalsModel(rho)
+    delta_batch = contraction_delta_batch(
+        model.kernel(), model.coupling(), schedule, lambda x: x, x0
+    )
     return estimate_block(delta_batch, survival, stream, count)
 
 
@@ -153,8 +120,8 @@ def circle_arc(x: float) -> list[tuple[float, float]]:
     return [(lo, TWO_PI), (0.0, hi - TWO_PI)]
 
 
-def _circle_step(x: float, rng: np.random.Generator) -> float:
-    return (x + rng.uniform(-2.0, 2.0)) % TWO_PI
+def _circle_step(x, rng: np.random.Generator):
+    return (x + rng.uniform(-2.0, 2.0, getattr(x, "shape", None) or None)) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -167,21 +134,15 @@ class CircleChainModel:
     is uniform on the circle.
     """
 
-    def step(self, x: float, rng: np.random.Generator) -> float:
-        return _circle_step(x, rng)
-
     def kernel(self) -> MarkovKernel:
-        return MarkovKernel(step=self.step, work_per_step=1.0, dim=1)
+        return MarkovKernel(step=_circle_step, work_per_step=1.0, dim=1)
 
     def coupling(self) -> CoupledKernel:
-        def joint(pair, rng):
-            return circle_maximal_coupling(pair, rng)
-
-        return CoupledKernel(step=joint, marginal=self.kernel())
+        return CoupledKernel(step=circle_maximal_coupling, marginal=self.kernel())
 
 
-def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple[float, float]:
-    """One-step maximal coupling of the circle chain.
+def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple:
+    """One-step maximal coupling of the circle chain, per state or per lane.
 
     The first chain takes an ordinary step ``y1``.  If ``y1`` lies on the
     second chain's arc ``A_x2`` both chains move there, which happens with
@@ -189,17 +150,19 @@ def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple[float, floa
     Otherwise ``y1`` is uniform on ``A_x1 \\ A_x2`` and the second chain
     draws independently and uniformly from ``A_x2 \\ A_x1``.  That residual
     is one arc of length ``min(d, 2 pi - 4)``, for circular distance ``d``,
-    next to the end of ``A_x1`` that faces ``x2``.  It is drawn directly:
-    a rejection loop would not end when the states differ only by rounding.
+    next to the end of ``A_x1`` that faces ``x2``.  It is drawn directly,
+    with one uniform per lane that does not meet: a rejection loop would
+    not end when the states differ only by rounding.
     """
     x1, x2 = pair
     y1 = _circle_step(x1, rng)
-    if x1 == x2 or (y1 - x2 + 2.0) % TWO_PI < 4.0:
-        return y1, y1
+    apart = (x1 != x2) & ((y1 - x2 + 2.0) % TWO_PI >= 4.0)
     gap = (x2 - x1) % TWO_PI
-    width = min(gap, TWO_PI - gap, TWO_PI - 4.0)
-    start = x1 + 2.0 if gap <= math.pi else x1 - 2.0 - width
-    return y1, (start + rng.random() * width) % TWO_PI
+    width = np.minimum(np.minimum(gap, TWO_PI - gap), TWO_PI - 4.0)
+    start = np.where(gap <= math.pi, x1 + 2.0, x1 - 2.0 - width)
+    y2 = np.array(y1, dtype=float)
+    y2[apart] = (start[apart] + rng.random(np.count_nonzero(apart)) * width[apart]) % TWO_PI
+    return y1, y2[()]
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +407,6 @@ class EllipticModel:
 
     def forward(self, j: int, coeffs, n_points: int | None = None) -> np.ndarray:
         return elliptic_forward(self, j, coeffs, n_points)
-
-    def sup_forward_bound(self) -> float:
-        """Deterministic bound on ``|G|``: each solution value is at most
-        ``osc(H) / u_min``."""
-        return math.sqrt(len(self.obs_points)) * (
-            self.source_oscillation / self.coefficient_lower_bound
-        )
 
     def observation_gap(self, j: int, n_draws: int, stream: Stream, factor: int = 2):
         return elliptic_observation_gap(self, j, n_draws, stream, factor)

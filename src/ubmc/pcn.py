@@ -71,8 +71,9 @@ class PcnModel:
     center: np.ndarray | None = None
     covariance: np.ndarray | None = None
     work_exponent: float = 1.0
-    _chol: np.ndarray | None = field(default=None, repr=False)
-    _eig_cache: list = field(default_factory=list, repr=False)
+    # Derived from the fields above, so never shared by a replaced copy.
+    _chol: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _eig_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -173,23 +174,21 @@ class PcnDistance:
         return pcn_distance(self.variant, self.tau, x, y)
 
 
-def _norm_gap(x, y) -> tuple[float, float, float]:
-    n = max(np.size(x), np.size(y))
-    x, y = pad_to(x, n), pad_to(y, n)
-    return float(np.linalg.norm(x - y)), float(np.linalg.norm(x)), float(np.linalg.norm(y))
-
-
-def pcn_distance(variant: str, tau: float, x, y) -> float:
-    """Evaluate the capped or energy-weighted distance; states of unequal
-    dimension are compared through zero-padding."""
+def pcn_distance(variant: str, tau: float, x, y):
+    """Evaluate the capped or energy-weighted distance, one value per row
+    of ``(lanes, j)`` states; states of unequal dimension are compared
+    through zero-padding."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    gap, nx, ny = _norm_gap(x, y)
-    capped = min(1.0, gap / tau)
+    x, y = np.atleast_1d(x, y)
+    n = max(x.shape[-1], y.shape[-1])
+    x, y = pad_to(x, n), pad_to(y, n)
+    capped = np.minimum(1.0, np.linalg.norm(x - y, axis=-1) / tau)
     if variant == "capped":
         return capped
     if variant == "weighted":
-        return math.sqrt(capped * (1.0 + math.exp(nx) + math.exp(ny)))
+        nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+        return np.sqrt(capped * (1.0 + np.exp(nx) + np.exp(ny)))
     raise ValueError("variant must be 'capped' or 'weighted'")
 
 

@@ -422,7 +422,7 @@ def test_criterion_12_logistic():
     spread = 2.0 * np.sqrt(np.diag(cov))
     fit = estimate_contraction(
         pcn.coupling(chain),
-        lambda x, y: float(np.linalg.norm(np.asarray(x) - np.asarray(y))),
+        lambda x, y: np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1),
         pairs=[(center + spread, center - spread)],
         n_steps=30,
         replicates=150,

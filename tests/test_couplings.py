@@ -15,8 +15,8 @@ from ubmc import (
     estimate_contraction,
     minorized_step,
 )
-from ubmc.couplings import strictly_increasing, subgeometric_schedule
-from ubmc.models import CircleChainModel, ContractingNormalsModel, contracting_delta_batch
+from ubmc.couplings import contraction_delta_batch, strictly_increasing, subgeometric_schedule
+from ubmc.models import CircleChainModel, ContractingNormalsModel
 
 from conftest import ConstantStreamDouble, ScriptedNormals, four_se
 
@@ -121,8 +121,12 @@ class TestCoupledDriver:
         # at level 1 and check level 2 under it (Monte Carlo slack only).
         rho = 0.8
         sched = LevelSchedule.arithmetic(4)
-        d1 = contracting_delta_batch(rho, sched, 1, 100_000, stream.child(1).generator())
-        d2 = contracting_delta_batch(rho, sched, 2, 100_000, stream.child(2).generator())
+        model = ContractingNormalsModel(rho)
+        delta_batch = contraction_delta_batch(
+            model.kernel(), model.coupling(), sched, lambda x: x, 0.0
+        )
+        d1, _ = delta_batch(1, 100_000, stream.child(1).generator())
+        d2, _ = delta_batch(2, 100_000, stream.child(2).generator())
         c_pilot = np.sqrt(np.mean(d1**2)) / rho ** sched.steps_at(0)
         rms2 = np.sqrt(np.mean(d2**2))
         assert rms2 <= 1.05 * c_pilot * rho ** sched.steps_at(1)
@@ -258,13 +262,13 @@ class TestMarginalsAndFaithfulness:
     def test_kernel_stationarity_contract(self, stream):
         # The output law of one step depends only on the input state:
         # two independent batches from the same state are exchangeable.
-        model = ContractingNormalsModel(0.6)
+        step = ContractingNormalsModel(0.6).kernel().step
         a = np.array(
-            [model.step(1.3, stream.child(0).generator()) for _ in range(1)]
+            [step(1.3, stream.child(0).generator()) for _ in range(1)]
         )
         rng1, rng2 = stream.child(1).generator(), stream.child(2).generator()
-        first = np.array([model.step(1.3, rng1) for _ in range(5000)])
-        second = np.array([model.step(1.3, rng2) for _ in range(5000)])
+        first = np.array([step(1.3, rng1) for _ in range(5000)])
+        second = np.array([step(1.3, rng2) for _ in range(5000)])
         assert stats.ks_2samp(first, second).pvalue > 1e-3
 
     def test_distance_like_wrapper(self):

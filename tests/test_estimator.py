@@ -18,7 +18,6 @@ from ubmc import (
     second_moment_formula,
 )
 from ubmc.estimator import _per_lane, estimate_block
-from ubmc.models import contracting_delta_batch
 from ubmc.tuning import contracting_delta_variances, contracting_optimal_survival
 
 from conftest import ForcedTruncationStream, four_se

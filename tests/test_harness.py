@@ -155,8 +155,8 @@ def assert_same_law(z_lanes, z_reference):
 
 
 class TestLanePathLaw:
-    """The harness steps all lanes of a pCN level together; each draw must
-    keep the law of the scalar per-draw reference on the same plan."""
+    """The harness steps all lanes of a pCN or circle level together; each
+    draw must keep the law of the scalar per-draw reference on the same plan."""
 
     # Four levels and no tail: the default laws reach deep levels weighted
     # by up to 1/Fbar_i ~ 10^3, whose rare draws make the sample variance
@@ -169,7 +169,8 @@ class TestLanePathLaw:
         from ubmc.harness import _run_blocks
 
         config = ExperimentConfig(
-            experiment="pcn", survival=self.SHORT_LAW, replicates=20_000, seed=3
+            experiment="pcn", survival=self.SHORT_LAW, replicates=20_000, seed=3,
+            schedule={"r": 0.6},
         )
         _, records = _run_blocks(config)
         # The scalar reference with log-change and observable that only
@@ -182,6 +183,24 @@ class TestLanePathLaw:
         gen = pcn.delta_generator(
             model, schedule, lambda x: min(1.0, float(np.linalg.norm(x))),
             np.zeros(schedule.dims_at(0)),
+        )
+        law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
+        reference = estimate_batch(gen, law, replicates=6000, seed=4)
+        assert_same_law(records["z"], reference.z)
+
+    def test_circle_matches_scalar_generator(self):
+        from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch
+        from ubmc.couplings import contraction_delta_generator
+        from ubmc.harness import _run_blocks
+        from ubmc.models import CircleChainModel
+
+        config = ExperimentConfig(
+            experiment="circle", survival=self.SHORT_LAW, replicates=20_000, seed=3
+        )
+        _, records = _run_blocks(config)
+        model = CircleChainModel()
+        gen = contraction_delta_generator(
+            model.kernel(), model.coupling(), LevelSchedule.arithmetic(1), math.cos, 0.0
         )
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
         reference = estimate_batch(gen, law, replicates=6000, seed=4)
@@ -247,16 +266,27 @@ class TestErgodicBaseline:
         constant = (1 + rho) / (1 - rho)
         assert result.msework_product == pytest.approx(constant, rel=0.25)
 
-    def test_scalar_path_without_step_many(self):
+    def test_vector_states_restart_as_lanes(self):
         from ubmc.couplings import MarkovKernel
 
-        model = ContractingNormalsModel(0.5)
-        kernel = MarkovKernel(step=model.step)  # no vectorized path
+        # A kernel on 3-vectors: the restarts are the rows of one array.
+        kernel = MarkovKernel(
+            step=lambda x, rng: 0.5 * x + rng.standard_normal(np.shape(x))
+        )
         result = ergodic_baseline(
-            kernel, lambda x: x, steps=50, restarts=20, seed=3, x0=0.0,
-            target_mean=0.0,
+            kernel, lambda x: x.sum(axis=-1), steps=50, restarts=20, seed=3,
+            x0=np.zeros(3), target_mean=0.0,
         )
         assert result.averages.shape == (20,)
+
+    def test_scalar_observable_rejected(self):
+        # One value for all restarts would be broadcast over every lane.
+        model = ContractingNormalsModel(0.5)
+        with pytest.raises(ValueError, match="one value per restart"):
+            ergodic_baseline(
+                model.kernel(), lambda x: float(np.asarray(x)[0]),
+                steps=5, restarts=8, seed=0, x0=0.0,
+            )
 
 
 class TestCompareMsework:
@@ -311,7 +341,7 @@ class TestCompareMsework:
         center, cov = logistic_reference_fit(model, 20_000, seed=31)
         chain = pcn.PcnModel.gaussian_reference(0.5, model.neg_log_density, center, cov)
         baseline = ergodic_baseline(
-            pcn.kernel(chain), lambda b: float(np.asarray(b)[0]), steps=400,
+            pcn.kernel(chain), lambda b: b[:, 0], steps=400,
             restarts=120, seed=32, x0=center, target_mean=float(center[0]),
         )
         out = compare_msework(

@@ -1,6 +1,7 @@
 """Model-level oracles: couplings, stationary laws, forward maps."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -48,6 +49,25 @@ def arc_cdf(x):
     return cdf
 
 
+def check_meets(start, draws):
+    """Meets happen with probability |A_x1 ∩ A_x2| / 4 = max(4 - d, 8 - 2 pi) / 4
+    at circular distance d, on both arcs; otherwise each chain lands on
+    its own arc off the other's."""
+    x1, x2 = start
+    d = min(abs(x1 - x2), TWO_PI - abs(x1 - x2))
+    p = max(4.0 - d, 8.0 - TWO_PI) / 4.0
+    n = len(draws)
+    met = 0
+    for y1, y2 in draws:
+        if y1 == y2:
+            met += 1
+            assert on_arc(y1, x1) and on_arc(y1, x2)
+        else:
+            assert on_arc(y1, x1) and not on_arc(y1, x2)
+            assert on_arc(y2, x2) and not on_arc(y2, x1)
+    assert abs(met / n - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
 class TestContractingNormals:
     def test_coupling_arithmetic(self):
         assert contracting_normals_coupling((2.0, 0.0), 0.0, 0.5) == (1.0, 0.0)
@@ -65,11 +85,11 @@ class TestContractingNormals:
     def test_stationary_moments(self, stream):
         # 10^4 chains for 100 steps = 10^6 total steps; endpoints are
         # (nearly) independent N(0, 1) samples after the burn-in.
-        model = ContractingNormalsModel(0.8)
+        step = ContractingNormalsModel(0.8).kernel().step
         rng = stream.generator()
         states = np.zeros(10_000)
         for _ in range(100):
-            states = model.step_many(states, rng)
+            states = step(states, rng)
         assert abs(states.mean()) <= four_se(states)
         var = states.var(ddof=1)
         se_var = math.sqrt(2.0 / (states.size - 1))
@@ -78,6 +98,27 @@ class TestContractingNormals:
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             ContractingNormalsModel(1.0)
+
+    def test_lanes_csv_block_pinned(self):
+        # Block 0 of the benchmark's contracting-normals run at seed 11
+        # (rho 0.8, ansatz m, optimal law, 1024 lanes), pinned bit for bit:
+        # any change to how these lanes use the stream or round fails here.
+        from ubmc import LevelSchedule, tuning
+        from ubmc.models import contracting_unbiased_block
+
+        m = tuning.step_multiplier(0.8)
+        out = contracting_unbiased_block(
+            0.8, LevelSchedule.arithmetic(m), tuning.contracting_optimal_survival(0.8, m),
+            Stream(11).child(0), 1024,
+        )
+        digests = {
+            "z": "484b33145069e9e4f18036d7e76760176bdd16bf48042fbbb245c6b884e1cb75",
+            "N": "822c4bffd7a85d396289205dc61143599754b8a5d62c6acdd61951c810e4c94e",
+            "work": "4b18967a32ee4d80846dc63aec61aaf1eb8a7b05ad18fdebf2298b9fa36576c5",
+        }
+        assert (out["z"].dtype, out["N"].dtype, out["work"].dtype) == (float, np.int64, float)
+        for name, digest in digests.items():
+            assert hashlib.sha256(out[name].tobytes()).hexdigest() == digest, name
 
     def test_vectorized_batch_agrees_with_generic_driver(self):
         # The block-vectorized executor is the same coupling as the generic
@@ -113,28 +154,20 @@ class TestCircleChain:
         for x in np.linspace(0, TWO_PI, 37):
             assert arc_length(x) == pytest.approx(4.0)
 
-    @pytest.mark.parametrize(
-        "start", [(0.0, math.pi), (1.0, 2.5), (2.5, 1.0), (6.0, 0.5), (0.9, 4.0)]
-    )
+    STARTS = [(0.0, math.pi), (1.0, 2.5), (2.5, 1.0), (6.0, 0.5), (0.9, 4.0)]
+
+    @pytest.mark.parametrize("start", STARTS)
     def test_meet_rate_and_supports(self, stream, start):
-        # Meets happen with probability |A_x1 ∩ A_x2| / 4 = max(4 - d, 8 - 2 pi) / 4
-        # at circular distance d, on both arcs; otherwise each chain lands on
-        # its own arc off the other's.
-        x1, x2 = start
-        d = min(abs(x1 - x2), TWO_PI - abs(x1 - x2))
-        p = max(4.0 - d, 8.0 - TWO_PI) / 4.0
         rng = stream.generator()
-        n = 20_000
-        met = 0
-        for _ in range(n):
-            y1, y2 = circle_maximal_coupling(start, rng)
-            if y1 == y2:
-                met += 1
-                assert on_arc(y1, x1) and on_arc(y1, x2)
-            else:
-                assert on_arc(y1, x1) and not on_arc(y1, x2)
-                assert on_arc(y2, x2) and not on_arc(y2, x1)
-        assert abs(met / n - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+        check_meets(start, [circle_maximal_coupling(start, rng) for _ in range(20_000)])
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_meet_rate_and_supports_lanes(self, stream, start):
+        # One call steps 20k copies of each start as lanes.
+        lanes = tuple(np.full(20_000, x) for x in start)
+        y1, y2 = circle_maximal_coupling(lanes, stream.generator())
+        assert y1.shape == y2.shape == (20_000,)
+        check_meets(start, list(zip(y1, y2)))
 
     def test_equal_states_always_meet(self, stream):
         rng = stream.generator()
@@ -165,15 +198,15 @@ class TestCircleChain:
             assert p > 1e-3
 
     def test_long_run_law_uniform(self, stream):
-        model = CircleChainModel()
+        step = CircleChainModel().kernel().step
         rng = stream.generator()
         x = 0.0
         for _ in range(1000):  # burn-in
-            x = model.step(x, rng)
+            x = step(x, rng)
         samples = []
         for _ in range(2000):
             for _ in range(10):  # thin to near-independence
-                x = model.step(x, rng)
+                x = step(x, rng)
             samples.append(x)
         p = stats.kstest(np.array(samples), lambda t: np.asarray(t) / TWO_PI).pvalue
         assert p > 1e-3

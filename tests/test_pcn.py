@@ -1,6 +1,9 @@
 """pCN chain, its fixed- and cross-dimension couplings, distances, schedules."""
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,16 @@ class TestStep:
         model = pcn.PcnModel.diagonal(0.5, lambda x: 0.0, eigenvalues, regularity=2.0)
         with pytest.raises(ValueError, match=message):
             model.scales(3)
+
+    def test_replaced_model_builds_its_own_scales_and_factor(self):
+        model = pcn.PcnModel.diagonal(0.5, lambda x: 0.0, lambda l: l**-4.0, regularity=2.0)
+        np.testing.assert_allclose(model.scales(3), [1.0, 0.25, 1.0 / 9.0])
+        wider = dataclasses.replace(model, eigenvalues=lambda l: l**-2.0)
+        np.testing.assert_allclose(wider.scales(3), [1.0, 0.5, 1.0 / 3.0])
+        np.testing.assert_allclose(model.scales(3), [1.0, 0.25, 1.0 / 9.0])
+        recentred = pcn.PcnModel.gaussian_reference(0.5, lambda x: 0.0, np.zeros(2), np.eye(2))
+        doubled = dataclasses.replace(recentred, covariance=4.0 * np.eye(2))
+        np.testing.assert_array_equal(doubled._chol, 2.0 * np.eye(2))
 
 
 def logistic_chain():
@@ -268,7 +281,7 @@ class TestUnbiasedDelta:
 
     def test_rms_decay_matches_pilot_rate(self):
         # ||delta_i||_2^2 <= const * r^(a_{i-1}) with r from a pilot fit.
-        model = norm_model(rho=0.7, a=2.0)
+        model = row_norm_model(rho=0.7, a=2.0)
         pilot = estimate_contraction(
             pcn.coupling(model, 8),
             pcn.PcnDistance("capped", 1.0),
@@ -322,6 +335,16 @@ class TestDistances:
     def test_unequal_dimensions_padded(self):
         x, y = np.array([0.5, 0.2]), np.array([0.5])
         assert pcn.pcn_distance("capped", 1.0, x, y) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("variant", ["capped", "weighted"])
+    def test_rows_equal_one_dimensional_calls(self, stream, variant):
+        rng = stream.generator()
+        x, y = 0.6 * rng.standard_normal((2, 50, 4))
+        for x_rows in (x, x[:, :2]):  # unequal dimensions pad each row
+            rows = pcn.pcn_distance(variant, 1.5, x_rows, y)
+            assert rows.shape == (50,)
+            expected = [pcn.pcn_distance(variant, 1.5, a, b) for a, b in zip(x_rows, y)]
+            np.testing.assert_array_equal(rows, expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -379,10 +402,51 @@ class TestStationarity:
             sq = samples[:, l] ** 2
             assert abs(sq.mean() - lam[l]) <= 4.0 * sq.std(ddof=1) / math.sqrt(n_samples)
 
+    @pytest.mark.parametrize("j", [1, 4, 16])
+    def test_lane_pilot_rate_below_shipped_r(self, j):
+        # The schedule of configs/pcn.json (and the harness default) needs r
+        # above the capped-distance contraction rate of the chain it runs.
+        config = json.loads((Path(__file__).parents[1] / "configs" / "pcn.json").read_text())
+        fit = estimate_contraction(
+            pcn.coupling(row_norm_model(rho=0.7, a=2.0), j),
+            pcn.PcnDistance("capped", 1.0),
+            [(np.full(j, -1.0), np.full(j, 1.0))],
+            n_steps=20,
+            replicates=4000,
+            stream=Stream(60 + j),
+        )
+        assert fit.rate < config["schedule"]["r"]
+
+    def test_shipped_law_second_moments_fall_over_levels(self):
+        # The property r is chosen for: E[delta_i^2] / Fbar_i must fall over
+        # the levels so that sum_i nu_i / Fbar_i stays finite.  At r = 0.6
+        # the deep ratios are 3.5-4.5 times the level-1 ratio; at r = 0.85
+        # about a third of it.
+        config = json.loads((Path(__file__).parents[1] / "configs" / "pcn.json").read_text())
+        params, sched = config["params"], config["schedule"]
+        model = pcn.PcnModel.diagonal(
+            params["rho"], lambda x: np.linalg.norm(x, axis=-1),
+            lambda l: float(l) ** (-2.0 * params["a"]),
+            regularity=params["a"], lipschitz=1.0,
+        )
+        schedule, law = pcn.make_schedule(
+            model, sched["variant"], m=sched["m"], r=sched["r"],
+            theta=sched["theta"], eps=sched["eps"],
+        )
+        delta_batch = pcn.delta_batch(
+            model, schedule, lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1)),
+            np.zeros(schedule.dims_at(0)),
+        )
+        ratios = []
+        for i in range(7):
+            delta, _ = delta_batch(i, 2000, Stream(70).child(i).generator())
+            ratios.append(np.mean(delta**2) / law.survival(i))
+        assert max(ratios[3:]) < ratios[1] / 2, ratios
+
     def test_contraction_dimension_stable(self):
         # Fixed-dimension capped-distance slope is strictly negative and
         # does not blow up or vanish with the dimension.
-        model = norm_model(rho=0.7, a=2.0)
+        model = row_norm_model(rho=0.7, a=2.0)
         slopes = []
         for j in (5, 15, 45):
             lam_sqrt = model.scales(j)

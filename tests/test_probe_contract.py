@@ -38,7 +38,7 @@ def _config(path):
     [
         pytest.param(
             "contracting-normals", _config("configs/contracting-normals.json"),
-            ["models.contracting_unbiased_block"], id="contracting-normals",
+            ["models.contracting_unbiased_block", *GENERIC_STEPS], id="contracting-normals",
         ),
         pytest.param("circle", None, GENERIC_STEPS, id="circle"),
         pytest.param(

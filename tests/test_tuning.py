@@ -7,7 +7,8 @@ import pytest
 
 from ubmc import LevelSchedule, Stream
 from ubmc.estimator import SurvivalDistribution, expected_work, second_moment_formula
-from ubmc.models import contracting_delta_batch, contracting_unbiased_block
+from ubmc.couplings import contraction_delta_batch
+from ubmc.models import ContractingNormalsModel, contracting_unbiased_block
 from ubmc.tuning import (
     contracting_delta_variances,
     contracting_optimal_survival,
@@ -41,10 +42,12 @@ class TestDeltaVariances:
         schedule = LevelSchedule.arithmetic(m)
         steps = [m * (i + 1) for i in range(4)]
         nus = contracting_delta_variances(rho, steps, 4)
+        model = ContractingNormalsModel(rho)
+        delta_batch = contraction_delta_batch(
+            model.kernel(), model.coupling(), schedule, lambda x: x, 0.0
+        )
         for level in range(4):
-            draws = contracting_delta_batch(
-                rho, schedule, level, 200_000, stream.child(level).generator()
-            )
+            draws, _ = delta_batch(level, 200_000, stream.child(level).generator())
             if level == 0:
                 draws = draws - 0.0  # delta_0 = f(endpoint), mean 0
             sq = draws**2
