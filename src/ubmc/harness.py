@@ -258,17 +258,15 @@ def _elliptic_is_model(params: dict) -> tuple:
         work_exponent=model.work_exponent,
     )
     if alpha_star is None:
-        # Pilot-calibrated floor: half the smallest acceptance seen across
-        # prior-vs-prior proposals.  The model's worst-case bound is far
-        # too small to schedule against; the floor stays runtime-checked.
+        # Pilot-calibrated floor, runtime-checked: half the smallest acceptance
+        # over lanes of prior (x, xi) pairs, drawn pair by pair.  The model's
+        # worst-case bound is far too small to schedule against.
         rng = Stream(int(data_spec.get("seed", 2024))).child(2).generator()
         j_pilot = int(params.get("pilot_dim", 32))
-        worst = 1.0
-        for _ in range(int(params.get("pilot_proposals", 512))):
-            x = independence_sampler.propose(is_model, j_pilot, rng)
-            xi = independence_sampler.propose(is_model, j_pilot, rng)
-            worst = min(worst, independence_sampler.is_acceptance(is_model, j_pilot, x, xi))
-        is_model = replace(is_model, alpha_star=0.5 * worst)
+        pairs = (int(params.get("pilot_proposals", 512)), 2)
+        x, xi = independence_sampler.propose(is_model, j_pilot, rng, pairs).transpose(1, 0, 2)
+        alphas = independence_sampler.is_acceptance(is_model, j_pilot, x, xi)
+        is_model = replace(is_model, alpha_star=0.5 * float(np.min(alphas, initial=1.0)))
     return model, is_model
 
 
@@ -290,7 +288,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         )
         is_model = independence_sampler.UniformPriorModel(
             half_widths=lambda k, w=widths: w[k - 1],
-            forward=lambda j, x, A=matrix: A[:, :j] @ x[:j],
+            forward=lambda j, x, A=matrix: x[..., :j] @ A[:, :j].T,
             y=y,
             alpha_star=float(alpha_star),
             work_exponent=float(params.get("theta", 1.0)),
@@ -352,17 +350,14 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
             f"law with at most {levels} values and no tail_ratio",
         )
 
+    # Observables act row-wise on (lanes, j) states.
     fname = params.get("f", "sum")
-    if fname == "sum":
-        f = lambda u: float(np.sum(u))
-    elif fname == "coord1":
-        f = lambda u: float(u[0])
-    else:
-        raise ConfigError(f"unknown observable {fname!r}")
+    f = {"sum": lambda u: np.sum(u, axis=-1), "coord1": lambda u: u[..., 0]}.get(fname)
+    _require(f is not None, f"unknown observable {fname!r}")
     x0 = np.zeros(schedule.dims_at(0))
-    gen = independence_sampler.delta_generator(is_model, schedule, f, x0)
+    delta_batch = independence_sampler.delta_batch(is_model, schedule, f, x0)
     return {
-        "run_block": _lane_block(_per_lane(gen), survival, schedule.dims_at),
+        "run_block": _lane_block(delta_batch, survival, schedule.dims_at),
         "meta": {"alpha_star": is_model.alpha_star},
     }
 

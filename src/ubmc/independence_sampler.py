@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "sampler_step",
     "coupled_is_step",
     "delta_generator",
+    "delta_batch",
     "make_schedule",
     "pad_to",
 ]
@@ -49,26 +50,23 @@ class AcceptanceFloorError(RuntimeError):
     """
 
     def __init__(self, observed: float, floor: float):
-        self.observed = observed
-        self.floor = floor
-        super().__init__(
-            f"acceptance probability {observed} below declared floor {floor}"
-        )
+        self.observed, self.floor = observed, floor
+        super().__init__(f"acceptance probability {observed} below declared floor {floor}")
 
 
-class Branch(Enum):
-    """Which branch of the split kernel a step took."""
+class Branch(IntEnum):
+    """Which branch of the split kernel a step took (lanes: one code each)."""
 
-    MINORIZE = "minorize"
-    RESIDUAL_ACCEPT = "residual-accept"
-    RESIDUAL_REJECT = "residual-reject"
+    MINORIZE = 0
+    RESIDUAL_ACCEPT = 1
+    RESIDUAL_REJECT = 2
 
 
 class StepRandomness(NamedTuple):
     """All randomness of one split step, shared across coupled chains."""
 
-    u1: float
-    u2: float
+    u1: float | np.ndarray
+    u2: float | np.ndarray
     xi1: np.ndarray
     xi2: np.ndarray
 
@@ -78,8 +76,8 @@ class UniformPriorModel:
     """Inverse problem with uniform series prior and bounded forward map.
 
     ``half_widths(k)`` returns the box half-width ``u*_k`` (positive,
-    nonincreasing, 1-indexed); ``forward(j, state)`` evaluates the
-    level-``j`` observation operator on a length-``j`` coefficient vector;
+    nonincreasing, 1-indexed); ``forward(j, state)`` maps ``(..., j)``
+    coefficient rows to ``(..., d)`` level-``j`` observations row-wise;
     ``alpha_star`` is the deterministic acceptance floor and
     ``work_exponent`` the cost exponent of one step at dimension ``j``.
     """
@@ -108,58 +106,64 @@ class UniformPriorModel:
             cache.append(w)
         return np.asarray(cache[:j])
 
-    def misfit(self, j: int, state: np.ndarray) -> float:
-        """``|y - G_j(state)|^2``."""
+    def misfit(self, j: int, state: np.ndarray) -> np.ndarray:
+        """``|y - G_j(state)|^2``, one value per row of ``state``."""
         g = np.asarray(self.forward(j, state), dtype=float)
         if not np.all(np.isfinite(g)):
             raise ValueError(f"forward map returned non-finite values at j={j}")
-        r = self.y - g
-        return float(r @ r)
+        if g.shape[:-1] != np.shape(state)[:-1]:
+            raise ValueError("forward map must give one observation row per state row")
+        return np.sum((self.y - g) ** 2, axis=-1)
 
 
-def propose(model: UniformPriorModel, j: int, rng: np.random.Generator) -> np.ndarray:
-    """Fresh prior draw on the level-``j`` box."""
-    return (2.0 * rng.random(j) - 1.0) * model.widths(j)
+def propose(model: UniformPriorModel, j: int, rng: np.random.Generator, lanes: tuple = ()):
+    """Fresh prior draw on the level-``j`` box, one row per lane."""
+    return (2.0 * rng.random((*lanes, j)) - 1.0) * model.widths(j)
 
 
-def is_acceptance(model: UniformPriorModel, j: int, x: np.ndarray, xi: np.ndarray) -> float:
-    """``1 ^ exp(|y - G_j(x)|^2 / 2 - |y - G_j(xi)|^2 / 2)``."""
-    log_ratio = 0.5 * model.misfit(j, x) - 0.5 * model.misfit(j, xi)
-    return 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+def is_acceptance(model: UniformPriorModel, j: int, x: np.ndarray, xi: np.ndarray):
+    """``1 ^ exp(|y - G_j(x)|^2 / 2 - |y - G_j(xi)|^2 / 2)``, one value per
+    row; ``x`` and ``xi`` go through the forward map as one stacked call."""
+    misfits = model.misfit(j, np.stack([x, xi]))
+    return np.exp(np.minimum(0.5 * misfits[0] - 0.5 * misfits[1], 0.0))
 
 
-def draw_randomness(
-    model: UniformPriorModel, j: int, rng: np.random.Generator
-) -> StepRandomness:
-    """Draw the shared randomness of one split step at top dimension ``j``."""
+def draw_randomness(model: UniformPriorModel, j: int, rng: np.random.Generator, lanes: tuple = ()):
+    """Draw the shared randomness of one split step at top dimension ``j``:
+    ``u1``, ``u2``, then the proposal rows, each one per lane."""
     return StepRandomness(
-        u1=rng.random(),
-        u2=rng.random(),
-        xi1=propose(model, j, rng),
-        xi2=propose(model, j, rng),
+        u1=rng.random(lanes or None),
+        u2=rng.random(lanes or None),
+        xi1=propose(model, j, rng, lanes),
+        xi2=propose(model, j, rng, lanes),
     )
 
 
-def split_step(
-    model: UniformPriorModel, j: int, x: np.ndarray, w: StepRandomness
-) -> tuple[np.ndarray, Branch]:
+def split_step(model: UniformPriorModel, j: int, x: np.ndarray, w: StepRandomness):
     """One split-kernel step at dimension ``j`` driven by ``w``.
 
     With ``u1 <= alpha_star`` the chain jumps to the (projected) first
     proposal; otherwise the residual Metropolis test with corrected
     acceptance ``(alpha - alpha_star) / (1 - alpha_star)`` decides between
     the second proposal and staying put.  The marginal law is exactly one
-    independence-sampler step.
+    independence-sampler step.  ``x`` is one state, returned with its
+    :class:`Branch`, or ``(lanes, j)`` rows stepping as 1-d states would
+    under lane-shaped ``w``, returned with one branch code per lane; a
+    residual acceptance below the floor on any lane raises.
     """
     floor = model.alpha_star
-    if w.u1 <= floor:
-        return w.xi1[:j].copy(), Branch.MINORIZE
-    alpha = is_acceptance(model, j, x, w.xi2[:j])
-    if alpha < floor - 1e-12:
-        raise AcceptanceFloorError(alpha, floor)
-    if w.u2 <= (alpha - floor) / (1.0 - floor):
-        return w.xi2[:j].copy(), Branch.RESIDUAL_ACCEPT
-    return x, Branch.RESIDUAL_REJECT
+    x = np.asarray(x, dtype=float)
+    xi1, xi2 = w.xi1[..., :j], w.xi2[..., :j]
+    rest = np.asarray(w.u1) > floor
+    code = np.where(rest, Branch.RESIDUAL_REJECT.value, Branch.MINORIZE.value)
+    if rest.any():
+        alpha = is_acceptance(model, j, x[rest], xi2[rest])
+        if np.any(alpha < floor - 1e-12):
+            raise AcceptanceFloorError(float(alpha.min()), floor)
+        accept = np.asarray(w.u2)[rest] <= (alpha - floor) / (1.0 - floor)
+        code[rest] = np.where(accept, Branch.RESIDUAL_ACCEPT.value, Branch.RESIDUAL_REJECT.value)
+    new = np.choose(code[..., None], (xi1, xi2, x))
+    return (new, code) if x.ndim > 1 else (new, Branch(int(code)))
 
 
 def sampler_step(
@@ -177,12 +181,13 @@ def coupled_is_step(
     dims: tuple[int, int],
     states: tuple[np.ndarray, np.ndarray],
     w: StepRandomness,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[Branch, Branch]]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
     """Joint step of the low- and high-dimensional chains under shared ``w``.
 
     The low chain sees the projections of both proposals and the same two
     uniforms, so the pair takes the minorization branch together and can
-    only desynchronize when the residual acceptance tests disagree.
+    only desynchronize when the residual acceptance tests disagree (lanes:
+    one state row and branch code each).
     """
     j_lo, j_hi = dims
     if j_lo > j_hi:
@@ -206,29 +211,34 @@ def delta_generator(
     the zero-padded start; all step randomness is drawn at the top
     dimension.  Work is ``a_i * j_i^theta`` in the model's cost units.
     """
+    return lambda level, rng: _delta(model, schedule, level, f, x0, rng)
 
-    def gen(level: int, rng: np.random.Generator):
-        return _delta(model, schedule, level, f, x0, rng)
 
-    return gen
+def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, x0) -> Callable:
+    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: lanes
+    of :func:`delta_generator` draws step as one ``(lanes, j_i)`` chain from
+    ``x0``; ``f`` and the model's forward map act row-wise."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    # _delta is looked up at call time, as the benchmark's trace probe needs.
+    return lambda level, lanes, rng: _delta(model, schedule, level, f, np.tile(x0, (lanes, 1)), rng)
 
 
 def _delta(model, schedule, level, f, x0, rng):
+    lanes = np.shape(x0)[:-1]
+
     def lone(j):
-        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng))[0]
+        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng, lanes))[0]
 
     def joint(j_lo, j_hi):
         def step(pair, rng):
             top, bottom = pair
-            w = draw_randomness(model, j_hi, rng)
+            w = draw_randomness(model, j_hi, rng, lanes)
             (bottom, top), _ = coupled_is_step(model, (j_lo, j_hi), (bottom, top), w)
             return top, bottom
 
         return step
 
-    def cost(j):
-        return float(j) ** model.work_exponent
-
+    cost = lambda j: float(j) ** model.work_exponent
     return _level_difference(schedule, level, x0, f, rng, lone, joint, pad_to, cost)
 
 

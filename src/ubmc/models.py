@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, contraction_delta_batch
+from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, contraction_delta_batch, pad_to
 from .estimator import SurvivalDistribution, estimate_block
 from .rng import Stream
 
@@ -408,9 +408,6 @@ class EllipticModel:
     def forward(self, j: int, coeffs, n_points: int | None = None) -> np.ndarray:
         return elliptic_forward(self, j, coeffs, n_points)
 
-    def observation_gap(self, j: int, n_draws: int, stream: Stream, factor: int = 2):
-        return elliptic_observation_gap(self, j, n_draws, stream, factor)
-
 
 def elliptic_forward(
     model: EllipticModel, j: int, coeffs, n_points: int | None = None
@@ -422,23 +419,23 @@ def elliptic_forward(
     ``n_points``-point grid (default: the model's level-``j`` rule), and
     each partial integral appends the observation point to the grid.
 
-    Every quadrature is a fixed weight vector applied to ``H/u`` and ``1/u``
+    Every quadrature is a fixed weight vector applied to ``H/u`` or ``1/u``
     at the grid and off-grid observation points, so the map is evaluated
     through ``model._operator(j, n)``, built once per ``(j, n)`` and cached
-    on the model: one matrix-vector product for ``u`` and three
-    weighted sums per call.
+    on the model: one matrix product for ``u``, then weighted sums of
+    ``1/u`` alone.  ``coeffs`` is one coefficient vector or ``(lanes, j)``
+    rows (zero-padded or cut to ``j``), giving one observation row per lane.
     """
-    coeffs = np.asarray(coeffs, dtype=float)[:j]
-    if coeffs.size < j:
-        coeffs = np.pad(coeffs, (0, j - coeffs.size))
+    coeffs = pad_to(coeffs, j)
     n = model.quad_points(j) if n_points is None else int(n_points)
     op = model._operator(j, n)
-    u_vals = model.m0 + op.basis @ coeffs
-    if np.any(u_vals <= 0.0):
+    inv_u = coeffs @ op.basis.T
+    inv_u += model.m0  # u, made 1/u in place: one (lanes, points) array per call
+    if not inv_u.min() > 0.0:
         raise ValueError("diffusion coefficient is not positive on the grid")
-    inv_u = 1.0 / u_vals
-    c_u = -(op.weights @ (op.h * inv_u)) / (op.weights @ inv_u)
-    return -(op.obs_weights @ ((op.h + c_u) * inv_u))
+    np.reciprocal(inv_u, out=inv_u)
+    c_u = -(inv_u @ (op.h * op.weights)) / (inv_u @ op.weights)
+    return -(inv_u @ (op.obs_weights * op.h).T + c_u[..., None] * (inv_u @ op.obs_weights.T))
 
 
 def elliptic_observation_gap(
@@ -449,11 +446,7 @@ def elliptic_observation_gap(
     Each level uses its own quadrature rule, mirroring how the sampler
     would evaluate the forward map at those truncations.
     """
-    worst = 0.0
-    for r in range(n_draws):
-        coeffs = model.prior_sample(factor * j, stream.child(r).generator())
-        gap = np.linalg.norm(
-            model.forward(j, coeffs[:j]) - model.forward(factor * j, coeffs)
-        )
-        worst = max(worst, float(gap))
-    return worst
+    rngs = (stream.child(r).generator() for r in range(n_draws))
+    coeffs = np.stack([model.prior_sample(factor * j, rng) for rng in rngs])  # a lane per draw
+    gaps = np.linalg.norm(model.forward(j, coeffs) - model.forward(factor * j, coeffs), axis=-1)
+    return float(gaps.max())

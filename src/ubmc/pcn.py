@@ -250,6 +250,8 @@ def pcn_step(model: PcnModel, j: int, x, w: tuple[np.ndarray, float]):
         proposal = model.rho * x + spread * xi
     g_x = model.log_change(x) if state is None or state.g is None else state.g
     g_proposal = model.log_change(proposal)
+    if np.shape(g_proposal) != x.shape[:-1]:
+        raise ValueError("log_change must give one value per state row")
     accept = u <= _acceptance(g_x - g_proposal)
     moved = np.where(accept[..., None], proposal, x)
     return moved if state is None else PcnState(moved, np.where(accept, g_proposal, g_x))

@@ -40,6 +40,7 @@ from ubmc.models import (
     circle_arc,
     circle_maximal_coupling,
     contracting_unbiased_block,
+    elliptic_observation_gap,
     logistic_reference_fit,
 )
 from ubmc.tuning import (
@@ -244,7 +245,7 @@ def _linear2d_model():
     alpha_star = math.exp(-0.5 * (np.linalg.norm(y) + sup_g) ** 2)
     model = UniformPriorModel(
         half_widths=lambda k: widths[k - 1],
-        forward=lambda j, x: matrix[:, :j] @ x[:j],
+        forward=lambda j, x: x[..., :j] @ matrix[:, :j].T,
         y=y,
         alpha_star=alpha_star,
     )
@@ -390,7 +391,7 @@ def test_criterion_11_elliptic_appendix():
     details.append(f"trapezoid order {slope_quad:.2f} (target -2 +- 0.2)")
 
     js = [8, 16, 32]
-    gaps = [model.observation_gap(j, 30, Stream(112).child(j)) for j in js]
+    gaps = [elliptic_observation_gap(model, j, 30, Stream(112).child(j)) for j in js]
     slope_gap = np.polyfit(np.log(js), np.log(gaps), 1)[0]
     ok &= slope_gap <= -(model.gamma - 0.5) + 0.4
     details.append(

@@ -232,6 +232,65 @@ class TestLanePathLaw:
         reference = estimate_batch(gen, law, replicates=4000, seed=6)
         assert_same_law(records["z"], reference.z)
 
+    def test_indep_sampler_matches_scalar_generator(self):
+        from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch
+        from ubmc import independence_sampler as isamp
+        from ubmc.harness import _run_blocks
+
+        config = ExperimentConfig(
+            experiment="indep-sampler", params={"model": "linear2d", "f": "coord1"},
+            survival=self.SHORT_LAW, replicates=20_000, seed=3,
+        )
+        plan, records = _run_blocks(config)
+        # The scalar reference: one 1-d chain per draw, with an observable
+        # that only takes one 1-d state.
+        matrix = np.array([[0.8, 0.3], [-0.2, 0.5]])
+        model = isamp.UniformPriorModel(
+            half_widths=lambda k: [1.0, 0.5][k - 1],
+            forward=lambda j, x: x[..., :j] @ matrix[:, :j].T,
+            y=[0.3, -0.1],
+            alpha_star=plan["meta"]["alpha_star"],
+        )
+        schedule = LevelSchedule(lambda i: 2 * (i + 1), lambda i: min(i + 1, 2))
+        gen = isamp.delta_generator(model, schedule, lambda u: float(u[0]), np.zeros(1))
+        law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
+        reference = estimate_batch(gen, law, replicates=6000, seed=4)
+        assert_same_law(records["z"], reference.z)
+
+
+class TestEllipticIsPlan:
+    """The benchmark's elliptic plan: pilot floor and level schedule."""
+
+    CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "elliptic-is.json"
+
+    def test_pilot_floor_matches_per_proposal_loop(self):
+        from ubmc import Stream
+        from ubmc import independence_sampler as isamp
+        from ubmc.harness import _elliptic_is_model
+
+        _, model = _elliptic_is_model(ExperimentConfig.from_json(self.CONFIG).params)
+        rng = Stream(2024).child(2).generator()
+        worst = 1.0
+        for _ in range(512):
+            x = isamp.propose(model, 32, rng)
+            xi = isamp.propose(model, 32, rng)
+            worst = min(worst, float(isamp.is_acceptance(model, 32, x, xi)))
+        assert model.alpha_star == pytest.approx(0.5 * worst, rel=1e-12, abs=0.0)
+
+    def test_schedule_levels_pinned(self):
+        from ubmc.harness import _run_blocks
+        from ubmc.models import EllipticModel
+
+        _, records = _run_blocks(ExperimentConfig.from_json(self.CONFIG))
+        theta = EllipticModel(gamma=3.2).work_exponent
+        levels = [(8, 1), (12, 2), (15, 7), (17, 18)]  # (a_i, j_i)
+        for n, (_, j) in enumerate(levels):
+            at_n = records["N"] == n
+            assert at_n.any(), n
+            assert np.all(records["level_max_dim"][at_n] == j)
+            work = sum(a * float(k) ** theta for a, k in levels[: n + 1])
+            np.testing.assert_allclose(records["work"][at_n], work, rtol=1e-12)
+
 
 class TestErgodicBaseline:
     def test_constant_observable(self):

@@ -13,6 +13,7 @@ from ubmc.independence_sampler import (
     StepRandomness,
     UniformPriorModel,
     coupled_is_step,
+    delta_batch,
     delta_generator,
     draw_randomness,
     is_acceptance,
@@ -29,10 +30,12 @@ from conftest import four_se
 
 def misfit_lookup_model(misfits: dict, alpha_star: float = 0.01) -> UniformPriorModel:
     """Model whose forward map realizes prescribed misfits |y - G(x)|^2,
-    keyed by the first coordinate of the state."""
+    keyed by the first coordinate of each state row."""
 
     def forward(j, x):
-        return np.array([math.sqrt(misfits[float(x[0])])])
+        keys = np.asarray(x)[..., 0]
+        g = [math.sqrt(misfits[float(k)]) for k in keys.ravel()]
+        return np.reshape(g, (*keys.shape, 1))
 
     return UniformPriorModel(
         half_widths=lambda k: 10.0 / k,
@@ -51,7 +54,7 @@ def linear_model(alpha_star=None) -> UniformPriorModel:
         alpha_star = math.exp(-0.5 * (np.linalg.norm(y) + sup_g) ** 2)
     return UniformPriorModel(
         half_widths=lambda k: widths[k - 1],
-        forward=lambda j, x: matrix[:, :j] @ x[:j],
+        forward=lambda j, x: x[..., :j] @ matrix[:, :j].T,
         y=y,
         alpha_star=alpha_star,
     )
@@ -60,7 +63,7 @@ def linear_model(alpha_star=None) -> UniformPriorModel:
 def constant_forward_model(alpha_star=1.0) -> UniformPriorModel:
     return UniformPriorModel(
         half_widths=lambda k: 1.0 / k,
-        forward=lambda j, x: np.zeros(1),
+        forward=lambda j, x: np.zeros((*np.shape(x)[:-1], 1)),
         y=np.zeros(1),
         alpha_star=alpha_star,
     )
@@ -187,6 +190,91 @@ class TestCoupledStep:
         assert stats.ks_2samp(joint, plain).pvalue > 1e-3
 
 
+class TestLaneSteps:
+    """A ``(lanes, j)`` split step is the 1-d step applied to each row."""
+
+    @staticmethod
+    def row(w: StepRandomness, k: int) -> StepRandomness:
+        return StepRandomness(w.u1[k], w.u2[k], w.xi1[k], w.xi2[k])
+
+    def assert_rows_match(self, model, j, x, w, new, codes):
+        assert codes.shape == (len(x),)
+        for k in range(len(x)):
+            state, branch = split_step(model, j, x[k], self.row(w, k))
+            assert np.array_equal(new[k], state), k
+            assert codes[k] == branch and isinstance(branch, Branch), k
+
+    def test_draw_randomness_gives_one_draw_per_lane(self, stream):
+        model = linear_model()
+        w = draw_randomness(model, 2, stream.generator(), (30,))
+        assert np.shape(w.u1) == np.shape(w.u2) == (30,)
+        assert w.xi1.shape == w.xi2.shape == (30, 2)
+        assert np.all(np.abs(w.xi1) <= model.widths(2))
+
+    def test_split_rows_equal_one_dimensional_steps(self, stream):
+        model = linear_model()
+        rng = stream.generator()
+        x = propose(model, 2, rng, (60,))
+        w = draw_randomness(model, 2, rng, (60,))
+        w.u1[:20] = 0.5 * model.alpha_star
+        w.u2[40:] = 0.999  # rejects wherever alpha < 1
+        new, codes = split_step(model, 2, x, w)
+        assert set(codes.tolist()) == set(Branch)
+        self.assert_rows_match(model, 2, x, w, new, codes)
+
+    def test_threshold_ties_accept(self):
+        # Lane 0: alpha equals the floor, so the residual threshold is 0 and
+        # u2 = 0 ties and accepts; lane 1 rejects on the smallest u2 > 0.
+        # Lane 2: alpha = 1, threshold 1, accepts.  Lane 3 minorizes on
+        # u1 == alpha_star.
+        misfits = {1.0: 4.0, 2.0: 2.0}
+        floor = float(is_acceptance(misfit_lookup_model(misfits), 1, np.array([2.0]), np.array([1.0])))
+        model = misfit_lookup_model(misfits, alpha_star=floor)
+        x = np.array([[2.0], [2.0], [1.0], [2.0]])
+        w = StepRandomness(
+            np.array([0.9, 0.9, 0.9, floor]), np.array([0.0, 5e-324, 1.0, 0.5]),
+            np.full((4, 1), 1.0), np.full((4, 1), 1.0),
+        )
+        new, codes = split_step(model, 1, x, w)
+        assert list(codes) == [
+            Branch.RESIDUAL_ACCEPT, Branch.RESIDUAL_REJECT, Branch.RESIDUAL_ACCEPT, Branch.MINORIZE
+        ]
+        self.assert_rows_match(model, 1, x, w, new, codes)
+
+    def test_floor_violation_in_one_lane_raises(self):
+        # Only lane 1 tests a proposal whose acceptance e^-4 is below the
+        # floor; lane 3 would too, but minorizes.
+        model = misfit_lookup_model({1.0: 0.0, 2.0: 8.0}, alpha_star=0.9)
+        x = np.array([[1.0], [1.0], [2.0], [1.0]])
+        xi2 = np.array([[1.0], [2.0], [1.0], [2.0]])
+        w = StepRandomness(np.array([0.95, 0.95, 0.95, 0.5]), np.full(4, 0.5), xi2, xi2)
+        with pytest.raises(AcceptanceFloorError) as err:
+            split_step(model, 1, x, w)
+        assert err.value.observed == pytest.approx(math.exp(-4.0))
+        for k in (0, 2, 3):
+            split_step(model, 1, x[k], self.row(w, k))
+        with pytest.raises(AcceptanceFloorError):
+            split_step(model, 1, x[1], self.row(w, 1))
+
+    def test_coupled_rows_equal_one_dimensional_steps(self):
+        from conftest import scaled_elliptic_is_model
+
+        _, model = scaled_elliptic_is_model()
+        rng = Stream(5).generator()
+        hi = propose(model, 8, rng, (40,))
+        lo = hi[:, :4].copy()
+        lo[::3] = propose(model, 4, rng, (14,))  # some pairs not synchronized
+        w = draw_randomness(model, 8, rng, (40,))
+        (new_lo, new_hi), (b_lo, b_hi) = coupled_is_step(model, (4, 8), (lo, hi), w)
+        for k in range(40):
+            (row_lo, row_hi), branches = coupled_is_step(
+                model, (4, 8), (lo[k], hi[k]), self.row(w, k)
+            )
+            assert np.array_equal(new_lo[k], row_lo) and np.array_equal(new_hi[k], row_hi)
+            assert (b_lo[k], b_hi[k]) == branches
+        assert len(set(b_hi.tolist())) > 1
+
+
 class TestSynchronization:
     def test_uniform_ergodicity_coincidence(self, stream):
         # Two fixed-dimension chains under shared randomness coincide after
@@ -265,6 +353,30 @@ class TestUnbiasedDelta:
         batch = estimate_batch(gen, survival, 20_000, seed=3)
         values = batch.z
         assert abs(batch.mean - target) <= four_se(values)
+
+
+class TestLaneDelta:
+    def test_lane_deltas_match_per_draw_generator(self):
+        # Two-sample check of the lane binding against the per-draw one on
+        # the elliptic problem: mean deltas at levels 1 and 2 within 4 SE.
+        from conftest import scaled_elliptic_is_model
+
+        _, model = scaled_elliptic_is_model()
+        schedule = LevelSchedule([4, 8, 12], [2, 4, 8])
+        x0 = np.zeros(2)
+        lanes = delta_batch(model, schedule, lambda u: np.sum(u, axis=-1), x0)
+        gen = delta_generator(model, schedule, lambda u: float(np.sum(u)), x0)
+        n = 1000
+        for level in (1, 2):
+            lane_deltas, lane_work = lanes(level, 4 * n, Stream(11).child(level).generator())
+            draws = [gen(level, Stream(12).child(level, k).generator()) for k in range(n)]
+            deltas = np.array([d for d, _ in draws])
+            assert lane_deltas.shape == (4 * n,) and np.any(lane_deltas != 0.0)
+            assert lane_work == draws[0][1]
+            se = math.hypot(
+                lane_deltas.std(ddof=1) / math.sqrt(4 * n), deltas.std(ddof=1) / math.sqrt(n)
+            )
+            assert abs(lane_deltas.mean() - deltas.mean()) <= 4.0 * se
 
 
 class TestMakeSchedule:

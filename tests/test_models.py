@@ -396,6 +396,25 @@ class TestElliptic:
         with pytest.raises(ValueError):
             model.forward(1, [-2.0], n_points=2)
 
+    def test_lane_rows_equal_one_dimensional_calls(self, stream):
+        model = EllipticModel(gamma=3.2)
+        rng = stream.generator()
+        for j, size in ((1, 1), (7, 7), (7, 4), (7, 12), (18, 18)):
+            coeffs = np.stack([model.prior_sample(size, rng) for _ in range(25)])
+            lanes = model.forward(j, coeffs)
+            assert lanes.shape == (25, len(model.obs_points))
+            for row, c in zip(lanes, coeffs):
+                np.testing.assert_allclose(row, model.forward(j, c), rtol=1e-13, atol=0.0)
+
+    def test_lane_positivity_guard(self):
+        # One lane of four forces u <= 0: the whole call fails.
+        model = EllipticModel(gamma=4.0, m0=1.0)
+        coeffs = np.zeros((4, 3))
+        coeffs[2, 0] = -5.0
+        model.forward(3, coeffs[[0, 1, 3]], n_points=101)
+        with pytest.raises(ValueError, match="not positive"):
+            model.forward(3, coeffs, n_points=101)
+
     @pytest.mark.parametrize(
         "kwargs, j, n_points, size",
         [

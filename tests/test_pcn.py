@@ -180,6 +180,17 @@ class TestLaneStep:
         assert moved[1, 0] > 0.0 and moved[2, 0] < -1.0
         self.assert_rows_match(moved, [pcn.pcn_step(model, 2, x[k], (xi[k], u[k])) for k in range(3)])
 
+    def test_log_change_not_row_wise_raises(self, stream):
+        # norm_model's log-change is the Frobenius norm of the whole
+        # (lanes, j) array: one scalar that would give every lane one
+        # shared acceptance ratio.
+        model, rng = norm_model(), stream.generator()
+        x = rng.standard_normal((6, 3))
+        xi, u = pcn.propose_noise(model, 3, rng, (6,)), rng.random(6)
+        with pytest.raises(ValueError, match="one value per state row"):
+            pcn.pcn_step(model, 3, x, (xi, u))
+        pcn.pcn_step(model, 3, x[0], (xi[0], u[0]))  # one 1-d state still steps
+
     def test_non_finite_log_change_raises(self):
         model = pcn.PcnModel.diagonal(
             0.5, lambda x: np.where(x[..., 0] > 5.0, np.nan, 0.0), lambda l: 1.0, regularity=2.0
