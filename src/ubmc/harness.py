@@ -11,6 +11,7 @@ wall-clock.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -572,6 +573,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     A single draw has no sample variance: ``variance``, ``se`` and
     ``msework_product`` are then ``None`` (JSON ``null``).
     """
+    if config.out is not None:  # an unusable output path fails before sampling
+        try:
+            Path(config.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from exc
     plan, records = _run_blocks(config)
     z = records["z"]
     n = z.size
@@ -598,24 +604,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return summary
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _write_outputs(config: ExperimentConfig, records: dict, summary: dict):
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     columns = list(records.keys())
-    csv_path = out_dir / f"{config.experiment}-draws.csv"
+    csv_path = Path(config.out) / f"{config.experiment}-draws.csv"
+    # Integer columns as %d, the rest as %.17g: the routine of format(x, ".17g").
+    kinds = ["%d" if records[c].dtype.kind in "iu" else "%.17g" for c in columns]
+    template = ",".join(["%d"] + kinds) + "\n"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["replicate"] + columns) + "\n")
-        n = records[columns[0]].size
-        for r in range(n):
-            cells = [str(r)] + [_format_cell(records[c][r]) for c in columns]
-            fh.write(",".join(cells) + "\n")
-    json_path = out_dir / f"{config.experiment}-summary.json"
+        for lo in range(0, records[columns[0]].size, BLOCK_SIZE):
+            chunk = [records[c][lo : lo + BLOCK_SIZE].tolist() for c in columns]
+            rows = zip(itertools.count(lo), *chunk)
+            fh.write((template * len(chunk[0])) % tuple(itertools.chain.from_iterable(rows)))
+    json_path = Path(config.out) / f"{config.experiment}-summary.json"
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

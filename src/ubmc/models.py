@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, contraction_delta_batch, pad_to
 from .estimator import SurvivalDistribution, estimate_block
@@ -297,6 +296,36 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+# (2k)! / B_2k: the Euler-Maclaurin correction coefficients of Cephes' zeta.
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
+           -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+
+
+def _zeta(x: float) -> float:
+    """Riemann ``zeta(x)``, ``x > 1``, summed as Cephes' ``zeta(x, 1)`` (scipy's, bit for bit)."""
+    machep = 2.0**-53
+    s, a = 1.0, 1.0
+    while a <= 9.0:  # direct terms 2^-x .. 10^-x
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < machep:
+            return s
+    w, a = a, 1.0
+    s = s + b * w / (x - 1.0) - 0.5 * b  # Cephes' order: (s + b w / (x - 1)) - b / 2
+    for i, coefficient in enumerate(_ZETA_A):
+        a *= x + 2 * i
+        b /= w
+        t = a * b / coefficient
+        s += t
+        if abs(t / s) < machep:
+            break
+        a *= x + (2 * i + 1)
+        b /= w
+    return s
+
+
 class _EllipticOperator(NamedTuple):
     """The level-``(j, n)`` forward map as arrays over the evaluation points
     (the grid, then each observation point that falls between grid nodes)."""
@@ -333,7 +362,7 @@ class EllipticModel:
             raise ValueError("gamma must exceed 3")
         if self.m0 is None:
             # Guarantees u > 0 for every prior draw: sum_k u*_k = zeta(gamma).
-            object.__setattr__(self, "m0", 1.0 + float(zeta(self.gamma, 1)))
+            object.__setattr__(self, "m0", 1.0 + _zeta(self.gamma))
         if self.source_antiderivative is None:
             # Default source h = 1, antiderivative H(s) = s.
             object.__setattr__(self, "source_antiderivative", lambda s: s)
@@ -352,11 +381,11 @@ class EllipticModel:
     @property
     def coefficient_lower_bound(self) -> float:
         """Lower bound on ``u``: ``m0 - sqrt(2) * sum_k u*_k`` (sine basis sup)."""
-        return self.m0 - math.sqrt(2.0) * float(zeta(self.gamma, 1))
+        return self.m0 - math.sqrt(2.0) * _zeta(self.gamma)
 
     @property
     def coefficient_upper_bound(self) -> float:
-        return self.m0 + math.sqrt(2.0) * float(zeta(self.gamma, 1))
+        return self.m0 + math.sqrt(2.0) * _zeta(self.gamma)
 
     def prior_sample(self, j: int, rng: np.random.Generator) -> np.ndarray:
         return (2.0 * rng.random(j) - 1.0) * self.half_widths(j)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ubmc import harness
 from ubmc.cli import main as cli_main
 from ubmc.harness import (
     BaselineResult,
@@ -97,6 +98,32 @@ class TestRunExperiment:
             assert written[key] is None
         assert "NaN" not in text
         assert math.isfinite(written["mean"])
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+    def test_csv_bytes_equal_per_cell_format(self, tmp_path, rows):
+        hard = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 0.1, 1 / 3,
+                math.nan, math.inf, -math.inf]
+        info = np.iinfo(np.int64)
+        ints = [info.min, info.max, 0, -1]
+        records = {
+            "N": np.resize(np.array(ints, dtype=np.int64), rows),
+            "z": np.resize(np.array(hard), rows),
+            "work": np.resize(np.array([3.0, -0.0, 1e16, 2.0**60]), rows),
+            "level_max_dim": np.arange(rows, dtype=np.int64)[::-1].copy(),
+        }
+        summary = {"rows": rows}
+        config = contracting_config(out=str(tmp_path))
+        harness._write_outputs(config, records, summary)
+        lines = ["replicate,N,z,work,level_max_dim"]
+        for r in range(rows):
+            cells = [str(r), str(int(records["N"][r]))]
+            cells += [format(float(records[c][r]), ".17g") for c in ("z", "work")]
+            cells.append(str(int(records["level_max_dim"][r])))
+            lines.append(",".join(cells))
+        expected = "\n".join(lines) + "\n"
+        assert Path(summary["csv_path"]).read_bytes() == expected.encode("utf-8")
+        written = Path(summary["json_path"]).read_bytes()
+        assert written == (json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n").encode()
 
     def test_config_round_trip(self, tmp_path):
         config = contracting_config(replicates=64, out=str(tmp_path))
@@ -560,6 +587,20 @@ class TestCli:
         path.write_text(json.dumps({"experiment": "pcn", "params": {"rho": 1.5}}))
         assert cli_main(["pcn", "--config", str(path)]) == 2
         assert "rho must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_unusable_out_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before the output path was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        code = cli_main(
+            ["contracting-normals", "--replicates", "200000", "--out", str(blocker / "sub")]
+        )
+        assert code == 2
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         # The declared acceptance floor passes static validation, but the

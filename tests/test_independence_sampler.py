@@ -278,20 +278,19 @@ class TestLaneSteps:
 class TestSynchronization:
     def test_uniform_ergodicity_coincidence(self, stream):
         # Two fixed-dimension chains under shared randomness coincide after
-        # n steps with probability at least 1 - (1 - alpha_star)^n.
+        # n steps with probability at least 1 - (1 - alpha_star)^n.  The
+        # replicates step as lanes: one row per replicate.
         model = linear_model()
         n_steps, reps = 6, 20_000
         bound = 1.0 - (1.0 - model.alpha_star) ** n_steps
-        met = 0
-        for r in range(reps):
-            rng = stream.child(r).generator()
-            x = np.array([0.9, -0.45])
-            y = np.array([-0.7, 0.2])
-            for _ in range(n_steps):
-                w = draw_randomness(model, 2, rng)
-                x, _ = split_step(model, 2, x, w)
-                y, _ = split_step(model, 2, y, w)
-            met += np.array_equal(x, y)
+        rng = stream.generator()
+        x = np.tile([0.9, -0.45], (reps, 1))
+        y = np.tile([-0.7, 0.2], (reps, 1))
+        for _ in range(n_steps):
+            w = draw_randomness(model, 2, rng, (reps,))
+            x, _ = split_step(model, 2, x, w)
+            y, _ = split_step(model, 2, y, w)
+        met = int(np.count_nonzero(np.all(x == y, axis=1)))
         se = math.sqrt(bound * (1.0 - bound) / reps)
         assert met / reps >= bound - 4.0 * se
 

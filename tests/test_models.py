@@ -3,10 +3,14 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from ubmc import Stream
 from ubmc.models import (
@@ -15,6 +19,7 @@ from ubmc.models import (
     EllipticModel,
     LogisticModel,
     TWO_PI,
+    _zeta,
     circle_arc,
     circle_maximal_coupling,
     contracting_normals_coupling,
@@ -509,3 +514,20 @@ class TestElliptic:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             EllipticModel(gamma=2.5)
+
+    def test_zeta_port_matches_scipy_bit_for_bit(self):
+        grid = np.linspace(3.0, 12.0, 4001)[1:]
+        for x in [*grid.tolist(), 3.2]:
+            assert _zeta(x) == float(special.zeta(x, 1)), x
+        assert EllipticModel(gamma=3.2).m0 == 1.0 + float(special.zeta(3.2, 1))
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ubmc.cli; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
