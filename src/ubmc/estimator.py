@@ -46,6 +46,11 @@ __all__ = [
 # as malformed.
 MAX_LEVEL = 10**9
 
+# Replicates per execution block, and rows per chunk of the row-wise
+# reference fit.  Fixed: results must not depend on the worker count, only
+# on (seed, block, offset).
+BLOCK_SIZE = 1024
+
 # Sub-stream keys: the truncation draw and each level difference consume
 # distinct children so deltas are mutually independent.
 _KEY_TRUNCATION = 0

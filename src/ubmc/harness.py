@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gaussian_linear, independence_sampler, models, pcn, tuning
 from .couplings import LevelSchedule, MarkovKernel, contraction_delta_batch, estimate_contraction
-from .estimator import SurvivalDistribution, _mean_variance, _per_lane, estimate_block
+from .estimator import BLOCK_SIZE, SurvivalDistribution, _mean_variance, _per_lane, estimate_block
 from .estimator import estimate_once  # noqa: F401 - name the benchmark's trace probe wraps
 from .rng import Stream
 
@@ -37,10 +37,6 @@ __all__ = [
     "EXPERIMENTS",
     "BLOCK_SIZE",
 ]
-
-# Replicates per execution block.  Fixed: results must not depend on the
-# worker count, only on (seed, block, offset).
-BLOCK_SIZE = 1024
 
 
 class ConfigError(ValueError):
@@ -123,6 +119,30 @@ def _survival_from_config(
     return law
 
 
+def _arithmetic_survival(
+    spec: dict, default: SurvivalDistribution | None
+) -> SurvivalDistribution:
+    """:func:`_survival_from_config` for a schedule of ``a_i = m (i + 1)``
+    steps at level ``i``."""
+    law = _survival_from_config(spec, default)
+    # E[work] >= m sum_i (i + 1) Fbar_i, which for Fbar_i = (i + 1)^-p is
+    # m sum_i (i + 1)^(1 - p): finite only for p > 2.
+    _require(
+        law.kind != "polynomial" or law.exponent > 2.0,
+        "polynomial survival needs exponent > 2 on a_i = m (i + 1) steps "
+        "(E[work] >= m sum_i (i + 1)^(1 - exponent) diverges otherwise)",
+    )
+    return law
+
+
+def _params(config: ExperimentConfig, *known: str) -> dict:
+    """``config.params``, checked to name only ``known`` keys: a misspelled
+    key would otherwise run silently on its default."""
+    unknown = sorted(set(config.params) - set(known))
+    _require(not unknown, f"unknown {config.experiment} params: {unknown}")
+    return config.params
+
+
 # ---------------------------------------------------------------------------
 # Experiment implementations
 # ---------------------------------------------------------------------------
@@ -146,7 +166,7 @@ def _lane_block(delta_batch, survival, dim_of_level):
 
 
 def _prepare_contracting(config: ExperimentConfig) -> dict:
-    params = config.params
+    params = _params(config, "rho", "x0")
     rho = params.get("rho")
     _require(rho is not None and 0.0 < rho < 1.0, "params.rho must lie in (0, 1)")
     x0 = float(params.get("x0", 0.0))
@@ -165,7 +185,7 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
         )
         survival = tuning.contracting_optimal_survival(rho, m)
     else:
-        survival = _survival_from_config(config.survival, None)
+        survival = _arithmetic_survival(config.survival, None)
 
     def run_block(stream: Stream, count: int, offset: int):
         out = models.contracting_unbiased_block(
@@ -181,12 +201,13 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
 
 
 def _prepare_circle(config: ExperimentConfig) -> dict:
+    params = _params(config, "x0")
     m = int(config.schedule.get("m", 1))
     _require(m >= 1, "schedule.m must be a positive integer")
     # Default truncation law: geometric at 0.7, comfortably above the
     # discrete-metric contraction rate 1 - (8 - 2 pi)/4 of the coupling.
-    survival = _survival_from_config(config.survival, SurvivalDistribution.geometric(0.7))
-    x0 = float(config.params.get("x0", 0.0))
+    survival = _arithmetic_survival(config.survival, SurvivalDistribution.geometric(0.7))
+    x0 = float(params.get("x0", 0.0))
     model = models.CircleChainModel()
     schedule = LevelSchedule.arithmetic(m)
     delta_batch = contraction_delta_batch(
@@ -199,7 +220,7 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
 
 
 def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
-    params = config.params
+    params = _params(config, "variant", "a", "p", "s", "coordinate", "eps")
     variant = params.get("variant", "holder")
     _require(
         variant in ("holder", "linear-tail"),
@@ -272,7 +293,10 @@ def _elliptic_is_model(params: dict) -> tuple:
 
 
 def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
-    params = config.params
+    params = _params(
+        config, "model", "f", "theta", "alpha_star", "kappa", "gamma", "data", "y",
+        "pilot_dim", "pilot_proposals", "matrix", "half_widths",
+    )
     kind = params.get("model", "elliptic")
     if kind == "elliptic":
         elliptic, is_model = _elliptic_is_model(params)
@@ -364,7 +388,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
 
 
 def _prepare_pcn(config: ExperimentConfig) -> dict:
-    params = config.params
+    params = _params(config, "rho", "a", "g", "tau", "f")
     rho = float(params.get("rho", 0.7))
     a = float(params.get("a", 2.0))
     gname = params.get("g", "norm")
@@ -404,16 +428,23 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
 
 
 def _prepare_logistic(config: ExperimentConfig) -> dict:
-    params = config.params
+    params = _params(
+        config, "rho", "coordinate", "n_obs", "data_seed", "reference_draws", "rwm_steps",
+        "fit_seed", "pilot_steps", "pilot_replicates", "pilot_seed",
+    )
     model = models.LogisticModel.synthetic(
         n_obs=int(params.get("n_obs", 100)),
         seed=int(params.get("data_seed", 7)),
     )
     rho = float(params.get("rho", 0.5))
-    rwm_steps = int(params.get("rwm_steps", 200_000))
-    center, cov = models.logistic_reference_fit(
-        model, rwm_steps, seed=int(params.get("fit_seed", 101))
+    # rwm_steps: the key's name from when a random-walk chain made the fit.
+    _require(
+        not {"reference_draws", "rwm_steps"} <= set(params),
+        "give params.reference_draws or its alias rwm_steps, not both",
     )
+    draws = int(params.get("reference_draws", params.get("rwm_steps", 200_000)))
+    fit = models.logistic_reference_fit(model, draws, seed=int(params.get("fit_seed", 101)))
+    center, cov = fit
     chain = pcn.PcnModel.gaussian_reference(
         rho, model.neg_log_density, center, cov
     )
@@ -434,7 +465,7 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     r = math.exp(0.5 * pilot.slope)
     m = tuning.step_multiplier(r)
     schedule = LevelSchedule.arithmetic(m)
-    survival = _survival_from_config(config.survival, SurvivalDistribution.geometric(r**m))
+    survival = _arithmetic_survival(config.survival, SurvivalDistribution.geometric(r**m))
     coord = int(params.get("coordinate", 1))
     delta_batch = pcn.delta_batch(chain, schedule, lambda beta: beta[:, coord - 1], center)
     return {
@@ -444,6 +475,7 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
             "contraction_rate": r,
             "step_multiplier": m,
             "reference_center": [float(c) for c in center],
+            "reference_ess": fit.ess,
         },
     }
 
@@ -451,7 +483,7 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
 def _prepare_tune(config: ExperimentConfig) -> dict:
     # No sampling: one CSV row per grid point, reusing the draw schema
     # (N = step multiplier, z = tuned/ergodic ratio, work = tuned product).
-    params = config.params
+    params = _params(config, "rho_grid")
     grid = params.get("rho_grid")
     if grid is None:
         grid = [round(0.50 + 0.05 * k, 2) for k in range(10)]

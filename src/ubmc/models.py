@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, contraction_delta_batch, pad_to
-from .estimator import SurvivalDistribution, estimate_block
+from .estimator import BLOCK_SIZE, SurvivalDistribution, estimate_block
 from .rng import Stream
 
 TWO_PI = 2.0 * math.pi
@@ -32,6 +32,7 @@ __all__ = [
     "LogisticModel",
     "logistic_posterior_logdensity",
     "logistic_reference_fit",
+    "ReferenceFit",
     "EllipticModel",
     "elliptic_forward",
     "elliptic_observation_gap",
@@ -243,38 +244,80 @@ def logistic_posterior_logdensity(model: LogisticModel, beta) -> float | np.ndar
     return -0.5 * (squares + twice_max) - np.add.reduce(m, axis=-1)
 
 
-def logistic_reference_fit(
-    model: LogisticModel,
-    rwm_steps: int,
-    seed: int,
-    proposal_scale: float = 0.1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random-walk Metropolis estimate of the posterior mean and covariance.
+@dataclass(frozen=True)
+class ReferenceFit:
+    """Reference Gaussian ``N(center, cov)``; unpacks as ``(center, cov)``.
 
-    The covariance is symmetrized and jittered by ``1e-9`` on the diagonal;
-    a non-positive-definite result after jitter raises.
+    ``mode`` is the Laplace fit's centre and ``ess`` the effective sample
+    size of the importance weights that moved it to ``center``.
     """
-    if rwm_steps < 10**4:
-        raise ValueError("need at least 10^4 steps for a usable reference fit")
-    rng = Stream(seed).generator()
+
+    center: np.ndarray
+    cov: np.ndarray
+    mode: np.ndarray
+    ess: float
+
+    def __iter__(self):
+        return iter((self.center, self.cov))
+
+
+def logistic_reference_fit(model: LogisticModel, draws: int, seed: int) -> ReferenceFit:
+    """Posterior mean and covariance by a Laplace fit with importance weights.
+
+    Newton steps find the mode ``beta_hat``, where the negative log-density
+    has Hessian ``H = I + T^T diag(s (1 - s)) T`` with ``s = h(T beta_hat)``.
+    ``draws`` rows of the Laplace Gaussian ``N(beta_hat, H^-1)``, made
+    ``BLOCK_SIZE`` at a time from ``Stream(seed)``, get self-normalized
+    weights ``pi / q``; their weighted mean and covariance are the fit.  An
+    effective sample size below ``draws / 10`` raises.  The covariance is
+    symmetrized and jittered by ``1e-9`` on the diagonal; a
+    non-positive-definite result after jitter raises.
+    """
+    if draws < 10**4:
+        raise ValueError("need at least 10^4 draws for a usable reference fit")
     d = model.dim
-    beta = np.zeros(d)
-    logp = model.log_density(beta)
-    samples = np.empty((rwm_steps, d))
-    for k in range(rwm_steps):
-        prop = beta + proposal_scale * rng.standard_normal(d)
-        logp_prop = model.log_density(prop)
-        if math.log(rng.random() + 1e-300) <= logp_prop - logp:
-            beta, logp = prop, logp_prop
-        samples[k] = beta
-    center = samples.mean(axis=0)
-    cov = np.cov(samples.T)
+    mode = np.zeros(d)
+    for _ in range(100):
+        s = _sigmoid(model.design @ mode)
+        hessian = np.eye(d) + (model.design.T * (s * (1.0 - s))) @ model.design
+        step = np.linalg.solve(hessian, model.grad_log_density(mode))
+        mode = mode + step
+        if np.max(np.abs(step)) <= 1e-12:
+            break
+    else:
+        raise ValueError("Newton steps did not reach the posterior mode")
+    # Offsets y = z @ root.T have covariance root @ root.T = H^-1, and the
+    # Laplace log-density -|z|^2 / 2 up to a constant.  Weights are taken
+    # relative to the density at the mode, which bounds log(pi / q) by
+    # |z|^2 / 2, so no weight overflows and none need be kept past its chunk.
+    root = np.linalg.inv(np.linalg.cholesky(hessian)).T
+    log_mode = logistic_posterior_logdensity(model, mode)
+    rng = Stream(seed).generator()
+    total = total_sq = 0.0
+    first, second = np.zeros(d), np.zeros((d, d))
+    for lo in range(0, draws, BLOCK_SIZE):
+        z = rng.standard_normal((min(BLOCK_SIZE, draws - lo), d))
+        y = z @ root.T
+        log_w = logistic_posterior_logdensity(model, mode + y) - log_mode
+        w = np.exp(log_w + 0.5 * np.add.reduce(z * z, axis=-1))
+        total += w.sum()
+        total_sq += w @ w
+        first += w @ y
+        second += (y.T * w) @ y
+    ess = total * total / total_sq
+    if ess < draws / 10:
+        raise ValueError(
+            f"importance weights of the Laplace fit have ESS {ess:.0f}, below draws/10 = {draws / 10:g}"
+        )
+    offset = first / total
+    center = mode + offset
+    cov = second / total - np.outer(offset, offset)
     cov = 0.5 * (cov + cov.T) + 1e-9 * np.eye(d)
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("fitted covariance is not positive definite") from exc
-    return center, cov
+    return ReferenceFit(center, cov, mode, ess)
 
 
 # ---------------------------------------------------------------------------

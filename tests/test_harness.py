@@ -156,6 +156,29 @@ class TestRunExperiment:
         )
         assert abs(summary["mean"] - summary["target_mean"]) <= 4.0 * summary["se"]
 
+    def test_logistic_reports_reference_ess(self):
+        summary = run_experiment(
+            ExperimentConfig(
+                experiment="logistic", params={"reference_draws": 10_000}, replicates=16
+            )
+        )
+        assert 1_000 <= summary["reference_ess"] <= 10_000
+        assert summary["config"]["params"] == {"reference_draws": 10_000}
+
+    def test_logistic_low_reference_ess_is_config_error(self, monkeypatch):
+        # Weights toward a target 40 times sharper than the Laplace fit's.
+        exact = harness.models.logistic_posterior_logdensity
+        monkeypatch.setattr(
+            harness.models, "logistic_posterior_logdensity",
+            lambda m, beta: 40.0 * exact(m, beta),
+        )
+        # fit_seed 4: no other test prepares this plan, so no cached plan skips the fit.
+        config = ExperimentConfig(
+            experiment="logistic", params={"reference_draws": 10_000, "fit_seed": 4}, replicates=16
+        )
+        with pytest.raises(ConfigError, match="ESS"):
+            run_experiment(config)
+
     def test_tune_experiment_reports_grid(self):
         summary = run_experiment(
             ExperimentConfig(experiment="tune", params={"rho_grid": [0.5, 0.8]})
@@ -581,6 +604,60 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert cli_main(["indep-sampler", "--config", str(path)]) == 2
         assert "past 2 half_widths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment",
+        ["contracting-normals", "circle", "linear-gaussian", "indep-sampler", "pcn", "logistic", "tune"],
+    )
+    def test_unknown_param_exit_2(self, tmp_path, capsys, experiment):
+        # A misspelled key would otherwise run on the default it was meant to replace.
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps({"experiment": experiment, "params": {"bogus_knob": 3}}))
+        assert cli_main([experiment, "--config", str(path)]) == 2
+        assert f"unknown {experiment} params: ['bogus_knob']" in capsys.readouterr().err
+
+    def test_reference_draws_with_alias_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "logistic.json"
+        params = {"reference_draws": 10_000, "rwm_steps": 20_000}
+        path.write_text(json.dumps({"experiment": "logistic", "params": params}))
+        assert cli_main(["logistic", "--config", str(path)]) == 2
+        assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, params",
+        [
+            ("contracting-normals", {"rho": 0.8}),
+            ("circle", {}),
+            ("logistic", {"reference_draws": 10_000}),
+        ],
+    )
+    @pytest.mark.parametrize("exponent", [1.5, 2.0])
+    def test_polynomial_law_on_arithmetic_steps_exit_2(
+        self, tmp_path, capsys, monkeypatch, experiment, params, exponent
+    ):
+        # a_i = m (i + 1) steps at level i: E[work] >= m sum_i (i + 1)^(1 - p)
+        # diverges for p <= 2, though sum_i Fbar_i is finite for p > 1.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the law was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        config = {
+            "experiment": experiment,
+            "params": params,
+            "schedule": {"kind": "arithmetic", "m": 4},
+            "survival": {"kind": "polynomial", "exponent": exponent},
+        }
+        path = tmp_path / "polynomial.json"
+        path.write_text(json.dumps(config))
+        assert cli_main([experiment, "--config", str(path)]) == 2
+        assert "diverges" in capsys.readouterr().err
+
+    def test_polynomial_law_past_two_on_arithmetic_steps_runs(self, tmp_path):
+        config = contracting_config(
+            survival={"kind": "polynomial", "exponent": 2.5}, replicates=2000
+        )
+        summary = run_experiment(config)
+        assert abs(summary["mean"]) <= 4.0 * summary["se"]
 
     def test_rejected_model_parameter_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pcn.json"

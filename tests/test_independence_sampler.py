@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ubmc import LevelSchedule, Stream, SurvivalDistribution, estimate_batch
+from ubmc import LevelSchedule, Stream, SurvivalDistribution
+from ubmc.estimator import estimate_block
 from ubmc.independence_sampler import (
     AcceptanceFloorError,
     Branch,
@@ -348,10 +349,10 @@ class TestUnbiasedDelta:
 
         schedule = LevelSchedule(lambda i: 2 * (i + 1), lambda i: min(i + 1, 2))
         survival = SurvivalDistribution.geometric(0.6)
-        gen = delta_generator(model, schedule, lambda u: float(u[0]), np.zeros(1))
-        batch = estimate_batch(gen, survival, 20_000, seed=3)
-        values = batch.z
-        assert abs(batch.mean - target) <= four_se(values)
+        # The replicates run as the lanes of one block.
+        lanes = delta_batch(model, schedule, lambda u: u[..., 0], np.zeros(1))
+        values = estimate_block(lanes, survival, Stream(3), 20_000)["z"]
+        assert abs(values.mean() - target) <= four_se(values)
 
 
 class TestLaneDelta:

@@ -279,7 +279,7 @@ class TestLogistic:
 
     def test_reference_fit_no_data_recovers_prior(self):
         model = LogisticModel.synthetic(n_obs=0, seed=1)
-        center, cov = logistic_reference_fit(model, 40_000, seed=5, proposal_scale=1.0)
+        center, cov = logistic_reference_fit(model, 40_000, seed=5)
         # Posterior without data is the standard normal prior.
         n_eff = 40_000 / 50.0  # generous autocorrelation discount
         assert np.all(np.abs(center) <= 4.0 / math.sqrt(n_eff))
@@ -290,6 +290,30 @@ class TestLogistic:
         model = LogisticModel.synthetic()
         with pytest.raises(ValueError):
             logistic_reference_fit(model, 100, seed=0)
+
+    def test_reference_fit_newton_mode_is_stationary(self):
+        model = LogisticModel.synthetic()
+        fit = logistic_reference_fit(model, 10_000, seed=3)
+        assert np.max(np.abs(model.grad_log_density(fit.mode))) <= 1e-8
+
+    def test_reference_fit_matches_grid_moments(self):
+        # Posterior mean and variances by a 57^3 grid over +-7 deviations:
+        # the weighted draws agree within 4 se, the Laplace mode does not.
+        model = LogisticModel.synthetic()
+        fit = logistic_reference_fit(model, 40_000, seed=3)
+        sd = np.sqrt(np.diag(fit.cov))
+        axes = [np.linspace(c - 7 * s, c + 7 * s, 57) for c, s in zip(fit.mode, sd)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        logp = np.concatenate(
+            [logistic_posterior_logdensity(model, grid[lo : lo + 8192]) for lo in range(0, len(grid), 8192)]
+        )
+        w = np.exp(logp - logp.max())
+        w /= w.sum()
+        mean = w @ grid
+        var = w @ (grid - mean) ** 2
+        assert np.all(np.abs(fit.center - mean) <= 4.0 * sd / math.sqrt(fit.ess))
+        assert np.any(np.abs(fit.mode - mean) > 4.0 * sd / math.sqrt(fit.ess))
+        assert np.all(np.abs(np.diag(fit.cov) / var - 1.0) <= 4.0 * math.sqrt(2.0 / fit.ess))
 
     def test_recentred_chain_accepts_more(self):
         import ubmc.pcn as pcn
