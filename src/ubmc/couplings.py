@@ -6,6 +6,8 @@ produced here from a simulatable coupling: the level-``i`` difference runs
 a "top" chain for ``a_i`` steps and a "bottom" chain for ``a_{i-1}`` steps,
 evolving the pair jointly over the final ``a_{i-1}`` steps so that a
 contracting coupling drives ``f(top) - f(bottom)`` to zero geometrically.
+Levels that share both dimensions and the lone-phase length form a run,
+and one driver steps every pair of a run as one lane array.
 
 Also provided: the minorization split step used for uniformly recurrent
 chains, a least-squares contraction-rate estimator, and schedule helpers.
@@ -14,7 +16,7 @@ chains, a least-squares contraction-rate estimator, and schedule helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "DistanceLike",
     "contraction_delta_generator",
     "contraction_delta_batch",
+    "level_runs",
     "strictly_increasing",
     "pad_to",
     "minorized_step",
@@ -147,7 +150,7 @@ def contraction_delta_generator(
     """
 
     def gen(level: int, rng: np.random.Generator):
-        return _delta(kernel, coupling, schedule, level, x0, f, rng)
+        return _delta(kernel, coupling, schedule, level, [1], x0, f, rng)[0]
 
     return gen
 
@@ -158,24 +161,25 @@ def contraction_delta_batch(
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], np.ndarray],
     x0,
-) -> Callable[[int, int, np.random.Generator], tuple]:
-    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: all
-    lanes of a level step as one array of states tiled from ``x0``, each
-    lane with the law of one :func:`contraction_delta_generator` draw.
+) -> Callable[[list, Callable[[int], np.random.Generator]], list]:
+    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: each
+    run of levels steps as one array of states tiled from ``x0``, each
+    pair with the law of one :func:`contraction_delta_generator` draw.
     The steps and ``f`` must act on a leading lane axis.
     """
     x0 = np.asarray(x0, dtype=float)
     # _delta is looked up at call time, as the benchmark's trace probe needs.
-    return lambda level, lanes, rng: _delta(
-        kernel, coupling, schedule, level, np.full((lanes, *x0.shape), x0), f, rng
-    )
+    return _run_batches(schedule, lambda first, counts, rng: _delta(
+        kernel, coupling, schedule, first, counts,
+        np.full((sum(counts), *x0.shape), x0), f, rng,
+    ))
 
 
-def _delta(kernel, coupling, schedule, level, x0, f, rng):
+def _delta(kernel, coupling, schedule, first, counts, x0, f, rng):
     # The kernel's own step functions are handed through unwrapped: the
     # inner loops are the hot path of every generic chain.
     return _level_difference(
-        schedule, level, x0, f, rng,
+        schedule, first, counts, x0, f, rng,
         lambda j: kernel.step,
         lambda j_lo, j_hi: coupling.step,
         lambda x, j: x,
@@ -183,30 +187,103 @@ def _delta(kernel, coupling, schedule, level, x0, f, rng):
     )
 
 
-def _level_difference(schedule, level, x0, f, rng, lone, joint, embed, cost):
-    """The lone and joint phases of one level, shared by every chain.
+def level_runs(schedule: LevelSchedule, top: int) -> list[range]:
+    """Levels ``0..top`` cut into runs, from the schedule alone.
 
-    ``lone(j)`` is the step ``(x, rng) -> x`` at dimension ``j``,
-    ``joint(j_lo, j_hi)`` the step ``((top, bottom), rng) -> (top, bottom)``,
-    ``embed(x, j)`` maps a state into dimension ``j`` and ``cost(j)`` is
-    the work of one step there.  The top chain starts at ``embed(x0, j_i)``
-    and the bottom chain at ``embed(x0, j_{i-1})``; ``f`` sees both
-    embedded at ``j_i``.  Returns ``(delta, a_i * cost(j_i))``.
+    A run is a maximal range of levels sharing the top dimension ``j_i``,
+    the bottom dimension ``j_{i-1}`` and the lone-phase length
+    ``a_i - a_{i-1}`` (``a_{-1} = 0``); level 0 joins level 1's run when
+    ``j_0 = j_1`` and ``a_0 = a_1 - a_0``.  Arithmetic steps in one
+    dimension make every level one run; strictly growing dimensions make
+    every level its own.
     """
-    a_hi, j_hi = schedule.steps_at(level), schedule.dims_at(level)
-    a_lo = schedule.steps_at(level - 1) if level > 0 else 0
+
+    def key(i):
+        if i == 0:
+            return schedule.dims_at(0), schedule.dims_at(0), schedule.steps_at(0)
+        return (
+            schedule.dims_at(i), schedule.dims_at(i - 1),
+            schedule.steps_at(i) - schedule.steps_at(i - 1),
+        )
+
+    runs, first, previous = [], 0, key(0)
+    for i in range(1, top + 1):
+        current = key(i)
+        if current != previous:
+            runs.append(range(first, i))
+            first = i
+        previous = current
+    runs.append(range(first, top + 1))
+    return runs
+
+
+def _run_batches(schedule: LevelSchedule, run_delta: Callable) -> Callable:
+    """A ``delta_batch`` that calls ``run_delta(first, counts, rng)`` once
+    per run of :func:`level_runs`, with the run's slice of ``counts`` and
+    ``level_rng(first)``, and joins the runs' per-level results."""
+
+    def delta_batch(counts: list, level_rng: Callable[[int], np.random.Generator]) -> list:
+        levels = []
+        for run in level_runs(schedule, len(counts) - 1):
+            levels += run_delta(run.start, counts[run.start : run.stop], level_rng(run.start))
+        return levels
+
+    return delta_batch
+
+
+def _level_difference(schedule, first, counts, x0, f, rng, lone, joint, embed, cost):
+    """The lone and joint phases of one run of levels, shared by every chain.
+
+    The run is levels ``first, first + 1, ...``, ``counts[k]`` pairs of
+    chains at level ``first + k``, all sharing ``j_i``, ``j_{i-1}`` and
+    ``a_i - a_{i-1}`` (one level is always a run).  ``lone(j)`` is the
+    step ``(x, rng) -> x`` at dimension ``j``, ``joint(j_lo, j_hi)`` the
+    step ``((top, bottom), rng) -> (top, bottom)``, ``embed(x, j)`` maps a
+    state into dimension ``j`` and ``cost(j)`` is the work of one step
+    there.  ``x0`` holds one start per pair, deeper levels first (a
+    single level may take one unbatched state), so the pairs still running
+    are always a prefix.  Start-aligned, every top chain takes the shared
+    lone steps from ``embed(x0, j_i)``, then every pair of level >= 1 steps
+    jointly, its bottom chain from ``embed(x0, j_{i-1})``; level ``i``'s
+    deltas are taken when ``a_i`` steps are done, ``f`` seeing both chains
+    at ``j_i``, and its pairs are cut off.  Each step takes its lane count
+    from the state it is handed.  Returns ``(deltas, a_i * cost(j_i))``
+    per level, in level order.
+    """
+    j_hi = schedule.dims_at(first)
+    a_lone = schedule.steps_at(first) - (schedule.steps_at(first - 1) if first > 0 else 0)
+    # ends[k]: pairs of levels >= first + k; level first + k owns [ends[k + 1], ends[k]).
+    ends = [sum(counts[k:]) for k in range(len(counts) + 1)]
     step = lone(j_hi)
     top = embed(x0, j_hi)
-    for _ in range(a_hi - a_lo):
+    for _ in range(a_lone):
         top = step(top, rng)
-    if level == 0:
-        return f(top), a_hi * cost(j_hi)
-    j_lo = schedule.dims_at(level - 1)
-    step = joint(j_lo, j_hi)
-    bottom = embed(x0, j_lo)
-    for _ in range(a_lo):
-        top, bottom = step((top, bottom), rng)
-    return f(embed(top, j_hi)) - f(embed(bottom, j_hi)), a_hi * cost(j_hi)
+    levels, done, bottom = [], 0, None
+    for k, level in enumerate(range(first, first + len(counts))):
+        if level > 0:
+            if bottom is None:
+                j_lo = schedule.dims_at(level - 1)
+                step = joint(j_lo, j_hi)
+                # k is 1 when level 0 ended first: its pairs have no bottom chain.
+                bottom = embed(x0[: ends[k]] if k else x0, j_lo)
+            a_lo = schedule.steps_at(level - 1)
+            for _ in range(a_lo - done):
+                top, bottom = step((top, bottom), rng)
+            done = a_lo
+        top, top_end = _split(top, ends[k + 1])
+        if level == 0:
+            deltas = f(top_end)
+        else:
+            bottom, bottom_end = _split(bottom, ends[k + 1])
+            deltas = f(embed(top_end, j_hi)) - f(embed(bottom_end, j_hi))
+        levels.append((deltas, schedule.steps_at(level) * cost(j_hi)))
+    return levels
+
+
+def _split(state, cut: int) -> tuple:
+    """``(state[:cut], state[cut:])``: the pairs still running and those of
+    the level that ends; a level that ends the run keeps ``state`` whole."""
+    return (state[:cut], state[cut:]) if cut else (None, state)
 
 
 def strictly_increasing(fn: Callable[[int], float]) -> Callable[[int], int]:
@@ -286,7 +363,9 @@ def estimate_contraction(
     """Fit the per-step log-contraction slope of a coupling.
 
     The replicates of each pair evolve jointly for ``n_steps`` steps as
-    lanes on one generator per pair (``distance`` maps rows to values);
+    lanes on one generator per pair (``distance`` maps rows to values); a
+    start is an array or a dataclass of arrays, such as a
+    :class:`~ubmc.pcn.PcnState`, whose fields are tiled alike;
     distances are averaged per step and a line is fitted to ``log`` mean
     distance over the strictly positive prefix.
     The step-0 distance (the artificial initial gap) is discarded before
@@ -299,7 +378,7 @@ def estimate_contraction(
     totals = np.zeros(n_steps)
     for p, pair in enumerate(pairs):
         rng = stream.child(p).generator()
-        x, y = (np.full((replicates, *np.shape(s)), s, dtype=float) for s in pair)
+        x, y = (_tile(s, replicates) for s in pair)
         gap = distance(x, y)
         if np.shape(gap) != (replicates,) or np.any(gap == 0.0):
             raise ValueError(f"pair {p}: need d(x, y) > 0, one value per lane row")
@@ -320,6 +399,15 @@ def estimate_contraction(
         steps=ks,
         mean_distances=means[:cut],
     )
+
+
+def _tile(state, lanes: int):
+    """``lanes`` copies of ``state`` along a leading lane axis; the array
+    fields of a dataclass state are tiled and ``None`` fields kept."""
+    if is_dataclass(state):
+        values = {f.name: getattr(state, f.name) for f in fields(state)}
+        return replace(state, **{k: _tile(v, lanes) for k, v in values.items() if v is not None})
+    return np.full((lanes, *np.shape(state)), state, dtype=float)
 
 
 def subgeometric_schedule(k: int, r: float, eps: float) -> tuple[LevelSchedule, SurvivalDistribution]:

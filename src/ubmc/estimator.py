@@ -80,8 +80,9 @@ class LevelDifferenceGenerator(Protocol):
     A generator is a callable ``(level, rng) -> (value, work)`` that draws
     its randomness from the ``numpy.random.Generator`` ``rng`` alone.  The
     levels of one draw receive independent streams, which is what makes
-    its deltas mutually independent; the lanes of a block share one
-    generator per level, each reading on where the last stopped.
+    its deltas mutually independent; lifted by :func:`_per_lane`, the
+    lanes of a block share one generator per level, each reading on where
+    the last stopped.
     ``value`` is a float, or a fixed-length 1-d array for vector-valued
     targets.
     """
@@ -324,19 +325,31 @@ def estimate_once(
 
 
 def estimate_block(
-    delta_batch: Callable[[int, int, np.random.Generator], tuple],
+    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
     survival: SurvivalDistribution,
     stream: Stream,
     count: int,
 ) -> dict:
     """``count`` independent draws of ``Z``, run as lanes sharing one stream.
 
-    Every lane draws ``N`` from child 0 of ``stream``.  The lanes with
-    ``N >= i`` then get their level-``i`` differences from one generator
-    on child ``1 + i``, as ``delta_batch(i, lanes, rng) -> (deltas, works)``
-    with ``lanes`` the number of such lanes, in lane order.  The children
-    are disjoint, so the deltas are independent of ``N`` and of the other
-    levels, and the block is a pure function of ``(stream, count)``.
+    Every lane draws ``N`` from child 0 of ``stream``.  One call
+    ``delta_batch(counts, level_rng)`` then gives every level's
+    differences: ``counts[i]`` is the number of lanes with ``N >= i``, for
+    ``i`` up to the largest ``N``, and ``level_rng(i)`` is a generator on
+    child ``1 + i``.  It returns one ``(deltas, works)`` per level, the
+    deltas of the lanes with ``N >= i`` in lane order.  A chain's
+    ``delta_batch`` steps each run of levels (see
+    :func:`~ubmc.couplings.level_runs`) as one lane array on
+    ``level_rng(<first level of the run>)``; a per-draw generator lifted by
+    :func:`_per_lane` reads ``level_rng(i)`` for each level ``i``.
+
+    Why the levels stay independent when a run shares one stream: every
+    pair of chains gets fresh draws at every step, and which draws go to
+    which pair depends only on ``N`` and on earlier states.  So the pairs'
+    chains are independent of each other and of ``N``, each with the law
+    of a level difference run on a stream of its own, as the lanes of one
+    level already are; ``Z`` is Rhee and Glynn's independent-sum
+    estimator.  The block is a pure function of ``(stream, count)``.
     Returns the arrays ``N``, ``z`` and ``work``; ``z`` takes the shape of
     the level-0 deltas, which every lane reaches, so vector-valued
     targets give one row per lane.
@@ -346,16 +359,16 @@ def estimate_block(
     if not survival.proper:
         raise EstimatorError("cannot draw from an improper survival distribution")
     ns = survival.sample_many(count, stream.child(_KEY_TRUNCATION).generator())
+    counts = np.cumsum(np.bincount(ns)[::-1])[::-1].tolist()
+    levels = delta_batch(counts, lambda i: stream.child(_KEY_LEVEL_BASE + i).generator())
     work = np.zeros(count)
-    for i in range(int(ns.max()) + 1):
-        reached = ns >= i
-        rng_i = stream.child(_KEY_LEVEL_BASE + i).generator()
-        deltas, works = delta_batch(i, int(reached.sum()), rng_i)
+    for i, (deltas, works) in enumerate(levels):
         finite = np.isfinite(deltas)
         if not finite.all():
             raise NonFiniteDeltaError(i, deltas[~finite][0])
         if i == 0:
             z = np.zeros(np.shape(deltas))
+        reached = ns >= i
         z[reached] += deltas / survival.survival(i)
         work[reached] += works
     return {"N": ns, "z": z, "work": work}
@@ -364,17 +377,21 @@ def estimate_block(
 def _per_lane(gen: LevelDifferenceGenerator):
     """Lift a scalar per-draw generator into a ``delta_batch``.
 
-    The lanes run one after another on the level's one generator.  Each
+    Level ``i``'s lanes run one after another on ``level_rng(i)``.  Each
     lane reads a fresh segment of an i.i.d. stream, independent of ``N``
     and of the other lanes, so the law of every draw is unchanged.
     """
 
-    def delta_batch(level: int, lanes: int, rng: np.random.Generator):
-        pairs = [gen(level, rng) for _ in range(lanes)]
-        return (
-            np.array([delta for delta, _ in pairs], dtype=float),
-            np.array([t for _, t in pairs], dtype=float),
-        )
+    def delta_batch(counts: list, level_rng: Callable[[int], np.random.Generator]):
+        levels = []
+        for level, lanes in enumerate(counts):
+            rng = level_rng(level)
+            pairs = [gen(level, rng) for _ in range(lanes)]
+            levels.append((
+                np.array([delta for delta, _ in pairs], dtype=float),
+                np.array([t for _, t in pairs], dtype=float),
+            ))
+        return levels
 
     return delta_batch
 

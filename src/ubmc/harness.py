@@ -14,7 +14,6 @@ import functools
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
@@ -138,9 +137,20 @@ def _arithmetic_survival(
 def _params(config: ExperimentConfig, *known: str) -> dict:
     """``config.params``, checked to name only ``known`` keys: a misspelled
     key would otherwise run silently on its default."""
-    unknown = sorted(set(config.params) - set(known))
-    _require(not unknown, f"unknown {config.experiment} params: {unknown}")
-    return config.params
+    return _known_keys(config, "params", known)
+
+
+def _schedule(config: ExperimentConfig, *known: str) -> dict:
+    """``config.schedule``, checked like :func:`_params`; a plan that reads
+    no schedule passes no keys, so any schedule it is given is rejected."""
+    return _known_keys(config, "schedule", known)
+
+
+def _known_keys(config: ExperimentConfig, section: str, known: tuple) -> dict:
+    values = getattr(config, section)
+    unknown = sorted(set(values) - set(known))
+    _require(not unknown, f"unknown {config.experiment} {section}: {unknown}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +182,10 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
     x0 = float(params.get("x0", 0.0))
     sched_kind = config.schedule.get("kind", "arithmetic")
     if sched_kind == "arithmetic":
-        m = int(config.schedule.get("m", 1))
+        m = int(_schedule(config, "kind", "m").get("m", 1))
         _require(m >= 1, "schedule.m must be a positive integer")
     elif sched_kind == "multiplier-ansatz":
+        _schedule(config, "kind")
         m = tuning.step_multiplier(rho)
     else:
         raise ConfigError(f"unknown schedule kind {sched_kind!r}")
@@ -202,7 +213,9 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
 
 def _prepare_circle(config: ExperimentConfig) -> dict:
     params = _params(config, "x0")
-    m = int(config.schedule.get("m", 1))
+    sched = _schedule(config, "kind", "m")
+    _require(sched.get("kind", "arithmetic") == "arithmetic", "circle runs an arithmetic schedule only")
+    m = int(sched.get("m", 1))
     _require(m >= 1, "schedule.m must be a positive integer")
     # Default truncation law: geometric at 0.7, comfortably above the
     # discrete-metric contraction rate 1 - (8 - 2 pi)/4 of the coupling.
@@ -232,15 +245,15 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
     s = float(params.get("s", 1.0))
     coord = int(params.get("coordinate", 1))
     _require(coord >= 1, "params.coordinate must be >= 1")
-    geometry = config.schedule.get("kind", "dyadic")
+    sched = _schedule(config, "kind", "q", "eps")
     dims, survival = gaussian_linear.make_schedule(
         variant,
-        geometry,
+        sched.get("kind", "dyadic"),
         a=a,
         p=p,
         s=s,
-        q=config.schedule.get("q"),
-        eps=params.get("eps", config.schedule.get("eps", 0.5)),
+        q=sched.get("q"),
+        eps=params.get("eps", sched.get("eps", 0.5)),
     )
     survival = _survival_from_config(config.survival, survival)
     model = gaussian_linear.GaussianLinearModel(p=p, a=a)
@@ -326,6 +339,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     default_kind = "log-growth" if kind == "elliptic" else "saturating"
     sched_kind = sched.get("kind", default_kind)
     if sched_kind == "log-growth":
+        _schedule(config, "kind", "q", "beta", "kappa", "theta", "t")
         q = float(sched.get("q", 2.0))
         b_eff = float(sched.get("beta", beta))
         k_eff = float(sched.get("kappa", kappa))
@@ -342,6 +356,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     elif sched_kind == "saturating":
         # Dimensions climb one per level up to the model's state size; the
         # remaining levels refine only the time direction.
+        _schedule(config, "kind", "m", "max_dim", "rate")
         m = int(sched.get("m", 2))
         dmax = int(sched.get("max_dim", len(widths) if kind == "linear2d" else 2))
         _require(m >= 1 and dmax >= 1, "saturating schedule needs m, max_dim >= 1")
@@ -349,6 +364,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         schedule = LevelSchedule(lambda i: m * (i + 1), lambda i: min(i + 1, dmax))
         survival = SurvivalDistribution.geometric(float(sched.get("rate", 0.6)))
     elif sched_kind == "sequence":
+        _schedule(config, "kind", "steps", "dims")
         steps, dims = sched["steps"], sched["dims"]
         levels = len(steps) if isinstance(steps, list) else 0
         _require(
@@ -410,7 +426,7 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
         f = lambda x: x[..., 0]
     else:
         raise ConfigError(f"unknown observable {fname!r}")
-    sched = config.schedule
+    sched = _schedule(config, "variant", "m", "r", "theta", "eps")
     schedule, survival = pcn.make_schedule(
         model,
         sched.get("variant", "bounded"),
@@ -432,6 +448,10 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
         config, "rho", "coordinate", "n_obs", "data_seed", "reference_draws", "rwm_steps",
         "fit_seed", "pilot_steps", "pilot_replicates", "pilot_seed",
     )
+    # The config's own law is checked before the fit and the pilot, whose
+    # contraction rate fixes the schedule: the config gives none.
+    law = _arithmetic_survival(config.survival, None) if config.survival else None
+    _schedule(config)
     model = models.LogisticModel.synthetic(
         n_obs=int(params.get("n_obs", 100)),
         seed=int(params.get("data_seed", 7)),
@@ -453,11 +473,13 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     # Pairs start two posterior deviations apart: the recentred reference
     # has lighter tails than the target, so chains released far outside
     # the posterior mass reject recentering moves and the fit would stall.
+    # The pairs are PcnStates, so each chain evaluates the log-density at
+    # its proposals only.
     spread = 2.0 * np.sqrt(np.diag(cov))
     pilot = estimate_contraction(
         pcn.coupling(chain),
-        lambda x, y: np.linalg.norm(x - y, axis=-1),
-        pairs=[(center + spread, center - spread)],
+        lambda s, t: np.linalg.norm(s.x - t.x, axis=-1),
+        pairs=[(pcn.PcnState(center + spread), pcn.PcnState(center - spread))],
         n_steps=int(params.get("pilot_steps", 40)),
         replicates=int(params.get("pilot_replicates", 200)),
         stream=Stream(int(params.get("pilot_seed", 55))),
@@ -465,7 +487,7 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     r = math.exp(0.5 * pilot.slope)
     m = tuning.step_multiplier(r)
     schedule = LevelSchedule.arithmetic(m)
-    survival = _arithmetic_survival(config.survival, SurvivalDistribution.geometric(r**m))
+    survival = SurvivalDistribution.geometric(r**m) if law is None else law
     coord = int(params.get("coordinate", 1))
     delta_batch = pcn.delta_batch(chain, schedule, lambda beta: beta[:, coord - 1], center)
     return {
@@ -484,10 +506,11 @@ def _prepare_tune(config: ExperimentConfig) -> dict:
     # No sampling: one CSV row per grid point, reusing the draw schema
     # (N = step multiplier, z = tuned/ergodic ratio, work = tuned product).
     params = _params(config, "rho_grid")
+    _schedule(config)
     grid = params.get("rho_grid")
     if grid is None:
         grid = [round(0.50 + 0.05 * k, 2) for k in range(10)]
-    w = tuning.optimal_w()
+    w = tuning.OPTIMAL_W
     rows = []
     for rho in grid:
         m = tuning.step_multiplier(rho, w)
@@ -586,6 +609,9 @@ def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
     if config.parallel == 1 or len(blocks) == 1:
         results = [_run_block_task(*t) for t in tasks]
     else:
+        # Imported here: multiprocessing costs every serial run ~20 ms of startup.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.parallel) as pool:
             results = list(pool.map(_run_block_task, *zip(*tasks)))
     results.sort(key=lambda item: item[0])

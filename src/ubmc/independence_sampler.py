@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .couplings import LevelSchedule, _level_difference, pad_to, strictly_increasing
+from .couplings import LevelSchedule, _level_difference, _run_batches, pad_to, strictly_increasing
 from .estimator import LevelDifferenceGenerator, SurvivalDistribution
 
 __all__ = [
@@ -211,35 +211,39 @@ def delta_generator(
     the zero-padded start; all step randomness is drawn at the top
     dimension.  Work is ``a_i * j_i^theta`` in the model's cost units.
     """
-    return lambda level, rng: _delta(model, schedule, level, f, x0, rng)
+    return lambda level, rng: _delta(model, schedule, level, [1], f, x0, rng)[0]
 
 
 def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, x0) -> Callable:
-    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: lanes
-    of :func:`delta_generator` draws step as one ``(lanes, j_i)`` chain from
-    ``x0``; ``f`` and the model's forward map act row-wise."""
+    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: each
+    run of levels steps as one ``(pairs, j_i)`` split chain from ``x0``,
+    each pair with the law of one :func:`delta_generator` draw; ``f`` and
+    the model's forward map act row-wise."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     # _delta is looked up at call time, as the benchmark's trace probe needs.
-    return lambda level, lanes, rng: _delta(model, schedule, level, f, np.tile(x0, (lanes, 1)), rng)
+    return _run_batches(schedule, lambda first, counts, rng: _delta(
+        model, schedule, first, counts, f, np.tile(x0, (sum(counts), 1)), rng
+    ))
 
 
-def _delta(model, schedule, level, f, x0, rng):
-    lanes = np.shape(x0)[:-1]
+def _delta(model, schedule, first, counts, f, x0, rng):
+    def lanes(x):
+        return np.shape(x)[:-1]
 
     def lone(j):
-        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng, lanes))[0]
+        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng, lanes(x)))[0]
 
     def joint(j_lo, j_hi):
         def step(pair, rng):
             top, bottom = pair
-            w = draw_randomness(model, j_hi, rng, lanes)
+            w = draw_randomness(model, j_hi, rng, lanes(top))
             (bottom, top), _ = coupled_is_step(model, (j_lo, j_hi), (bottom, top), w)
             return top, bottom
 
         return step
 
     cost = lambda j: float(j) ** model.work_exponent
-    return _level_difference(schedule, level, x0, f, rng, lone, joint, pad_to, cost)
+    return _level_difference(schedule, first, counts, x0, f, rng, lone, joint, pad_to, cost)
 
 
 def make_schedule(

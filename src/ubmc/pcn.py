@@ -201,6 +201,10 @@ class PcnState:
     x: np.ndarray
     g: np.ndarray | None = None
 
+    def __getitem__(self, lanes) -> "PcnState":
+        """The state of the lanes ``lanes`` (a slice or index of the lane axis)."""
+        return PcnState(self.x[lanes], None if self.g is None else self.g[lanes])
+
 
 def pcn_acceptance(model: PcnModel, x: np.ndarray, proposal: np.ndarray) -> float:
     """``1 ^ exp(g(x) - g(x^))``, one value per lane for ``(lanes, j)`` states."""
@@ -294,7 +298,7 @@ def delta_generator(
     """
 
     def gen(level: int, rng: np.random.Generator):
-        return _delta(model, schedule, level, f, x0, rng)
+        return _delta(model, schedule, level, [1], f, x0, rng)[0]
 
     return gen
 
@@ -304,27 +308,28 @@ def delta_batch(
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-) -> Callable[[int, int, np.random.Generator], tuple]:
-    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: all
-    lanes of a level step as one ``(lanes, j_i)`` chain from ``x0``, each
-    with the law of one :func:`delta_generator` draw (recentred mode: one
-    draw of the fixed-space driver on :func:`kernel` and :func:`coupling`).
-    ``f`` and ``model.log_change`` map ``(lanes, j)`` rows to ``(lanes,)``.
+) -> Callable[[list, Callable[[int], np.random.Generator]], list]:
+    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: each
+    run of levels steps as one ``(pairs, j_i)`` chain from ``x0``, each
+    pair with the law of one :func:`delta_generator` draw (recentred mode:
+    one draw of the fixed-space driver on :func:`kernel` and
+    :func:`coupling`).  ``f`` and ``model.log_change`` map ``(lanes, j)``
+    rows to ``(lanes,)``.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not model.recentred:
-        return lambda level, lanes, rng: _delta(
-            model, schedule, level, f, np.tile(x0, (lanes, 1)), rng
-        )
+        return couplings._run_batches(schedule, lambda first, counts, rng: _delta(
+            model, schedule, first, counts, f, np.tile(x0, (sum(counts), 1)), rng
+        ))
     chain, joint = kernel(model), coupling(model)
     # Looked up on the module at call time, as the benchmark's trace probe needs.
-    return lambda level, lanes, rng: couplings._delta(
-        chain, joint, schedule, level, PcnState(np.tile(x0, (lanes, 1))),
+    return couplings._run_batches(schedule, lambda first, counts, rng: couplings._delta(
+        chain, joint, schedule, first, counts, PcnState(np.tile(x0, (sum(counts), 1))),
         lambda s: f(s.x), rng,
-    )
+    ))
 
 
-def _delta(model, schedule, level, f, x0, rng):
+def _delta(model, schedule, first, counts, f, x0, rng):
     if model.recentred:
         raise ValueError("truncation levels require the diagonal reference")
 
@@ -347,7 +352,7 @@ def _delta(model, schedule, level, f, x0, rng):
         return float(j) ** model.work_exponent
 
     return _level_difference(
-        schedule, level, x0, lambda s: f(s.x), rng, lone, joint, embed, cost
+        schedule, first, counts, x0, lambda s: f(s.x), rng, lone, joint, embed, cost
     )
 
 

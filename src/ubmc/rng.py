@@ -2,9 +2,11 @@
 
 Every stochastic routine in this package is a pure function of its inputs
 and a :class:`Stream`.  A stream is an immutable (seed, path) pair; child
-streams are derived by extending the path with integer keys, so level
-``i`` of block ``b`` of an experiment always draws from the stream keyed
-``(seed, b, 1 + i)`` no matter how the work is scheduled.
+streams are derived by extending the path with integer keys, so block
+``b`` of an experiment draws its truncation levels from the stream keyed
+``(seed, b, 0)``, and a run of levels whose first level is ``i`` (see
+:func:`ubmc.couplings.level_runs`) draws from ``(seed, b, 1 + i)``, no
+matter how the work is scheduled.
 Philox is used as the bit generator, so streams with distinct keys are
 statistically independent and cheap to construct.
 """

@@ -42,6 +42,10 @@ __all__ = [
 SERIES_RTOL = 1e-14
 SERIES_CAP = 10**4
 
+# optimal_w() at its default arguments, which a test reproduces bit for
+# bit: the search sums 26 polylog series, too slow to repeat per process.
+OPTIMAL_W = -1.6329583898965268
+
 
 @dataclass
 class MseWorkReport:
@@ -261,12 +265,10 @@ def optimal_w(lo: float = -10.0, hi: float = -1e-3, tol: float = 1e-4) -> float:
     return 0.5 * (a + b)
 
 
-def step_multiplier(rho: float, w: float | None = None) -> int:
+def step_multiplier(rho: float, w: float = OPTIMAL_W) -> int:
     """Near-optimal step multiplier ``m = ceil(w / log rho)`` for a given rate."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    if w is None:
-        w = optimal_w()
     return max(1, math.ceil(w / math.log(rho)))
 
 

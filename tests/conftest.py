@@ -1,5 +1,7 @@
 """Shared test doubles and statistical helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,24 @@ class ConstantStreamDouble:
 
     def generator(self):
         return self._generator
+
+
+def recording_level_rng(seed: int, asked: list):
+    """A ``level_rng`` that records which levels it was asked for."""
+
+    def level_rng(i):
+        asked.append(i)
+        return Stream(seed).child(1 + i).generator()
+
+    return level_rng
+
+
+def moments_agree(fused: np.ndarray, single: np.ndarray):
+    """Mean and second moment of two samples within 4 combined SE."""
+    for power in (1, 2):
+        a, b = fused**power, single**power
+        se = math.hypot(a.std(ddof=1) / math.sqrt(a.size), b.std(ddof=1) / math.sqrt(b.size))
+        assert abs(a.mean() - b.mean()) <= 4.0 * se, (power, a.mean(), b.mean())
 
 
 def four_se(values: np.ndarray) -> float:

@@ -15,10 +15,16 @@ from ubmc import (
     estimate_contraction,
     minorized_step,
 )
-from ubmc.couplings import contraction_delta_batch, strictly_increasing, subgeometric_schedule
+from ubmc import couplings
+from ubmc.couplings import (
+    contraction_delta_batch,
+    level_runs,
+    strictly_increasing,
+    subgeometric_schedule,
+)
 from ubmc.models import CircleChainModel, ContractingNormalsModel
 
-from conftest import ConstantStreamDouble, ScriptedNormals, four_se
+from conftest import ConstantStreamDouble, ScriptedNormals, four_se, moments_agree, recording_level_rng
 
 
 class TestLevelSchedule:
@@ -125,11 +131,56 @@ class TestCoupledDriver:
         delta_batch = contraction_delta_batch(
             model.kernel(), model.coupling(), sched, lambda x: x, 0.0
         )
-        d1, _ = delta_batch(1, 100_000, stream.child(1).generator())
-        d2, _ = delta_batch(2, 100_000, stream.child(2).generator())
+        levels = delta_batch([100_000] * 3, lambda i: stream.child(i).generator())
+        (d1, _), (d2, _) = levels[1], levels[2]
         c_pilot = np.sqrt(np.mean(d1**2)) / rho ** sched.steps_at(0)
         rms2 = np.sqrt(np.mean(d2**2))
         assert rms2 <= 1.05 * c_pilot * rho ** sched.steps_at(1)
+
+
+class TestLevelRuns:
+    def test_arithmetic_schedule_is_one_run(self):
+        assert level_runs(LevelSchedule.arithmetic(3), 5) == [range(6)]
+
+    def test_growing_dimensions_run_level_by_level(self):
+        schedule = LevelSchedule(lambda i: 2 * (i + 1), lambda i: i + 1)
+        assert level_runs(schedule, 3) == [range(1), range(1, 2), range(2, 3), range(3, 4)]
+
+    def test_saturating_dimensions_start_a_run_at_level_2(self):
+        # j = 1, 2, 2, 2, ...: level 1 moves from dimension 1 to 2.
+        schedule = LevelSchedule(lambda i: 2 * (i + 1), lambda i: min(i + 1, 2))
+        assert level_runs(schedule, 5) == [range(1), range(1, 2), range(2, 6)]
+
+    def test_level_0_joins_only_an_equal_lone_phase(self):
+        # a = 2, 3, 4: level 0 runs 2 lone steps, the others 1.
+        assert level_runs(LevelSchedule([2, 3, 4]), 2) == [range(1), range(1, 3)]
+
+    def test_run_reads_its_first_level_stream(self):
+        # The fused run of a block asks for one generator, its first level's.
+        model = ContractingNormalsModel(0.8)
+        delta_batch = contraction_delta_batch(
+            model.kernel(), model.coupling(), LevelSchedule.arithmetic(2), lambda x: x, 0.0
+        )
+        asked = []
+        levels = delta_batch([8, 5, 3, 1], recording_level_rng(3, asked))
+        assert asked == [0]
+        assert [np.shape(d) for d, _ in levels] == [(8,), (5,), (3,), (1,)]
+        assert [w for _, w in levels] == [2.0, 4.0, 6.0, 8.0]
+
+    def test_fused_circle_run_matches_one_level_runs(self):
+        # Per-level mean and E[delta_i^2] of the fused run against levels run alone.
+        model = CircleChainModel()
+        schedule, n = LevelSchedule.arithmetic(1), 20_000
+        fused = contraction_delta_batch(
+            model.kernel(), model.coupling(), schedule, np.cos, 0.0
+        )([n] * 6, lambda i: Stream(31).child(i).generator())
+        for level in range(6):
+            (single, _), = couplings._delta(
+                model.kernel(), model.coupling(), schedule, level, [n], np.zeros(n),
+                np.cos, Stream(32).child(level).generator(),
+            )
+            assert fused[level][0].shape == (n,)
+            moments_agree(fused[level][0], single)
 
 
 class TestMinorizedStep:

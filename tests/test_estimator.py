@@ -206,11 +206,14 @@ class TestEstimateBlock:
         assert np.array_equal(out["z"], expected)
 
     def test_non_finite_lane_reports_level(self):
-        def delta_batch(level, lanes, rng):
-            deltas = np.ones(lanes)
-            if level == 1:
-                deltas[lanes // 2] = math.nan
-            return deltas, 1.0
+        def delta_batch(counts, level_rng):
+            levels = []
+            for level, lanes in enumerate(counts):
+                deltas = np.ones(lanes)
+                if level == 1:
+                    deltas[lanes // 2] = math.nan
+                levels.append((deltas, 1.0))
+            return levels
 
         with pytest.raises(NonFiniteDeltaError) as err:
             estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.1), 8)
@@ -228,8 +231,8 @@ class TestEstimateBlock:
 
     def test_vector_valued_lanes(self):
         # z takes the shape of the level-0 deltas: one row per lane.
-        def delta_batch(level, lanes, rng):
-            return np.ones((lanes, 3)) * 2.0**-level, np.ones(lanes)
+        def delta_batch(counts, level_rng):
+            return [(np.ones((lanes, 3)) * 2.0**-level, np.ones(lanes)) for level, lanes in enumerate(counts)]
 
         out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 6)
         assert out["z"].shape == (6, 3)
@@ -307,10 +310,10 @@ class TestEstimateBatch:
         per_lane = _per_lane(lambda level, rng: (rng.standard_normal(), 1.0))
         recorded = {}
 
-        def delta_batch(level, lanes, rng):
-            deltas, works = per_lane(level, lanes, rng)
-            recorded[level] = deltas
-            return deltas, works
+        def delta_batch(counts, level_rng):
+            levels = per_lane(counts, level_rng)
+            recorded.update((level, deltas) for level, (deltas, _) in enumerate(levels))
+            return levels
 
         survival = SurvivalDistribution.tabulated([1.0, 1.0, 0.5], tail_ratio=0.5)
         out = estimate_block(delta_batch, survival, Stream(19), 20_000)

@@ -341,6 +341,25 @@ class TestEllipticIsPlan:
             work = sum(a * float(k) ** theta for a, k in levels[: n + 1])
             np.testing.assert_allclose(records["work"][at_n], work, rtol=1e-12)
 
+    def test_block_pinned(self):
+        # Block 0 at the config's seed, bit for bit.  Its dimensions grow
+        # at every level, so every level is a run of its own on its own
+        # stream: fusing the runs of fixed-space chains leaves it as it was.
+        import hashlib
+
+        from ubmc import Stream
+
+        config = ExperimentConfig.from_json(self.CONFIG)
+        plan = harness._prepare_cached(harness._config_key(config))
+        out = plan["run_block"](Stream(config.seed).child(0), 1024, 0)
+        digests = {
+            "z": "0c20f6ca6fc623e949af117ba7466dfea8dae25f157291c90601dc27e1762e2b",
+            "N": "929f1103a179d9e7cec97300ea7ec3b856e1f8eb819d7ab1dba976e0f1fe130b",
+            "work": "0ed8927c0a84b5e02b9194cf3390632d4a781f7e2d554267e06036fcc5ba8d95",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256(out[name].tobytes()).hexdigest() == digest, name
+
 
 class TestErgodicBaseline:
     def test_constant_observable(self):
@@ -616,6 +635,37 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 2
         assert f"unknown {experiment} params: ['bogus_knob']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, params, schedule",
+        [
+            ("contracting-normals", {"rho": 0.8}, {"kind": "arithmetic", "m": 4, "bogus": 1}),
+            ("contracting-normals", {"rho": 0.8}, {"kind": "multiplier-ansatz", "m": 4}),
+            ("circle", {}, {"m": 1, "bogus": 1}),
+            ("circle", {}, {"kind": "multiplier-ansatz"}),
+            ("linear-gaussian", {"a": 1.5}, {"kind": "dyadic", "bogus": 1}),
+            ("indep-sampler", {"model": "linear2d"}, {"kind": "saturating", "q": 2.6}),
+            ("pcn", {}, {"variant": "bounded", "bogus": 1}),
+            ("logistic", {"reference_draws": 10_000}, {"kind": "arithmetic", "m": 4}),
+            ("tune", {}, {"m": 4}),
+        ],
+        ids=[
+            "contracting-normals", "contracting-ansatz-m", "circle", "circle-kind",
+            "linear-gaussian", "indep-sampler", "pcn", "logistic", "tune",
+        ],
+    )
+    def test_unread_schedule_exit_2(self, tmp_path, capsys, monkeypatch, experiment, params, schedule):
+        # A schedule key the plan does not read would otherwise run silently
+        # on its default; logistic's schedule comes from its pilot.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the schedule was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"experiment": experiment, "params": params, "schedule": schedule}))
+        assert cli_main([experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "schedule" in err, err
+
     def test_reference_draws_with_alias_exit_2(self, tmp_path, capsys):
         path = tmp_path / "logistic.json"
         params = {"reference_draws": 10_000, "rwm_steps": 20_000}
@@ -702,3 +752,16 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert cli_main(["contracting-normals", "--config", str(path)]) == 3
         assert "non-finite level difference" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # Only a parallel run needs multiprocessing; importing it costs every
+    # serial run about 20 ms of startup.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, ubmc.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr

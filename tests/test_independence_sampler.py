@@ -367,8 +367,9 @@ class TestLaneDelta:
         lanes = delta_batch(model, schedule, lambda u: np.sum(u, axis=-1), x0)
         gen = delta_generator(model, schedule, lambda u: float(np.sum(u)), x0)
         n = 1000
+        levels = lanes([4 * n] * 3, lambda i: Stream(11).child(i).generator())
         for level in (1, 2):
-            lane_deltas, lane_work = lanes(level, 4 * n, Stream(11).child(level).generator())
+            lane_deltas, lane_work = levels[level]
             draws = [gen(level, Stream(12).child(level, k).generator()) for k in range(n)]
             deltas = np.array([d for d, _ in draws])
             assert lane_deltas.shape == (4 * n,) and np.any(lane_deltas != 0.0)
@@ -377,6 +378,29 @@ class TestLaneDelta:
                 lane_deltas.std(ddof=1) / math.sqrt(4 * n), deltas.std(ddof=1) / math.sqrt(n)
             )
             assert abs(lane_deltas.mean() - deltas.mean()) <= 4.0 * se
+
+
+    def test_saturating_run_from_level_2_matches_one_level_runs(self):
+        # Dimensions 1, 2, 2, ...: levels 0 and 1 run alone on their own
+        # streams, levels 2.. as one fused run on level 2's stream.  Each
+        # fused level's mean and E[delta_i^2] match the level run alone.
+        # A low floor and one step per level keep deltas up to level 4.
+        from ubmc import independence_sampler
+        from conftest import moments_agree, recording_level_rng
+
+        model = linear_model(alpha_star=0.01)
+        schedule = LevelSchedule(lambda i: i + 1, lambda i: min(i + 1, 2))
+        f = lambda u: u[..., 0]
+        n, asked = 20_000, []
+        fused = delta_batch(model, schedule, f, np.zeros(1))([n] * 5, recording_level_rng(41, asked))
+        assert asked == [0, 1, 2]
+        for level in range(2, 5):
+            (single, work), = independence_sampler._delta(
+                model, schedule, level, [n], f, np.zeros((n, 1)), Stream(42).child(level).generator()
+            )
+            assert fused[level][1] == work
+            assert np.any(fused[level][0] != 0.0)
+            moments_agree(fused[level][0], single)
 
 
 class TestMakeSchedule:

@@ -108,6 +108,7 @@ class TestContractingNormals:
         # Block 0 of the benchmark's contracting-normals run at seed 11
         # (rho 0.8, ansatz m, optimal law, 1024 lanes), pinned bit for bit:
         # any change to how these lanes use the stream or round fails here.
+        # Every level is one fused run on the stream of level 0.
         from ubmc import LevelSchedule, tuning
         from ubmc.models import contracting_unbiased_block
 
@@ -117,7 +118,7 @@ class TestContractingNormals:
             Stream(11).child(0), 1024,
         )
         digests = {
-            "z": "484b33145069e9e4f18036d7e76760176bdd16bf48042fbbb245c6b884e1cb75",
+            "z": "266d3dc000aa1a06afa78fd60de3f264b3d0b2a1dd4c7a081d3839fc7ea1b4b1",
             "N": "822c4bffd7a85d396289205dc61143599754b8a5d62c6acdd61951c810e4c94e",
             "work": "4b18967a32ee4d80846dc63aec61aaf1eb8a7b05ad18fdebf2298b9fa36576c5",
         }

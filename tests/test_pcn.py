@@ -449,8 +449,8 @@ class TestStationarity:
             np.zeros(schedule.dims_at(0)),
         )
         ratios = []
-        for i in range(7):
-            delta, _ = delta_batch(i, 2000, Stream(70).child(i).generator())
+        levels = delta_batch([2000] * 7, lambda i: Stream(70).child(i).generator())
+        for i, (delta, _) in enumerate(levels):
             ratios.append(np.mean(delta**2) / law.survival(i))
         assert max(ratios[3:]) < ratios[1] / 2, ratios
 
@@ -558,3 +558,31 @@ class TestRecentred:
             pcn.delta_generator(model, sched, lambda x: 0.0, np.zeros(1))(
                 1, Stream(0).generator()
             )
+
+    def test_pilot_on_states_evaluates_proposals_only(self):
+        # Pairs given as PcnStates carry g(x) from step to step: the same
+        # fit as on raw arrays, with the log-density evaluated once per
+        # chain at the start and then only at each step's proposals.
+        center, cov = np.array([0.5, -1.0]), np.diag([0.6, 0.3])
+        calls = []
+
+        def neg_log_target(x):
+            calls.append(1)
+            return 0.5 * np.sum(x * x, axis=-1) + 0.1 * np.sum(x**4, axis=-1)
+
+        model = pcn.PcnModel.gaussian_reference(0.5, neg_log_target, center, cov)
+        spread = 2.0 * np.sqrt(np.diag(cov))
+        fits, evaluations = [], []
+        for wrap in (lambda x: x, pcn.PcnState):
+            calls.clear()
+            fits.append(estimate_contraction(
+                pcn.coupling(model),
+                lambda s, t: np.linalg.norm(getattr(s, "x", s) - getattr(t, "x", t), axis=-1),
+                pairs=[(wrap(center + spread), wrap(center - spread))],
+                n_steps=12, replicates=50, stream=Stream(55),
+            ))
+            evaluations.append(len(calls))
+        raw, states = fits
+        assert states.slope == raw.slope
+        np.testing.assert_array_equal(states.mean_distances, raw.mean_distances)
+        assert evaluations == [4 * 12, 2 * 12 + 2]

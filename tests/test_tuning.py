@@ -7,7 +7,7 @@ import pytest
 
 from ubmc import LevelSchedule, Stream
 from ubmc.estimator import SurvivalDistribution, expected_work, second_moment_formula
-from ubmc.couplings import contraction_delta_batch
+from ubmc.couplings import contraction_delta_batch, level_runs
 from ubmc.models import ContractingNormalsModel, contracting_unbiased_block
 from ubmc.tuning import (
     contracting_delta_variances,
@@ -46,8 +46,10 @@ class TestDeltaVariances:
         delta_batch = contraction_delta_batch(
             model.kernel(), model.coupling(), schedule, lambda x: x, 0.0
         )
-        for level in range(4):
-            draws, _ = delta_batch(level, 200_000, stream.child(level).generator())
+        # Levels 0..3 are one fused run: every pair steps on one stream.
+        assert level_runs(schedule, 3) == [range(4)]
+        levels = delta_batch([200_000] * 4, lambda i: stream.child(i).generator())
+        for level, (draws, _) in enumerate(levels):
             if level == 0:
                 draws = draws - 0.0  # delta_0 = f(endpoint), mean 0
             sq = draws**2
@@ -156,6 +158,13 @@ class TestStepMultiplierAnsatz:
     def test_optimal_w_value(self):
         w = optimal_w()
         assert w == pytest.approx(-1.632, abs=0.01)
+
+    def test_stored_constant_is_the_search_result(self):
+        # step_multiplier and the tune experiment read the stored value.
+        from ubmc.tuning import OPTIMAL_W
+
+        assert optimal_w() == OPTIMAL_W
+        assert step_multiplier(0.8) == step_multiplier(0.8, optimal_w())
 
     def test_local_minimum_certificate(self):
         from ubmc.tuning import _w_objective
