@@ -24,7 +24,7 @@ from .couplings import (
     DistanceLike,
     LevelSchedule,
     MarkovKernel,
-    contraction_delta_generator,
+    contraction_delta_batch,
     estimate_contraction,
     minorized_step,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "Stream",
     "SurvivalDistribution",
     "UnbiasedDraw",
-    "contraction_delta_generator",
+    "contraction_delta_batch",
     "estimate_batch",
     "estimate_once",
     "estimate_contraction",

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimator import LevelDifferenceGenerator, SurvivalDistribution
+from .estimator import SurvivalDistribution
 from .rng import Stream
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "CoupledKernel",
     "LevelSchedule",
     "DistanceLike",
-    "contraction_delta_generator",
     "contraction_delta_batch",
     "level_runs",
     "strictly_increasing",
@@ -130,31 +129,6 @@ def _checked_prefix(cache: list, fn, i: int, name: str, strict: bool) -> int:
     return cache[i]
 
 
-def contraction_delta_generator(
-    kernel: MarkovKernel,
-    coupling: CoupledKernel,
-    schedule: LevelSchedule,
-    f: Callable[[object], float],
-    x0,
-) -> LevelDifferenceGenerator:
-    """Coupled level differences of a fixed-space chain.
-
-    Level 0 runs the chain ``a_0`` steps from ``x0`` and returns
-    ``f(endpoint)``.  Level ``i >= 1`` runs the top chain alone for
-    ``a_i - a_{i-1}`` steps from ``x0``, resets the bottom chain to ``x0``,
-    then evolves the pair jointly for ``a_{i-1}`` steps and returns
-    ``f(top) - f(bottom)``.  The whole level consumes one generator: the
-    lone prefix draws first, the joint phase the rest, which reproduces
-    the backward-composition law of the chain at times ``a_i`` and
-    ``a_{i-1}``.  Work is ``a_i * kernel.work_per_step``.
-    """
-
-    def gen(level: int, rng: np.random.Generator):
-        return _delta(kernel, coupling, schedule, level, [1], x0, f, rng)[0]
-
-    return gen
-
-
 def contraction_delta_batch(
     kernel: MarkovKernel,
     coupling: CoupledKernel,
@@ -162,10 +136,15 @@ def contraction_delta_batch(
     f: Callable[[np.ndarray], np.ndarray],
     x0,
 ) -> Callable[[list, Callable[[int], np.random.Generator]], list]:
-    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: each
-    run of levels steps as one array of states tiled from ``x0``, each
-    pair with the law of one :func:`contraction_delta_generator` draw.
-    The steps and ``f`` must act on a leading lane axis.
+    """Coupled level differences of a fixed-space chain, as the
+    ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`.
+
+    A level-``i`` pair runs its top chain alone for ``a_i - a_{i-1}``
+    steps from ``x0``, then jointly with a bottom chain from ``x0`` for
+    ``a_{i-1}`` steps, and returns ``f(top) - f(bottom)`` (level 0: ``f``
+    after ``a_0`` steps) with work ``a_i * kernel.work_per_step``.  Each
+    run of levels steps as one array of states tiled from ``x0``, so the
+    steps and ``f`` must act on a leading lane axis.
     """
     x0 = np.asarray(x0, dtype=float)
     # _delta is looked up at call time, as the benchmark's trace probe needs.

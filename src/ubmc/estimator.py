@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "SurvivalDistribution",
     "UnbiasedDraw",
     "BatchResult",
-    "LevelDifferenceGenerator",
     "EstimatorError",
     "NonFiniteDeltaError",
     "sample_truncation",
@@ -72,22 +71,6 @@ class NonFiniteDeltaError(EstimatorError):
         self.level = level
         self.value = value
         super().__init__(f"non-finite level difference at level {level}: {value!r}")
-
-
-class LevelDifferenceGenerator(Protocol):
-    """Contract for one level difference.
-
-    A generator is a callable ``(level, rng) -> (value, work)`` that draws
-    its randomness from the ``numpy.random.Generator`` ``rng`` alone.  The
-    levels of one draw receive independent streams, which is what makes
-    its deltas mutually independent; lifted by :func:`_per_lane`, the
-    lanes of a block share one generator per level, each reading on where
-    the last stopped.
-    ``value`` is a float, or a fixed-length 1-d array for vector-valued
-    targets.
-    """
-
-    def __call__(self, level: int, rng: np.random.Generator): ...
 
 
 class SurvivalDistribution:
@@ -273,8 +256,7 @@ def _last_above(table: np.ndarray, u):
 class UnbiasedDraw:
     """One realization of the randomized-truncation estimator.
 
-    ``work`` is the sum of the per-level work units reported by the
-    generator, and equals the total effort of the draw by construction.
+    ``work`` is the total effort of the draw: its levels' work units summed.
     """
 
     value: float | np.ndarray
@@ -307,7 +289,7 @@ def sample_truncation(survival: SurvivalDistribution, rng: np.random.Generator) 
 
 
 def estimate_once(
-    gen: LevelDifferenceGenerator,
+    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
     survival: SurvivalDistribution,
     stream: Stream,
 ) -> UnbiasedDraw:
@@ -315,7 +297,7 @@ def estimate_once(
 
     The draw is a one-lane :func:`estimate_block` on ``stream``.
     """
-    out = estimate_block(_per_lane(gen), survival, stream, 1)
+    out = estimate_block(delta_batch, survival, stream, 1)
     value = out["z"][0]
     return UnbiasedDraw(
         value=value if value.ndim else float(value),
@@ -340,8 +322,7 @@ def estimate_block(
     deltas of the lanes with ``N >= i`` in lane order.  A chain's
     ``delta_batch`` steps each run of levels (see
     :func:`~ubmc.couplings.level_runs`) as one lane array on
-    ``level_rng(<first level of the run>)``; a per-draw generator lifted by
-    :func:`_per_lane` reads ``level_rng(i)`` for each level ``i``.
+    ``level_rng(<first level of the run>)``.
 
     Why the levels stay independent when a run shares one stream: every
     pair of chains gets fresh draws at every step, and which draws go to
@@ -374,30 +355,8 @@ def estimate_block(
     return {"N": ns, "z": z, "work": work}
 
 
-def _per_lane(gen: LevelDifferenceGenerator):
-    """Lift a scalar per-draw generator into a ``delta_batch``.
-
-    Level ``i``'s lanes run one after another on ``level_rng(i)``.  Each
-    lane reads a fresh segment of an i.i.d. stream, independent of ``N``
-    and of the other lanes, so the law of every draw is unchanged.
-    """
-
-    def delta_batch(counts: list, level_rng: Callable[[int], np.random.Generator]):
-        levels = []
-        for level, lanes in enumerate(counts):
-            rng = level_rng(level)
-            pairs = [gen(level, rng) for _ in range(lanes)]
-            levels.append((
-                np.array([delta for delta, _ in pairs], dtype=float),
-                np.array([t for _, t in pairs], dtype=float),
-            ))
-        return levels
-
-    return delta_batch
-
-
 def estimate_batch(
-    gen: LevelDifferenceGenerator,
+    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
     survival: SurvivalDistribution,
     replicates: int,
     seed: int,
@@ -408,9 +367,7 @@ def estimate_batch(
     ``Stream(seed)``, so a batch is reproducible draw-for-draw, and the
     aggregation below (``math.fsum``) is exact in any summation order.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    out = estimate_block(_per_lane(gen), survival, Stream(seed), replicates)
+    out = estimate_block(delta_batch, survival, Stream(seed), replicates)
     mean, var = _mean_variance(out["z"])
     return BatchResult(
         mean=mean,

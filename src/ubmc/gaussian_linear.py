@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .couplings import strictly_increasing
-from .estimator import LevelDifferenceGenerator, SurvivalDistribution
+from .estimator import SurvivalDistribution
 
 __all__ = [
     "GaussianLinearModel",
@@ -32,8 +32,7 @@ __all__ = [
     "prior_tail_delta",
     "truncation_gap_second_moment",
     "tail_gap_second_moment",
-    "truncation_generator",
-    "tail_generator",
+    "delta_batch",
     "make_schedule",
 ]
 
@@ -114,24 +113,25 @@ def truncation_delta(
     model: GaussianLinearModel,
     dims,
     level: int,
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     rng: np.random.Generator,
-) -> tuple[float, float]:
+    lanes: tuple = (),
+) -> tuple:
     """Level difference of ``f`` under the plain truncation coupling.
 
     One draw of the first ``j_level`` posterior coordinates is shared by
     both truncations, so only coordinates in ``(j_{level-1}, j_level]``
     differ; the bottom state is zero-padded to the top dimension before
     ``f`` is applied.  Returns ``(delta, work)`` with work counted as the
-    number of Gaussian draws.
+    number of Gaussian draws; one row per lane for ``lanes = (count,)``.
     """
     j_lo, j_hi = _dims_pair(dims, level)
     mean, var = _posterior_arrays(model, j_hi)
-    top = mean + np.sqrt(var) * rng.standard_normal(j_hi)
+    top = mean + np.sqrt(var) * rng.standard_normal((*lanes, j_hi))
     if level == 0:
         return f(top), float(j_hi)
     bottom = top.copy()
-    bottom[j_lo:] = 0.0
+    bottom[..., j_lo:] = 0.0
     return f(top) - f(bottom), float(j_hi)
 
 
@@ -141,7 +141,8 @@ def prior_tail_delta(
     level: int,
     coefficients: Mapping[int, float],
     rng: np.random.Generator,
-) -> tuple[float, float]:
+    lanes: tuple = (),
+) -> tuple:
     """Level difference of a linear function under the prior-completed coupling.
 
     The truncation is completed by a prior draw on the remaining
@@ -154,7 +155,8 @@ def prior_tail_delta(
     over the new coordinates (level 0 additionally carries the prior-tail
     terms of the finitely many coefficients above ``j_0``).  No infinite
     tail is ever simulated; only linear functions, given by their
-    coefficient map, are admissible.
+    coefficient map, are admissible.  The new coordinates, then the tail
+    terms, draw their normals as one row per lane for ``lanes = (count,)``.
     """
     if not isinstance(coefficients, Mapping):
         raise TypeError(
@@ -162,30 +164,31 @@ def prior_tail_delta(
             "pass the coefficient map {coordinate: weight}"
         )
     j_lo, j_hi = _dims_pair(dims, level)
-    delta = 0.0
-    draws = 0
-    for l in range(j_lo + 1, j_hi + 1):
-        w = coefficients.get(l, 0.0)
-        zeta = rng.standard_normal()
-        draws += 1
-        if w == 0.0:
-            continue
+    terms = sorted((l, w) for l, w in coefficients.items() if l > j_lo and w != 0.0)
+    new = [(l, w) for l, w in terms if l <= j_hi]
+    # Prior tail above j_0: only coefficients actually present matter.
+    tail = [(l, w) for l, w in terms if l > j_hi] if level == 0 else []
+    zeta = rng.standard_normal((*lanes, j_hi - j_lo + len(tail)))
+    delta = np.zeros(lanes)
+    for l, w in new:
         mean, var = posterior_spectral(model, l)
-        if level == 0:
-            # No lower level to cancel against: the full posterior coordinate.
-            delta += w * (mean + math.sqrt(var) * zeta)
-        else:
-            # The lower level carries the prior draw on this coordinate,
-            # leaving the shared zeta weighted by sqrt(c_l) - l^-a.
-            delta += w * (mean + (math.sqrt(var) - float(l) ** (-model.a)) * zeta)
-    if level == 0:
-        # Prior tail above j_0: only coefficients actually present matter.
-        for l, w in sorted(coefficients.items()):
-            if l <= j_hi or w == 0.0:
-                continue
-            delta += w * float(l) ** (-model.a) * rng.standard_normal()
-            draws += 1
-    return delta, float(draws)
+        # Above level 0 the lower level carries the prior draw on this
+        # coordinate, leaving the shared zeta weighted by sqrt(c_l) - l^-a.
+        prior = float(l) ** (-model.a) if level > 0 else 0.0
+        delta += w * (mean + (math.sqrt(var) - prior) * zeta[..., l - j_lo - 1])
+    for k, (l, w) in enumerate(tail):
+        delta += w * float(l) ** (-model.a) * zeta[..., j_hi - j_lo + k]
+    return delta, float(zeta.shape[-1])
+
+
+def delta_batch(level_delta: Callable, model: GaussianLinearModel, dims, f) -> Callable:
+    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block` for
+    ``level_delta``, :func:`truncation_delta` (``f`` row-wise) or
+    :func:`prior_tail_delta` (``f`` the coefficient map): one call per
+    level on ``level_rng(i)``, with a row for each of its lanes."""
+    return lambda counts, level_rng: [
+        level_delta(model, dims, i, f, level_rng(i), (count,)) for i, count in enumerate(counts)
+    ]
 
 
 def truncation_gap_second_moment(
@@ -206,24 +209,6 @@ def tail_gap_second_moment(model: GaussianLinearModel, j_lo: int, j_hi: int) -> 
         mean, var = posterior_spectral(model, l)
         total += mean**2 + (math.sqrt(var) - float(l) ** (-model.a)) ** 2
     return total
-
-
-def truncation_generator(
-    model: GaussianLinearModel, dims, f: Callable[[np.ndarray], float]
-) -> LevelDifferenceGenerator:
-    def gen(level: int, rng: np.random.Generator):
-        return truncation_delta(model, dims, level, f, rng)
-
-    return gen
-
-
-def tail_generator(
-    model: GaussianLinearModel, dims, coefficients: Mapping[int, float]
-) -> LevelDifferenceGenerator:
-    def gen(level: int, rng: np.random.Generator):
-        return prior_tail_delta(model, dims, level, coefficients, rng)
-
-    return gen
 
 
 def make_schedule(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gaussian_linear, independence_sampler, models, pcn, tuning
 from .couplings import LevelSchedule, MarkovKernel, contraction_delta_batch, estimate_contraction
-from .estimator import BLOCK_SIZE, SurvivalDistribution, _mean_variance, _per_lane, estimate_block
+from .estimator import BLOCK_SIZE, SurvivalDistribution, _mean_variance, estimate_block
 from .estimator import estimate_once  # noqa: F401 - name the benchmark's trace probe wraps
 from .rng import Stream
 
@@ -134,6 +134,29 @@ def _arithmetic_survival(
     return law
 
 
+def _linear_gaussian_survival(
+    spec: dict, default: SurvivalDistribution, variant: str, geometry: str, q
+) -> SurvivalDistribution:
+    """:func:`_survival_from_config` for linear-gaussian levels, which cost
+    ``t_i = j_i`` draws (holder) or ``j_i - j_{i-1}`` (linear-tail)."""
+    law = _survival_from_config(spec, default)
+    # t_i grows like 2^i on dims 2^i.  Dims ceil(i^q) are bumped to
+    # j_i >= i + 1, so t_i grows like i^g, g = max(q, 1), or i^(g - 1).
+    base = 2.0 if geometry == "dyadic" else 1.0
+    power = 0.0 if geometry == "dyadic" else max(q, 1.0) - (variant == "linear-tail")
+    if law.kind == "polynomial":
+        finite = base == 1.0 and law.exponent > power + 1.0
+    else:  # a table with no tail ends, so its sum is finite
+        ratio = law.rate**law.exponent if law.kind == "geometric" else law.tail_ratio or 0.0
+        finite = base * ratio < 1.0
+    growth = "2^i" if geometry == "dyadic" else f"i^{power:g}"
+    _require(finite, (
+        f"E[work] = sum_i t_i Fbar_i diverges: {variant} levels on {geometry} dims "
+        f"cost t_i ~ {growth}, and {law!r} does not decay fast enough"
+    ))
+    return law
+
+
 def _params(config: ExperimentConfig, *known: str) -> dict:
     """``config.params``, checked to name only ``known`` keys: a misspelled
     key would otherwise run silently on its default."""
@@ -234,40 +257,28 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
 
 def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
     params = _params(config, "variant", "a", "p", "s", "coordinate", "eps")
-    variant = params.get("variant", "holder")
-    _require(
-        variant in ("holder", "linear-tail"),
-        "params.variant must be 'holder' or 'linear-tail'",
-    )
+    variant = params.get("variant", "holder")  # make_schedule checks it
     a = params.get("a")
     _require(a is not None, "params.a is required")
     p = float(params.get("p", 0.0))
     s = float(params.get("s", 1.0))
     coord = int(params.get("coordinate", 1))
     _require(coord >= 1, "params.coordinate must be >= 1")
-    sched = _schedule(config, "kind", "q", "eps")
+    sched = _schedule(config, "kind", "q")
+    geometry, q = sched.get("kind", "dyadic"), sched.get("q")
     dims, survival = gaussian_linear.make_schedule(
-        variant,
-        sched.get("kind", "dyadic"),
-        a=a,
-        p=p,
-        s=s,
-        q=sched.get("q"),
-        eps=params.get("eps", sched.get("eps", 0.5)),
+        variant, geometry, a=a, p=p, s=s, q=q, eps=params.get("eps", 0.5)
     )
-    survival = _survival_from_config(config.survival, survival)
+    survival = _linear_gaussian_survival(config.survival, survival, variant, geometry, q)
     model = gaussian_linear.GaussianLinearModel(p=p, a=a)
     if variant == "holder":
-
-        def f(u: np.ndarray) -> float:
-            return float(u[coord - 1]) if u.size >= coord else 0.0
-
-        gen = gaussian_linear.truncation_generator(model, dims, f)
+        level_delta = gaussian_linear.truncation_delta
+        f = lambda u: u[..., coord - 1] if u.shape[-1] >= coord else np.zeros(u.shape[:-1])
     else:
-        gen = gaussian_linear.tail_generator(model, dims, {coord: 1.0})
+        level_delta, f = gaussian_linear.prior_tail_delta, {coord: 1.0}
     target, _ = gaussian_linear.posterior_spectral(model, coord)
     return {
-        "run_block": _lane_block(_per_lane(gen), survival, dims),
+        "run_block": _lane_block(gaussian_linear.delta_batch(level_delta, model, dims, f), survival, dims),
         "meta": {"target_mean": target, "coordinate": coord},
     }
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .couplings import LevelSchedule, _level_difference, _run_batches, pad_to, strictly_increasing
-from .estimator import LevelDifferenceGenerator, SurvivalDistribution
+from .estimator import SurvivalDistribution
 
 __all__ = [
     "UniformPriorModel",
@@ -35,7 +35,6 @@ __all__ = [
     "split_step",
     "sampler_step",
     "coupled_is_step",
-    "delta_generator",
     "delta_batch",
     "make_schedule",
     "pad_to",
@@ -198,27 +197,14 @@ def coupled_is_step(
     return (new_lo, new_hi), (b_lo, b_hi)
 
 
-def delta_generator(
-    model: UniformPriorModel,
-    schedule: LevelSchedule,
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-) -> LevelDifferenceGenerator:
-    """Coupled level differences of the independence-sampler hierarchy.
-
-    Phases as in :func:`ubmc.couplings.contraction_delta_generator`, with
-    split steps at dimensions ``j_i`` (top) and ``j_{i-1}`` (bottom) from
-    the zero-padded start; all step randomness is drawn at the top
-    dimension.  Work is ``a_i * j_i^theta`` in the model's cost units.
-    """
-    return lambda level, rng: _delta(model, schedule, level, [1], f, x0, rng)[0]
-
-
 def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, x0) -> Callable:
-    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: each
-    run of levels steps as one ``(pairs, j_i)`` split chain from ``x0``,
-    each pair with the law of one :func:`delta_generator` draw; ``f`` and
-    the model's forward map act row-wise."""
+    """Coupled level differences of the independence-sampler hierarchy,
+    as the ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`:
+    phases as in :func:`ubmc.couplings.contraction_delta_batch`, with split
+    steps at dimensions ``j_i`` (top) and ``j_{i-1}`` (bottom), all step
+    randomness drawn at the top dimension, and work ``a_i * j_i^theta``.
+    Each run of levels steps as one zero-padded ``(pairs, j_i)`` split
+    chain; ``f`` and the model's forward map act row-wise."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     # _delta is looked up at call time, as the benchmark's trace probe needs.
     return _run_batches(schedule, lambda first, counts, rng: _delta(

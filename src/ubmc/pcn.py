@@ -32,7 +32,7 @@ from .couplings import (
     pad_to,
     strictly_increasing,
 )
-from .estimator import LevelDifferenceGenerator, SurvivalDistribution
+from .estimator import SurvivalDistribution
 
 __all__ = [
     "PcnModel",
@@ -43,7 +43,6 @@ __all__ = [
     "propose_noise",
     "pcn_step",
     "coupled_pcn_step",
-    "delta_generator",
     "delta_batch",
     "sampler_step",
     "kernel",
@@ -283,38 +282,20 @@ def sampler_step(model: PcnModel, j: int, x, rng: np.random.Generator):
     return pcn_step(model, j, x, _randomness(model, j, x, rng))
 
 
-def delta_generator(
-    model: PcnModel,
-    schedule: LevelSchedule,
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-) -> LevelDifferenceGenerator:
-    """Coupled level differences of the truncation hierarchy.
-
-    Phases as in :func:`ubmc.couplings.contraction_delta_generator`, at
-    dimensions ``j_i`` (top) and ``j_{i-1}`` (bottom) from the zero-padded
-    start, sharing ``(noise, uniform)`` in the joint phase.  Work is
-    ``a_i * j_i^work_exponent``.
-    """
-
-    def gen(level: int, rng: np.random.Generator):
-        return _delta(model, schedule, level, [1], f, x0, rng)[0]
-
-    return gen
-
-
 def delta_batch(
     model: PcnModel,
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
 ) -> Callable[[list, Callable[[int], np.random.Generator]], list]:
-    """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: each
-    run of levels steps as one ``(pairs, j_i)`` chain from ``x0``, each
-    pair with the law of one :func:`delta_generator` draw (recentred mode:
-    one draw of the fixed-space driver on :func:`kernel` and
-    :func:`coupling`).  ``f`` and ``model.log_change`` map ``(lanes, j)``
-    rows to ``(lanes,)``.
+    """Coupled level differences of the truncation hierarchy, as the
+    ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: phases as
+    in :func:`ubmc.couplings.contraction_delta_batch` at dimensions
+    ``j_i`` (top) and ``j_{i-1}`` (bottom), sharing ``(noise, uniform)``
+    in the joint phase, with work ``a_i * j_i^work_exponent``.  Each run
+    of levels steps as one zero-padded ``(pairs, j_i)`` chain (recentred
+    mode: the fixed-space driver on :func:`kernel` and :func:`coupling`);
+    ``f`` and ``model.log_change`` map ``(lanes, j)`` rows to ``(lanes,)``.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not model.recentred:

@@ -46,9 +46,10 @@ class ScriptedNormals:
         if size is None:
             self.calls += 1
             return self.values.pop(0)
-        out = np.array([self.values.pop(0) for _ in range(int(size))])
-        self.calls += int(size)
-        return out
+        n = int(np.prod(size))
+        out = np.array([self.values.pop(0) for _ in range(n)], dtype=float)
+        self.calls += n
+        return out.reshape(size)
 
     def random(self, n=None):
         return 0.5 if n is None else np.full(n, 0.5)
@@ -65,6 +66,26 @@ class ConstantStreamDouble:
 
     def generator(self):
         return self._generator
+
+
+def per_lane(gen):
+    """Lift a per-draw reference ``gen(level, rng) -> (delta, work)`` into a
+    ``delta_batch``: level ``i``'s lanes run one after another on
+    ``level_rng(i)``, each on a fresh segment of that i.i.d. stream, so
+    every draw keeps the law of one ``gen`` draw."""
+
+    def delta_batch(counts, level_rng):
+        levels = []
+        for level, lanes in enumerate(counts):
+            rng = level_rng(level)
+            pairs = [gen(level, rng) for _ in range(lanes)]
+            levels.append((
+                np.array([delta for delta, _ in pairs], dtype=float),
+                np.array([t for _, t in pairs], dtype=float),
+            ))
+        return levels
+
+    return delta_batch
 
 
 def recording_level_rng(seed: int, asked: list):

@@ -16,17 +16,18 @@ from ubmc.couplings import estimate_contraction
 from ubmc.estimator import second_moment_formula
 from ubmc.gaussian_linear import (
     GaussianLinearModel,
+    delta_batch as gl_delta_batch,
     make_schedule as gl_schedule,
     posterior_spectral,
-    tail_generator,
+    prior_tail_delta,
+    truncation_delta,
     truncation_gap_second_moment,
     tail_gap_second_moment,
-    truncation_generator,
 )
 from ubmc.harness import ExperimentConfig, ergodic_baseline, run_experiment
 from ubmc.independence_sampler import (
     UniformPriorModel,
-    delta_generator as is_delta_generator,
+    delta_batch as is_delta_batch,
     draw_randomness,
     is_acceptance,
     make_schedule as is_schedule,
@@ -170,15 +171,16 @@ def test_criterion_07_linear_gaussian():
     details, ok = [], True
 
     dims, survival = gl_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
-    f = lambda u: float(u[coord - 1]) if u.size >= coord else 0.0
-    batch = estimate_batch(truncation_generator(model, dims, f), survival, 100_000, seed=71)
+    f = lambda u: u[:, coord - 1] if u.shape[1] >= coord else np.zeros(len(u))
+    batch = estimate_batch(gl_delta_batch(truncation_delta, model, dims, f), survival, 100_000, seed=71)
     vals = batch.z
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     ok &= abs(batch.mean - target) <= 4 * se
     details.append(f"truncation pipeline mean {batch.mean:.5f} vs m_3 {target:.5f} (4SE {4*se:.5f})")
 
     dims2, survival2 = gl_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
-    batch2 = estimate_batch(tail_generator(model, dims2, {coord: 1.0}), survival2, 100_000, seed=72)
+    lanes2 = gl_delta_batch(prior_tail_delta, model, dims2, {coord: 1.0})
+    batch2 = estimate_batch(lanes2, survival2, 100_000, seed=72)
     vals2 = batch2.z
     se2 = vals2.std(ddof=1) / math.sqrt(vals2.size)
     ok &= abs(batch2.mean - target) <= 4 * se2
@@ -293,17 +295,13 @@ def test_criterion_09_independence_sampler():
         alpha_star=is_model.alpha_star,
         t=0.5 * ((1 + elliptic.work_exponent * 2.6) + (r * 2.6 - 2)),
     )
-    f = lambda u: float(np.sum(u))
+    f = lambda u: np.sum(u, axis=-1)
+    levels = is_delta_batch(is_model, schedule, f, np.zeros(1))(
+        [250] * 7, lambda level: Stream(93 + level).generator()
+    )
     rms, j_prev = [], []
     for level in range(2, 7):
-        deltas = np.array(
-            [
-                is_delta_generator(is_model, schedule, f, np.zeros(1))(
-                    level, Stream(93 + level).child(rep).generator()
-                )[0]
-                for rep in range(250)
-            ]
-        )
+        deltas = levels[level][0]
         rms.append(math.sqrt(float(np.mean(deltas**2))))
         j_prev.append(schedule.dims_at(level - 1))
     slope = np.polyfit(np.log(j_prev), np.log(rms), 1)[0]

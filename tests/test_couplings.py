@@ -11,7 +11,6 @@ from ubmc import (
     LevelSchedule,
     MarkovKernel,
     Stream,
-    contraction_delta_generator,
     estimate_contraction,
     minorized_step,
 )
@@ -67,6 +66,11 @@ class TestLevelSchedule:
             seq(-1)
 
 
+def one_draw(model, sched, level, rng):
+    """One level difference of the 1-d chain from 0: the per-draw reference."""
+    return couplings._delta(model.kernel(), model.coupling(), sched, level, [1], 0.0, lambda x: x, rng)[0]
+
+
 class TestCoupledDriver:
     def test_scripted_hand_value(self):
         # rho = 0.5, steps (1, 2), level 1, all noises scripted to 1:
@@ -75,28 +79,21 @@ class TestCoupledDriver:
         model = ContractingNormalsModel(0.5)
         sched = LevelSchedule([1, 2])
         stream = ConstantStreamDouble(ScriptedNormals([1.0, 1.0]))
-        delta, work = contraction_delta_generator(
-            model.kernel(), model.coupling(), sched, lambda x: x, 0.0
-        )(1, stream.generator())
+        delta, work = one_draw(model, sched, 1, stream.generator())
         assert delta == pytest.approx(0.5 * math.sqrt(0.75))
         assert work == pytest.approx(2.0)
 
     def test_negative_level_rejected(self):
         model = ContractingNormalsModel(0.5)
-        gen = contraction_delta_generator(
-            model.kernel(), model.coupling(), LevelSchedule([1, 2]), lambda x: x, 0.0
-        )
         with pytest.raises(ValueError):
-            gen(-1, Stream(0).generator())
+            one_draw(model, LevelSchedule([1, 2]), -1, Stream(0).generator())
 
     def test_zero_noise_gives_zero_delta(self):
         model = ContractingNormalsModel(0.5)
         sched = LevelSchedule([1, 2, 4])
         for level in (1, 2):
             stream = ConstantStreamDouble(ScriptedNormals([0.0] * 10))
-            delta, _ = contraction_delta_generator(
-                model.kernel(), model.coupling(), sched, lambda x: x, 0.0
-            )(level, stream.generator())
+            delta, _ = one_draw(model, sched, level, stream.generator())
             assert delta == 0.0
 
     def test_stream_consumption_audit(self):
@@ -106,20 +103,15 @@ class TestCoupledDriver:
         sched = LevelSchedule([3, 7, 11])
         for level, expected in [(0, 3), (1, 7), (2, 11)]:
             script = ScriptedNormals([0.1] * expected)
-            contraction_delta_generator(
-                model.kernel(), model.coupling(), sched, lambda x: x, 0.0
-            )(level, ConstantStreamDouble(script).generator())
+            one_draw(model, sched, level, ConstantStreamDouble(script).generator())
             assert script.calls == expected
             assert script.values == []
 
     def test_replay_determinism(self, stream):
         model = ContractingNormalsModel(0.6)
         sched = LevelSchedule.arithmetic(3)
-        gen = contraction_delta_generator(
-            model.kernel(), model.coupling(), sched, lambda x: x, 0.0
-        )
-        first = gen(2, stream.child(1).generator())
-        second = gen(2, stream.child(1).generator())
+        first = one_draw(model, sched, 2, stream.child(1).generator())
+        second = one_draw(model, sched, 2, stream.child(1).generator())
         assert first == second
 
     def test_rms_decay_against_pilot(self, stream):

@@ -17,10 +17,10 @@ from ubmc import (
     sample_truncation,
     second_moment_formula,
 )
-from ubmc.estimator import _per_lane, estimate_block
+from ubmc.estimator import estimate_block
 from ubmc.tuning import contracting_delta_variances, contracting_optimal_survival
 
-from conftest import ForcedTruncationStream, four_se
+from conftest import ForcedTruncationStream, four_se, per_lane
 
 
 def stub_generator(values):
@@ -132,7 +132,7 @@ class TestEstimateOnce:
         # u = 0.2 lies in [Fbar_3, Fbar_2) so N = 2 and
         # Z = 1/1 + 0.5/0.5 + 0.25/0.25 = 3 for delta_i = 2^-i.
         gen = stub_generator(lambda i: 2.0**-i)
-        draw = estimate_once(gen, GEOM_HALF, ForcedTruncationStream(0.2))
+        draw = estimate_once(per_lane(gen), GEOM_HALF, ForcedTruncationStream(0.2))
         assert draw.level == 2
         assert draw.value == pytest.approx(3.0)
         assert draw.work == pytest.approx(3.0)
@@ -141,13 +141,13 @@ class TestEstimateOnce:
         # delta_0 = 5 and all later levels zero: Z = 5 whatever N is.
         gen = stub_generator(lambda i: 5.0 if i == 0 else 0.0)
         for u in (0.9, 0.3, 0.07, 0.002):
-            draw = estimate_once(gen, GEOM_HALF, ForcedTruncationStream(u))
+            draw = estimate_once(per_lane(gen), GEOM_HALF, ForcedTruncationStream(u))
             assert draw.value == pytest.approx(5.0)
 
     def test_non_finite_delta_reports_level(self):
         gen = stub_generator(lambda i: math.nan if i == 2 else 1.0)
         with pytest.raises(NonFiniteDeltaError) as err:
-            estimate_once(gen, GEOM_HALF, ForcedTruncationStream(0.1))
+            estimate_once(per_lane(gen), GEOM_HALF, ForcedTruncationStream(0.1))
         assert err.value.level == 2
 
     def test_work_ledger_counts_levels(self):
@@ -157,22 +157,22 @@ class TestEstimateOnce:
             calls.append(level)
             return 0.0, 1.0
 
-        draw = estimate_once(gen, GEOM_HALF, ForcedTruncationStream(0.03))
+        draw = estimate_once(per_lane(gen), GEOM_HALF, ForcedTruncationStream(0.03))
         assert calls == list(range(draw.level + 1))
         assert draw.work == pytest.approx(draw.level + 1)
 
     def test_improper_survival_rejected(self):
         flat = SurvivalDistribution.tabulated([1.0, 1.0], tail_ratio=1.0)
         with pytest.raises(EstimatorError):
-            estimate_once(stub_generator(lambda i: 0.0), flat, Stream(0))
+            estimate_once(per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0))
 
     def test_equals_one_lane_block(self):
         def gen(level, rng):
             return rng.standard_normal() * 2.0**-level, float(level + 1)
 
         for seed in range(20):
-            draw = estimate_once(gen, GEOM_HALF, Stream(seed))
-            out = estimate_block(_per_lane(gen), GEOM_HALF, Stream(seed), 1)
+            draw = estimate_once(per_lane(gen), GEOM_HALF, Stream(seed))
+            out = estimate_block(per_lane(gen), GEOM_HALF, Stream(seed), 1)
             assert draw.value == out["z"][0]
             assert draw.level == out["N"][0]
             assert draw.work == out["work"][0]
@@ -189,7 +189,7 @@ class TestEstimateOnce:
 class TestEstimateBlock:
     def test_forced_level_hand_value(self):
         # Every lane draws N = 2 (see TestEstimateOnce): Z = 3, work = 3.
-        delta_batch = _per_lane(stub_generator(lambda i: 2.0**-i))
+        delta_batch = per_lane(stub_generator(lambda i: 2.0**-i))
         out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 5)
         assert out["N"].tolist() == [2] * 5
         assert out["z"] == pytest.approx(np.full(5, 3.0))
@@ -197,7 +197,7 @@ class TestEstimateBlock:
 
     def test_lanes_run_in_order_on_one_stream_per_level(self):
         # Level i of the block reads child 1 + i, lane after lane.
-        delta_batch = _per_lane(lambda level, rng: (rng.random(), 1.0))
+        delta_batch = per_lane(lambda level, rng: (rng.random(), 1.0))
         out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2, seed=9), 4)
         expected = sum(
             Stream(9).child(1 + i).generator().random(4) / GEOM_HALF.survival(i)
@@ -222,12 +222,12 @@ class TestEstimateBlock:
     def test_improper_survival_rejected(self):
         flat = SurvivalDistribution.tabulated([1.0, 1.0], tail_ratio=1.0)
         with pytest.raises(EstimatorError):
-            estimate_block(_per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0), 4)
+            estimate_block(per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0), 4)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_block_rejected(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            estimate_block(_per_lane(stub_generator(lambda i: 0.0)), GEOM_HALF, Stream(0), count)
+            estimate_block(per_lane(stub_generator(lambda i: 0.0)), GEOM_HALF, Stream(0), count)
 
     def test_vector_valued_lanes(self):
         # z takes the shape of the level-0 deltas: one row per lane.
@@ -254,14 +254,14 @@ class TestEstimateBatch:
         def gen(level, rng):
             return 2.0**-level * (1.0 + 0.3 * rng.standard_normal()), 1.0
 
-        result = estimate_batch(gen, law, 100_000, seed=13)
+        result = estimate_batch(per_lane(gen), law, 100_000, seed=13)
         values = result.z
         assert abs(result.mean - 2.0) <= four_se(values)
 
     def test_single_replicate_matches_estimate_once(self):
         gen = stub_generator(lambda i: 1.0 / (1 + i))
-        single = estimate_batch(gen, GEOM_HALF, 1, seed=4)
-        direct = estimate_once(gen, GEOM_HALF, Stream(4))
+        single = estimate_batch(per_lane(gen), GEOM_HALF, 1, seed=4)
+        direct = estimate_once(per_lane(gen), GEOM_HALF, Stream(4))
         assert single.mean == direct.value
         assert single.total_work == direct.work
 
@@ -271,7 +271,7 @@ class TestEstimateBatch:
         def gen(level, rng):
             return rng.standard_cauchy(), 1.0
 
-        result = estimate_batch(gen, SurvivalDistribution.tabulated([1.0]), 10_000, seed=5)
+        result = estimate_batch(per_lane(gen), SurvivalDistribution.tabulated([1.0]), 10_000, seed=5)
         values = result.z.tolist()
         mean = math.fsum(values) / len(values)
         assert result.mean == mean
@@ -280,7 +280,7 @@ class TestEstimateBatch:
 
     def test_single_replicate_has_no_variance(self):
         # One draw carries no spread information; 0 would read as exact.
-        single = estimate_batch(stub_generator(lambda i: 1.0), GEOM_HALF, 1, seed=4)
+        single = estimate_batch(per_lane(stub_generator(lambda i: 1.0)), GEOM_HALF, 1, seed=4)
         assert math.isnan(single.variance)
         assert math.isnan(single.std_error)
 
@@ -288,8 +288,8 @@ class TestEstimateBatch:
         def gen(level, rng):
             return rng.standard_normal() * 2.0**-level, float(level + 1)
 
-        a = estimate_batch(gen, GEOM_HALF, 500, seed=9)
-        b = estimate_batch(gen, GEOM_HALF, 500, seed=9)
+        a = estimate_batch(per_lane(gen), GEOM_HALF, 500, seed=9)
+        b = estimate_batch(per_lane(gen), GEOM_HALF, 500, seed=9)
         assert a.z.tolist() == b.z.tolist()
         assert a.N.tolist() == b.N.tolist()
 
@@ -298,8 +298,8 @@ class TestEstimateBatch:
             return rng.standard_normal() * 2.0**-level, float(level + 1)
 
         law = SurvivalDistribution.polynomial(2.5)
-        batch = estimate_batch(gen, law, 700, seed=23)
-        out = estimate_block(_per_lane(gen), law, Stream(23), 700)
+        batch = estimate_batch(per_lane(gen), law, 700, seed=23)
+        out = estimate_block(per_lane(gen), law, Stream(23), 700)
         assert np.array_equal(batch.z, out["z"])
         assert np.array_equal(batch.N, out["N"])
         assert np.array_equal(batch.work, out["work"])
@@ -307,11 +307,11 @@ class TestEstimateBatch:
     def test_levels_draw_independent_streams(self):
         # The per-level streams are keyed by the level index, so deltas of
         # one draw are uncorrelated across levels.
-        per_lane = _per_lane(lambda level, rng: (rng.standard_normal(), 1.0))
+        lifted = per_lane(lambda level, rng: (rng.standard_normal(), 1.0))
         recorded = {}
 
         def delta_batch(counts, level_rng):
-            levels = per_lane(counts, level_rng)
+            levels = lifted(counts, level_rng)
             recorded.update((level, deltas) for level, (deltas, _) in enumerate(levels))
             return levels
 
@@ -328,7 +328,7 @@ class TestEstimateBatch:
             base = np.array([1.0, -2.0]) * 2.0**-level
             return base + 0.1 * rng.standard_normal(2), 1.0
 
-        result = estimate_batch(gen, GEOM_HALF, 30_000, seed=17)
+        result = estimate_batch(per_lane(gen), GEOM_HALF, 30_000, seed=17)
         values = result.z
         assert values.shape == (30_000, 2)
         target = np.array([2.0, -4.0])  # componentwise telescoped sums
@@ -342,13 +342,13 @@ class TestEstimateBatch:
         schedule = LevelSchedule.arithmetic(m)
         survival = contracting_optimal_survival(rho, m)
         from ubmc.models import ContractingNormalsModel
-        from ubmc.couplings import contraction_delta_generator
+        from ubmc.couplings import contraction_delta_batch
 
         model = ContractingNormalsModel(rho)
-        gen = contraction_delta_generator(
+        delta_batch = contraction_delta_batch(
             model.kernel(), model.coupling(), schedule, lambda x: x, 0.0
         )
-        result = estimate_batch(gen, survival, 20_000, seed=21)
+        result = estimate_batch(delta_batch, survival, 20_000, seed=21)
         values = result.z
         assert abs(result.mean) <= four_se(values)
 

@@ -8,14 +8,13 @@ import pytest
 from ubmc import SurvivalDistribution, estimate_batch, second_moment_formula
 from ubmc.gaussian_linear import (
     GaussianLinearModel,
+    delta_batch,
     make_schedule,
     posterior_spectral,
     prior_tail_delta,
     tail_gap_second_moment,
-    tail_generator,
     truncation_delta,
     truncation_gap_second_moment,
-    truncation_generator,
 )
 from ubmc.rng import Stream
 
@@ -184,14 +183,14 @@ class TestUnbiasedness:
         target, _ = posterior_spectral(model, coord)
 
         dims, survival = make_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
-        f = lambda u: float(u[coord - 1]) if u.size >= coord else 0.0
-        batch = estimate_batch(truncation_generator(model, dims, f), survival, 20_000, seed=5)
+        f = lambda u: u[:, coord - 1] if u.shape[1] >= coord else np.zeros(len(u))
+        batch = estimate_batch(delta_batch(truncation_delta, model, dims, f), survival, 20_000, seed=5)
         values = batch.z
         assert abs(batch.mean - target) <= four_se(values)
 
         dims2, survival2 = make_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
         batch2 = estimate_batch(
-            tail_generator(model, dims2, {coord: 1.0}), survival2, 20_000, seed=6
+            delta_batch(prior_tail_delta, model, dims2, {coord: 1.0}), survival2, 20_000, seed=6
         )
         values2 = batch2.z
         assert abs(batch2.mean - target) <= four_se(values2)
@@ -206,8 +205,8 @@ class TestUnbiasedness:
         nus = np.zeros(6)
         nus[level_star] = var_k + mean_k**2
         formula = second_moment_formula(nus, survival)
-        f = lambda u: float(u[coord - 1]) if u.size >= coord else 0.0
-        batch = estimate_batch(truncation_generator(model, dims, f), survival, 50_000, seed=8)
+        f = lambda u: u[:, coord - 1] if u.shape[1] >= coord else np.zeros(len(u))
+        batch = estimate_batch(delta_batch(truncation_delta, model, dims, f), survival, 50_000, seed=8)
         zsq = batch.z ** 2
         se = zsq.std(ddof=1) / math.sqrt(zsq.size)
         assert abs(zsq.mean() - formula) <= 3.0 * se

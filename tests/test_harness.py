@@ -19,7 +19,7 @@ from ubmc.harness import (
 )
 from ubmc.models import ContractingNormalsModel
 
-from conftest import four_se
+from conftest import four_se, per_lane
 
 
 def contracting_config(**overrides) -> ExperimentConfig:
@@ -230,17 +230,14 @@ class TestLanePathLaw:
             regularity=2.0, lipschitz=1.0,
         )
         schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.6, theta=1.0, eps=0.25)
-        gen = pcn.delta_generator(
-            model, schedule, lambda x: min(1.0, float(np.linalg.norm(x))),
-            np.zeros(schedule.dims_at(0)),
-        )
+        f, x0 = lambda x: min(1.0, float(np.linalg.norm(x))), np.zeros(schedule.dims_at(0))
+        gen = lambda level, rng: pcn._delta(model, schedule, level, [1], f, x0, rng)[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
-        reference = estimate_batch(gen, law, replicates=6000, seed=4)
+        reference = estimate_batch(per_lane(gen), law, replicates=6000, seed=4)
         assert_same_law(records["z"], reference.z)
 
     def test_circle_matches_scalar_generator(self):
-        from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch
-        from ubmc.couplings import contraction_delta_generator
+        from ubmc import LevelSchedule, SurvivalDistribution, couplings, estimate_batch
         from ubmc.harness import _run_blocks
         from ubmc.models import CircleChainModel
 
@@ -249,17 +246,17 @@ class TestLanePathLaw:
         )
         _, records = _run_blocks(config)
         model = CircleChainModel()
-        gen = contraction_delta_generator(
-            model.kernel(), model.coupling(), LevelSchedule.arithmetic(1), math.cos, 0.0
-        )
+        kernel, coupling, schedule = model.kernel(), model.coupling(), LevelSchedule.arithmetic(1)
+        gen = lambda level, rng: couplings._delta(
+            kernel, coupling, schedule, level, [1], 0.0, math.cos, rng
+        )[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
-        reference = estimate_batch(gen, law, replicates=6000, seed=4)
+        reference = estimate_batch(per_lane(gen), law, replicates=6000, seed=4)
         assert_same_law(records["z"], reference.z)
 
     def test_logistic_matches_scalar_generator(self):
         import ubmc.pcn as pcn
-        from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch
-        from ubmc.couplings import contraction_delta_generator
+        from ubmc import LevelSchedule, SurvivalDistribution, couplings, estimate_batch
         from ubmc.harness import _run_blocks
         from ubmc.models import LogisticModel, logistic_reference_fit
 
@@ -273,13 +270,13 @@ class TestLanePathLaw:
         center, cov = logistic_reference_fit(model, 10_000, seed=101)
         assert list(center) == meta["reference_center"]
         chain = pcn.PcnModel.gaussian_reference(0.5, model.neg_log_density, center, cov)
-        gen = contraction_delta_generator(
-            pcn.kernel(chain), pcn.coupling(chain),
-            LevelSchedule.arithmetic(meta["step_multiplier"]),
-            lambda beta: float(beta[0]), center,
-        )
+        kernel, coupling = pcn.kernel(chain), pcn.coupling(chain)
+        schedule = LevelSchedule.arithmetic(meta["step_multiplier"])
+        gen = lambda level, rng: couplings._delta(
+            kernel, coupling, schedule, level, [1], center, lambda beta: float(beta[0]), rng
+        )[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
-        reference = estimate_batch(gen, law, replicates=4000, seed=6)
+        reference = estimate_batch(per_lane(gen), law, replicates=4000, seed=6)
         assert_same_law(records["z"], reference.z)
 
     def test_indep_sampler_matches_scalar_generator(self):
@@ -302,9 +299,10 @@ class TestLanePathLaw:
             alpha_star=plan["meta"]["alpha_star"],
         )
         schedule = LevelSchedule(lambda i: 2 * (i + 1), lambda i: min(i + 1, 2))
-        gen = isamp.delta_generator(model, schedule, lambda u: float(u[0]), np.zeros(1))
+        f = lambda u: float(u[0])
+        gen = lambda level, rng: isamp._delta(model, schedule, level, [1], f, np.zeros(1), rng)[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
-        reference = estimate_batch(gen, law, replicates=6000, seed=4)
+        reference = estimate_batch(per_lane(gen), law, replicates=6000, seed=4)
         assert_same_law(records["z"], reference.z)
 
 
@@ -357,6 +355,45 @@ class TestEllipticIsPlan:
             "N": "929f1103a179d9e7cec97300ea7ec3b856e1f8eb819d7ab1dba976e0f1fe130b",
             "work": "0ed8927c0a84b5e02b9194cf3390632d4a781f7e2d554267e06036fcc5ba8d95",
         }
+        for name, digest in digests.items():
+            assert hashlib.sha256(out[name].tobytes()).hexdigest() == digest, name
+
+
+class TestLinearGaussianPlan:
+    """Both linear-gaussian variants step every lane of a level as one
+    ``(lanes, j_i)`` block, reading the level's stream lane after lane."""
+
+    CONFIG = Path(__file__).resolve().parents[1] / "configs" / "linear-gaussian.json"
+
+    @pytest.mark.parametrize(
+        "variant, params, digests",
+        [
+            ("linear-tail", {}, {
+                "z": "6c37f5643197f9ef105f807e490d4e631a3d384a44c232d4205e2c98deef24c5",
+                "N": "20a6995d3bacaf2f69ca2465485cec1a27bfc4eb6a9619537a2ffb8668ef1c70",
+                "work": "46c80bbe2a69ef6ba1529ff4d95f5e18ac0a459459d76ba745c0cce9e1c08903",
+            }),
+            ("holder", {"variant": "holder", "coordinate": 2, "eps": 0.5}, {
+                "z": "1e0b40928ae24867507a8b1c8331969d6c55066418b2c2567f4080adeab895dd",
+                "N": "f1b2422566e87ca5c663d89abe585053e5364a614ecd8f0f7169794681f8e36a",
+                "work": "3c10554d68aa4b82272ce6ca274c9f1601fecc2dabb9d5c3675551b999813861",
+            }),
+        ],
+        ids=["linear-tail", "holder"],
+    )
+    def test_block_pinned(self, variant, params, digests):
+        # Block 0 at the config's seed, bit for bit, as the draws were when
+        # each lane drew its normals on its own.
+        import hashlib
+
+        from ubmc import Stream
+
+        raw = json.loads(self.CONFIG.read_text())
+        raw["params"].update(params)
+        config = ExperimentConfig.from_dict(raw)
+        assert config.params["variant"] == variant
+        plan = harness._prepare_cached(harness._config_key(config))
+        out = plan["run_block"](Stream(config.seed).child(0), 1024, 0)
         for name, digest in digests.items():
             assert hashlib.sha256(out[name].tobytes()).hexdigest() == digest, name
 
@@ -643,6 +680,7 @@ class TestCli:
             ("circle", {}, {"m": 1, "bogus": 1}),
             ("circle", {}, {"kind": "multiplier-ansatz"}),
             ("linear-gaussian", {"a": 1.5}, {"kind": "dyadic", "bogus": 1}),
+            ("linear-gaussian", {"a": 1.5, "eps": 0.5}, {"kind": "dyadic", "eps": 0.4}),
             ("indep-sampler", {"model": "linear2d"}, {"kind": "saturating", "q": 2.6}),
             ("pcn", {}, {"variant": "bounded", "bogus": 1}),
             ("logistic", {"reference_draws": 10_000}, {"kind": "arithmetic", "m": 4}),
@@ -650,7 +688,7 @@ class TestCli:
         ],
         ids=[
             "contracting-normals", "contracting-ansatz-m", "circle", "circle-kind",
-            "linear-gaussian", "indep-sampler", "pcn", "logistic", "tune",
+            "linear-gaussian", "linear-gaussian-eps", "indep-sampler", "pcn", "logistic", "tune",
         ],
     )
     def test_unread_schedule_exit_2(self, tmp_path, capsys, monkeypatch, experiment, params, schedule):
@@ -708,6 +746,66 @@ class TestCli:
         )
         summary = run_experiment(config)
         assert abs(summary["mean"]) <= 4.0 * summary["se"]
+
+    @pytest.mark.parametrize(
+        "params, schedule, survival",
+        [
+            ({"variant": "holder"}, {}, {"kind": "geometric", "rate": 0.6}),
+            ({"variant": "linear-tail"}, {}, {"kind": "geometric", "rate": 0.8, "exponent": 3.0}),
+            ({"variant": "holder"}, {}, {"kind": "polynomial", "exponent": 6.0}),
+            (
+                {"variant": "linear-tail"}, {},
+                {"kind": "tabulated", "values": [1.0, 0.4], "tail_ratio": 0.5},
+            ),
+            ({"variant": "holder"}, {"kind": "polynomial", "q": 3.0}, {"kind": "polynomial", "exponent": 4.0}),
+            (
+                {"variant": "linear-tail"}, {"kind": "polynomial", "q": 3.0},
+                {"kind": "polynomial", "exponent": 3.0},
+            ),
+            # Dims ceil(i^q) are bumped to j_i >= i + 1, so q < 1 costs like q = 1.
+            (
+                {"variant": "holder", "a": 5.0}, {"kind": "polynomial", "q": 0.5},
+                {"kind": "polynomial", "exponent": 1.8},
+            ),
+            # The schedule's own law at the closed endpoint: rate exactly 1/2.
+            ({"variant": "linear-tail", "a": 0.75, "p": 0.0, "eps": 1.0}, {}, {}),
+        ],
+        ids=[
+            "holder-dyadic-geometric", "tail-dyadic-geometric-exponent", "holder-dyadic-polynomial",
+            "tail-dyadic-tabulated", "holder-polynomial", "tail-polynomial",
+            "holder-polynomial-q-below-1", "tail-dyadic-endpoint-default",
+        ],
+    )
+    def test_linear_gaussian_infinite_work_law_exit_2(
+        self, tmp_path, capsys, monkeypatch, params, schedule, survival
+    ):
+        # Level i costs t_i = j_i draws (holder) or j_i - j_{i-1}
+        # (linear-tail): E[work] = sum_i t_i Fbar_i must be finite.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the law was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        config = {
+            "experiment": "linear-gaussian",
+            "params": {"a": 1.5, "p": 0.25, "eps": 0.5, **params},
+            "schedule": schedule,
+            "survival": survival,
+        }
+        path = tmp_path / "linear-gaussian.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["linear-gaussian", "--config", str(path)]) == 2
+        assert "E[work] = sum_i t_i Fbar_i diverges" in capsys.readouterr().err
+
+    def test_linear_gaussian_law_override_with_finite_work_runs(self):
+        config = ExperimentConfig(
+            experiment="linear-gaussian",
+            params={"a": 1.5, "p": 0.25, "variant": "holder", "coordinate": 2},
+            survival={"kind": "geometric", "rate": 0.4},
+            replicates=4000,
+            seed=8,
+        )
+        summary = run_experiment(config)
+        assert abs(summary["mean"] - summary["target_mean"]) <= 4.0 * summary["se"]
 
     def test_rejected_model_parameter_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pcn.json"

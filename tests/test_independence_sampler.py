@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from ubmc import LevelSchedule, Stream, SurvivalDistribution
+from ubmc import independence_sampler
 from ubmc.estimator import estimate_block
 from ubmc.independence_sampler import (
     AcceptanceFloorError,
@@ -15,7 +16,6 @@ from ubmc.independence_sampler import (
     UniformPriorModel,
     coupled_is_step,
     delta_batch,
-    delta_generator,
     draw_randomness,
     is_acceptance,
     make_schedule,
@@ -314,22 +314,22 @@ class TestUnbiasedDelta:
         # delta is bounded by the high-mode envelope of the observable.
         model = constant_forward_model(alpha_star=1.0)
         schedule = LevelSchedule([2, 4, 6], [1, 2, 3])
+        levels = delta_batch(model, schedule, lambda u: np.sum(u, axis=-1), np.zeros(1))(
+            [50] * 3, lambda level: stream.child(level).generator()
+        )
         for level in (1, 2):
             j_lo, j_hi = schedule.dims_at(level - 1), schedule.dims_at(level)
             envelope = sum(1.0 / k for k in range(j_lo + 1, j_hi + 1))
-            for rep in range(50):
-                delta, _ = delta_generator(
-                    model, schedule, lambda u: float(np.sum(u)), np.zeros(1)
-                )(level, stream.child(level, rep).generator())
-                assert abs(delta) <= envelope + 1e-12
+            deltas, _ = levels[level]
+            assert np.all(np.abs(deltas) <= envelope + 1e-12)
 
     def test_coordinate_one_synchronized_gives_zero(self, stream):
         model = constant_forward_model(alpha_star=1.0)
         schedule = LevelSchedule([1, 3], [1, 2])
-        delta, work = delta_generator(
-            model, schedule, lambda u: float(u[0]), np.zeros(1)
-        )(1, stream.generator())
-        assert delta == 0.0
+        _, (delta, work) = delta_batch(model, schedule, lambda u: u[:, 0], np.zeros(1))(
+            [1, 1], lambda level: stream.child(level).generator()
+        )
+        assert delta.tolist() == [0.0]
         assert work == pytest.approx(3 * 2.0)  # a_1 * j_1^theta, theta = 1
 
     def test_unbiased_against_quadrature(self):
@@ -365,7 +365,8 @@ class TestLaneDelta:
         schedule = LevelSchedule([4, 8, 12], [2, 4, 8])
         x0 = np.zeros(2)
         lanes = delta_batch(model, schedule, lambda u: np.sum(u, axis=-1), x0)
-        gen = delta_generator(model, schedule, lambda u: float(np.sum(u)), x0)
+        f = lambda u: float(np.sum(u))
+        gen = lambda level, rng: independence_sampler._delta(model, schedule, level, [1], f, x0, rng)[0]
         n = 1000
         levels = lanes([4 * n] * 3, lambda i: Stream(11).child(i).generator())
         for level in (1, 2):
@@ -385,7 +386,6 @@ class TestLaneDelta:
         # streams, levels 2.. as one fused run on level 2's stream.  Each
         # fused level's mean and E[delta_i^2] match the level run alone.
         # A low floor and one step per level keep deltas up to level 4.
-        from ubmc import independence_sampler
         from conftest import moments_agree, recording_level_rng
 
         model = linear_model(alpha_star=0.01)

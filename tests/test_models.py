@@ -28,7 +28,7 @@ from ubmc.models import (
     logistic_posterior_logdensity,
     logistic_reference_fit,
 )
-from conftest import four_se
+from conftest import four_se, per_lane
 
 
 def arc_length(x):
@@ -129,8 +129,7 @@ class TestContractingNormals:
     def test_vectorized_batch_agrees_with_generic_driver(self):
         # The block-vectorized executor is the same coupling as the generic
         # scalar driver, batched; their first two moments must agree.
-        from ubmc import LevelSchedule, estimate_batch
-        from ubmc.couplings import contraction_delta_generator
+        from ubmc import LevelSchedule, couplings, estimate_batch
         from ubmc.models import contracting_unbiased_block
         from ubmc.tuning import contracting_optimal_survival
 
@@ -139,10 +138,11 @@ class TestContractingNormals:
         survival = contracting_optimal_survival(rho, m)
         vector = contracting_unbiased_block(rho, schedule, survival, Stream(51), n)
         model = ContractingNormalsModel(rho)
-        gen = contraction_delta_generator(
-            model.kernel(), model.coupling(), schedule, lambda x: x, 0.0
-        )
-        scalar = estimate_batch(gen, survival, n, seed=52)
+        kernel, coupling = model.kernel(), model.coupling()
+        gen = lambda level, rng: couplings._delta(
+            kernel, coupling, schedule, level, [1], 0.0, lambda x: x, rng
+        )[0]
+        scalar = estimate_batch(per_lane(gen), survival, n, seed=52)
         zs = scalar.z
         zv = vector["z"]
         se_mean = math.hypot(zs.std(ddof=1), zv.std(ddof=1)) / math.sqrt(n)

@@ -27,7 +27,7 @@ def norm_model(rho=0.7, a=2.0):
 
 def flat_model(rho=0.7, a=2.0):
     return pcn.PcnModel.diagonal(
-        rho, lambda x: 0.0, lambda l: float(l) ** (-2 * a), regularity=a
+        rho, lambda x: np.zeros(np.shape(x)[:-1]), lambda l: float(l) ** (-2 * a), regularity=a
     )
 
 
@@ -267,27 +267,24 @@ class TestCoupledStep:
 
 class TestUnbiasedDelta:
     def test_constant_observable_gives_zero(self, stream):
-        model = norm_model()
+        model = row_norm_model()
         sched = LevelSchedule.arithmetic(2, dims=lambda i: i + 1)
+        f = lambda x: np.full(len(x), 4.5)
+        levels = pcn.delta_batch(model, sched, f, np.zeros(1))(
+            [1] * 4, lambda level: stream.child(level).generator()
+        )
         for level in (1, 2, 3):
-            delta, _ = pcn.delta_generator(model, sched, lambda x: 4.5, np.zeros(1))(
-                level, stream.child(level).generator()
-            )
-            assert delta == 0.0
+            delta, _ = levels[level]
+            assert delta.tolist() == [0.0]
 
     def test_flat_density_first_coordinate_centred(self, stream):
         # g = 0: both marginals are exact Gaussian autoregressions, so the
         # first-coordinate difference has mean zero at every level.
         model = flat_model()
         sched = LevelSchedule.arithmetic(2, dims=lambda i: i + 1)
-        deltas = np.array(
-            [
-                pcn.delta_generator(model, sched, lambda x: float(x[0]), np.zeros(1))(
-                    2, stream.child(r).generator()
-                )[0]
-                for r in range(4000)
-            ]
-        )
+        deltas, _ = pcn.delta_batch(model, sched, lambda x: x[:, 0], np.zeros(1))(
+            [4000] * 3, lambda level: stream.child(level).generator()
+        )[2]
         assert abs(deltas.mean()) <= four_se(deltas)
 
     def test_rms_decay_matches_pilot_rate(self):
@@ -304,28 +301,24 @@ class TestUnbiasedDelta:
         r = pilot.rate
         assert r < 1.0
         sched, _ = pcn.make_schedule(model, "bounded", m=2, r=r, theta=1.0, eps=0.2)
-        f = lambda x: min(1.0, float(np.linalg.norm(x)))
+        f = lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1))
+        levels = pcn.delta_batch(model, sched, f, np.zeros(1))(
+            [400] * 7, lambda i: Stream(100 + i).generator()
+        )
         rms = []
         for i in range(1, 7):
-            deltas = np.array(
-                [
-                    pcn.delta_generator(model, sched, f, np.zeros(1))(
-                        i, Stream(100 + i).child(rep).generator()
-                    )[0]
-                    for rep in range(400)
-                ]
-            )
+            deltas = levels[i][0]
             rms.append(math.sqrt(float(np.mean(deltas**2))))
         a_prev = [sched.steps_at(i - 1) for i in range(1, 7)]
         slope = np.polyfit(a_prev, np.log(rms), 1)[0]
         assert slope <= 0.5 * math.log(r) + 0.05
 
     def test_work_units(self, stream):
-        model = norm_model()
+        model = row_norm_model()
         model.work_exponent = 1.5
         sched = LevelSchedule([2, 5], [2, 3])
-        _, work = pcn.delta_generator(model, sched, lambda x: 0.0, np.zeros(2))(
-            1, stream.generator()
+        _, (_, work) = pcn.delta_batch(model, sched, lambda x: np.zeros(len(x)), np.zeros(2))(
+            [1, 1], lambda level: stream.child(level).generator()
         )
         assert work == pytest.approx(5 * 3.0**1.5)
 
@@ -479,10 +472,10 @@ class TestStationarity:
         # Scalar target with g = |x|: the estimator and a long chain agree
         # within combined Monte Carlo error.
         model = pcn.PcnModel.diagonal(
-            0.6, lambda x: float(np.abs(x).sum()), lambda l: 1.0,
+            0.6, lambda x: np.abs(x).sum(axis=-1), lambda l: 1.0,
             regularity=2.0, lipschitz=1.0,
         )
-        f = lambda x: min(1.0, float(np.abs(x).sum()))
+        f = lambda x: np.minimum(1.0, np.abs(x).sum(axis=-1))
         rng = Stream(3).generator()
         x = np.zeros(1)
         for _ in range(200):
@@ -498,8 +491,7 @@ class TestStationarity:
 
         sched = LevelSchedule.arithmetic(3, dims=lambda i: 1)
         survival = SurvivalDistribution.geometric(0.6**3)
-        gen = pcn.delta_generator(model, sched, f, np.zeros(1))
-        batch = estimate_batch(gen, survival, 20_000, seed=7)
+        batch = estimate_batch(pcn.delta_batch(model, sched, f, np.zeros(1)), survival, 20_000, seed=7)
         z = batch.z
         se_z = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(chain_mean - batch.mean) <= 4.0 * math.hypot(chain_se, se_z)
@@ -555,9 +547,7 @@ class TestRecentred:
         )
         sched = LevelSchedule.arithmetic(1, dims=lambda i: i + 1)
         with pytest.raises(ValueError):
-            pcn.delta_generator(model, sched, lambda x: 0.0, np.zeros(1))(
-                1, Stream(0).generator()
-            )
+            pcn._delta(model, sched, 1, [1], lambda x: 0.0, np.zeros(1), Stream(0).generator())
 
     def test_pilot_on_states_evaluates_proposals_only(self):
         # Pairs given as PcnStates carry g(x) from step to step: the same
