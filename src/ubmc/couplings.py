@@ -288,10 +288,15 @@ def strictly_increasing(fn: Callable[[int], float]) -> Callable[[int], int]:
 def pad_to(state, n: int) -> np.ndarray:
     """Embed a coefficient vector, or each row of a ``(lanes, j)`` array,
     into dimension ``n``: zero-pad or truncate."""
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    if state.shape[-1] >= n:
+    state = np.asarray(state, dtype=float)
+    if state.ndim == 0:
+        state = state.reshape(1)
+    width = state.shape[-1]
+    if width >= n:
         return state[..., :n]
-    return np.pad(state, [(0, 0)] * (state.ndim - 1) + [(0, n - state.shape[-1])])
+    padded = np.zeros((*state.shape[:-1], n))
+    padded[..., :width] = state
+    return padded
 
 
 def minorized_step(

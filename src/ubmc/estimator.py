@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "estimate_once",
     "estimate_block",
     "estimate_batch",
+    "draw_statistics",
     "second_moment_formula",
     "expected_work",
 ]
@@ -54,6 +55,15 @@ BLOCK_SIZE = 1024
 # distinct children so deltas are mutually independent.
 _KEY_TRUNCATION = 0
 _KEY_LEVEL_BASE = 1
+
+# Exact sums (see _fsum): values per chunk, which bounds the temporaries,
+# values per bucket sum, below which it is exact, and the IEEE-754 bit
+# patterns that bound the values summed by exponent.
+_SUM_CHUNK = 2**15
+_BUCKET_LIMIT = 2**26
+_ABS_BITS = np.uint64(2**63 - 1)
+_TINY_BITS = 55 << 52  # |x| < 2^-968: a 26-bit half of x could be subnormal
+_HUGE_BITS = 2019 << 52  # |x| >= 2^996: x (2^27 + 1) could overflow
 
 
 class EstimatorError(Exception):
@@ -364,38 +374,100 @@ def estimate_batch(
     """Average ``replicates`` independent draws of the estimator.
 
     The replicates are the lanes of one :func:`estimate_block` on
-    ``Stream(seed)``, so a batch is reproducible draw-for-draw, and the
-    aggregation below (``math.fsum``) is exact in any summation order.
+    ``Stream(seed)``, so a batch is reproducible draw-for-draw, and its
+    statistics are those of :func:`draw_statistics`.
     """
     out = estimate_block(delta_batch, survival, Stream(seed), replicates)
-    mean, var = _mean_variance(out["z"])
+    mean, var, total_work = draw_statistics(out["z"], out["work"])
     return BatchResult(
         mean=mean,
         variance=var,
-        total_work=math.fsum(out["work"]),
+        total_work=total_work,
         z=out["z"],
         N=out["N"],
         work=out["work"],
     )
 
 
-def _mean_variance(values: np.ndarray):
-    """``math.fsum`` mean and unbiased variance of draws along axis 0.
+def draw_statistics(z: np.ndarray, work: np.ndarray):
+    """``(mean, variance, total_work)`` of draws ``z`` and their ``work``.
 
-    Columns of a 2-d array are treated separately.  One draw has no
-    sample variance, so it gets NaN rather than a spurious 0.
+    The mean is ``math.fsum(z) / n``, the unbiased variance
+    ``math.fsum((z - mean) ** 2) / (n - 1)`` and the total work
+    ``math.fsum(work)``, all bit for bit: every sum is correctly rounded,
+    so none depends on the order of the draws.  Columns of a 2-d ``z`` are
+    treated separately.  One draw has no sample variance, so it gets NaN
+    rather than a spurious 0.
     """
+    return (*_mean_variance(np.asarray(z, dtype=float)), _fsum(_chunks(np.asarray(work, dtype=float))))
+
+
+def _mean_variance(values: np.ndarray):
     if values.ndim > 1:
         columns = [_mean_variance(col) for col in values.T]
         return np.array([m for m, _ in columns]), np.array([v for _, v in columns])
     n = values.size
-    mean = math.fsum(values) / n
+    mean = _fsum(_chunks(values)) / n
     if n == 1:
         return mean, math.nan
-    # Square in slices: fsum is exact in any order, and a temporary the
-    # size of the column would only raise the peak memory of large runs.
-    squares = ((values[k : k + 8192] - mean) ** 2 for k in range(0, n, 8192))
-    return mean, math.fsum(itertools.chain.from_iterable(squares)) / (n - 1)
+    return mean, _fsum(_chunks(values, center=mean)) / (n - 1)
+
+
+def _chunks(values: np.ndarray, center: float | None = None) -> Callable[[], Iterator[np.ndarray]]:
+    """Chunks of ``values``, or of ``(values - center) ** 2``, as
+    :func:`_fsum` takes them: the squares are made one chunk at a time, so
+    no temporary is the size of ``values``."""
+
+    def chunks():
+        for k in range(0, values.size, _SUM_CHUNK):
+            chunk = values[k : k + _SUM_CHUNK]
+            if center is not None:
+                chunk = chunk - center
+                np.multiply(chunk, chunk, out=chunk)
+            yield chunk
+
+    return chunks
+
+
+def _fsum(chunks: Callable[[], Iterator[np.ndarray]]) -> float:
+    """``math.fsum`` of the values of ``chunks()``, bit for bit, without
+    one Python float per value.
+
+    Each value ``x`` splits exactly into ``hi + lo``, halves of at most 26
+    significant bits (Veltkamp: ``c = x (2^27 + 1)``, ``hi = c - (c - x)``,
+    ``lo = x - hi``).  A half whose IEEE exponent field is ``e`` is an
+    integer multiple of ``2^(e - 1048)`` below ``2^26`` in size, so
+    ``np.bincount`` sums fewer than ``2^26`` halves per exponent field
+    exactly.  ``math.fsum`` of those sums is the correctly rounded total,
+    as ``math.fsum`` of the values is; chunks under 64 values add their
+    values as they are.  Subnormal and non-finite values, and values that
+    could make a half subnormal or overflow the split, send the whole sum
+    to ``math.fsum`` in order: near overflow, its result depends on the
+    order.
+    """
+    partials, sums, count = [], np.zeros((2, 2048)), 0
+    for x in chunks():
+        bits = x.view(np.uint64) & _ABS_BITS
+        if bits.max() >= _HUGE_BITS or (bits - np.uint64(1)).min() < _TINY_BITS - 1:
+            return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks()))
+        if x.size < 64:
+            partials.append(x)
+            continue
+        if count + x.size >= _BUCKET_LIMIT:
+            partials.append(sums[sums != 0.0])
+            sums, count = np.zeros((2, 2048)), 0
+        count += x.size
+        hi = x * 134217729.0  # 2^27 + 1
+        lo = hi - x
+        np.subtract(hi, lo, out=hi)
+        np.subtract(x, hi, out=lo)
+        field = bits  # reused: the exponent field of each half
+        for row, half in zip(sums, (hi, lo)):
+            np.right_shift(half.view(np.uint64), 52, out=field)
+            field &= np.uint64(0x7FF)
+            row += np.bincount(field, weights=half, minlength=2048)
+    partials.append(sums[sums != 0.0])
+    return math.fsum(itertools.chain.from_iterable(partials))
 
 
 def second_moment_formula(

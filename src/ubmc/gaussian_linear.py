@@ -237,10 +237,11 @@ def make_schedule(
     finite only strictly inside it.
 
     The polynomial geometry uses the same survival exponent
-    ``s(q - 1 - 2 a q) + 2 + eps`` for both variants (with ``s = 1`` for
+    ``-(s(q - 1 - 2 a q) + 2 + eps)`` for both variants (with ``s = 1`` for
     linear functions); for the prior-completed coupling this choice is
     conservative rather than rate-matched, and ``s`` enters only through
-    it.
+    it.  Its ``eps`` must keep the exponent above ``max(q, 1) + 1``: the
+    dimensions are bumped to grow at least one per level.
     """
     if variant not in ("holder", "linear-tail"):
         raise ValueError("variant must be 'holder' or 'linear-tail'")
@@ -277,9 +278,13 @@ def make_schedule(
     q_lb = (s - 3.0) / (1.0 + s - 2.0 * a * s)
     if not q > q_lb:
         raise ValueError(f"requires q > (s - 3) / (1 + s - 2 a s) = {q_lb}")
-    eps_ub = s - 3.0 - q * (1.0 + s - 2.0 * a * s)
+    # Dims ceil(i^q) are bumped to j_i >= i + 1, so level i costs about i^g
+    # draws, g = max(q, 1): E[work] is finite once the exponent passes g + 1.
+    eps_ub = s - 3.0 - q * (1.0 + s - 2.0 * a * s) - (max(q, 1.0) - q)
     if not 0.0 < eps < eps_ub:
-        raise ValueError(f"requires 0 < eps < s - 3 - q (1 + s - 2 a s) = {eps_ub}")
+        raise ValueError(
+            f"requires 0 < eps < s - 3 - q (1 + s - 2 a s) - (max(q, 1) - q) = {eps_ub}"
+        )
     exponent = -(s * (q - 1.0 - 2.0 * a * q) + 2.0 + eps)
     dims = strictly_increasing(lambda i: math.ceil(max(i, 1) ** q))
     return dims, SurvivalDistribution.polynomial(exponent)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gaussian_linear, independence_sampler, models, pcn, tuning
 from .couplings import LevelSchedule, MarkovKernel, contraction_delta_batch, estimate_contraction
-from .estimator import BLOCK_SIZE, SurvivalDistribution, _mean_variance, estimate_block
+from .estimator import BLOCK_SIZE, SurvivalDistribution, draw_statistics, estimate_block
 from .estimator import estimate_once  # noqa: F401 - name the benchmark's trace probe wraps
 from .rng import Stream
 
@@ -134,25 +134,22 @@ def _arithmetic_survival(
     return law
 
 
-def _linear_gaussian_survival(
-    spec: dict, default: SurvivalDistribution, variant: str, geometry: str, q
+def _finite_work_survival(
+    spec: dict, default: SurvivalDistribution | None, base: float, power: float, levels: str
 ) -> SurvivalDistribution:
-    """:func:`_survival_from_config` for linear-gaussian levels, which cost
-    ``t_i = j_i`` draws (holder) or ``j_i - j_{i-1}`` (linear-tail)."""
+    """:func:`_survival_from_config` for ``levels`` whose work grows like
+    ``t_i ~ base^i i^power`` (``base >= 1``): ``E[work] = sum_i t_i Fbar_i``
+    must be finite."""
     law = _survival_from_config(spec, default)
-    # t_i grows like 2^i on dims 2^i.  Dims ceil(i^q) are bumped to
-    # j_i >= i + 1, so t_i grows like i^g, g = max(q, 1), or i^(g - 1).
-    base = 2.0 if geometry == "dyadic" else 1.0
-    power = 0.0 if geometry == "dyadic" else max(q, 1.0) - (variant == "linear-tail")
     if law.kind == "polynomial":
         finite = base == 1.0 and law.exponent > power + 1.0
     else:  # a table with no tail ends, so its sum is finite
         ratio = law.rate**law.exponent if law.kind == "geometric" else law.tail_ratio or 0.0
         finite = base * ratio < 1.0
-    growth = "2^i" if geometry == "dyadic" else f"i^{power:g}"
+    growth = " ".join(([f"{base:.6g}^i"] if base != 1.0 else []) + ([f"i^{power:g}"] if power else []))
     _require(finite, (
-        f"E[work] = sum_i t_i Fbar_i diverges: {variant} levels on {geometry} dims "
-        f"cost t_i ~ {growth}, and {law!r} does not decay fast enough"
+        f"E[work] = sum_i t_i Fbar_i diverges: {levels} cost t_i ~ {growth or 1}, "
+        f"and {law!r} does not decay fast enough"
     ))
     return law
 
@@ -269,7 +266,14 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
     dims, survival = gaussian_linear.make_schedule(
         variant, geometry, a=a, p=p, s=s, q=q, eps=params.get("eps", 0.5)
     )
-    survival = _linear_gaussian_survival(config.survival, survival, variant, geometry, q)
+    # Level i costs t_i = j_i draws (holder) or j_i - j_{i-1} (linear-tail):
+    # t_i grows like 2^i on dims 2^i.  Dims ceil(i^q) are bumped to
+    # j_i >= i + 1, so t_i grows like i^g, g = max(q, 1), or i^(g - 1).
+    base = 2.0 if geometry == "dyadic" else 1.0
+    power = 0.0 if geometry == "dyadic" else max(q, 1.0) - (variant == "linear-tail")
+    survival = _finite_work_survival(
+        config.survival, survival, base, power, f"{variant} levels on {geometry} dims"
+    )
     model = gaussian_linear.GaussianLinearModel(p=p, a=a)
     if variant == "holder":
         level_delta = gaussian_linear.truncation_delta
@@ -438,15 +442,13 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     else:
         raise ConfigError(f"unknown observable {fname!r}")
     sched = _schedule(config, "variant", "m", "r", "theta", "eps")
+    variant, m, r = sched.get("variant", "bounded"), int(sched.get("m", 2)), float(sched.get("r", 0.85))
     schedule, survival = pcn.make_schedule(
-        model,
-        sched.get("variant", "bounded"),
-        m=int(sched.get("m", 2)),
-        r=float(sched.get("r", 0.85)),
-        theta=float(sched.get("theta", 1.0)),
-        eps=float(sched.get("eps", 0.25)),
+        model, variant, m=m, r=r, theta=float(sched.get("theta", 1.0)), eps=float(sched.get("eps", 0.25))
     )
-    survival = _survival_from_config(config.survival, survival)
+    # Level i costs t_i = m (i + 1) j_i^theta, and j_i grows like g^i.
+    cost_growth = pcn.dimension_growth(model, variant, m, r) ** model.work_exponent
+    survival = _finite_work_survival(config.survival, survival, cost_growth, 1.0, "pcn levels")
     x0 = np.zeros(schedule.dims_at(0))
     return {
         "run_block": _lane_block(pcn.delta_batch(model, schedule, f, x0), survival, schedule.dims_at),
@@ -650,8 +652,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     plan, records = _run_blocks(config)
     z = records["z"]
     n = z.size
-    mean, variance = _mean_variance(z)
-    expected_work = math.fsum(records["work"]) / n
+    mean, variance, total_work = draw_statistics(z, records["work"])
+    expected_work = total_work / n
     if n == 1:
         variance = None
     summary = {

@@ -61,6 +61,9 @@ class Branch(IntEnum):
     RESIDUAL_REJECT = 2
 
 
+_ACCEPT, _REJECT = Branch.RESIDUAL_ACCEPT.value, Branch.RESIDUAL_REJECT.value
+
+
 class StepRandomness(NamedTuple):
     """All randomness of one split step, shared across coupled chains."""
 
@@ -92,8 +95,10 @@ class UniformPriorModel:
             raise ValueError("alpha_star must lie in (0, 1]")
         self.y = np.asarray(self.y, dtype=float)
         self._widths_cache: list[float] = []
+        self._widths = np.empty(0)
 
     def widths(self, j: int) -> np.ndarray:
+        """``u*_1 .. u*_j``, a read-only view of one cached array."""
         cache = self._widths_cache
         while len(cache) < j:
             k = len(cache) + 1
@@ -103,16 +108,20 @@ class UniformPriorModel:
             if cache and w > cache[-1]:
                 raise ValueError("box half-widths must be nonincreasing")
             cache.append(w)
-        return np.asarray(cache[:j])
+        if self._widths.size < j:
+            self._widths = np.array(cache)
+            self._widths.flags.writeable = False
+        return self._widths[:j]
 
     def misfit(self, j: int, state: np.ndarray) -> np.ndarray:
         """``|y - G_j(state)|^2``, one value per row of ``state``."""
         g = np.asarray(self.forward(j, state), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"forward map returned non-finite values at j={j}")
         if g.shape[:-1] != np.shape(state)[:-1]:
             raise ValueError("forward map must give one observation row per state row")
-        return np.sum((self.y - g) ** 2, axis=-1)
+        gap = self.y - g
+        return np.add.reduce(np.multiply(gap, gap, out=gap), axis=-1)
 
 
 def propose(model: UniformPriorModel, j: int, rng: np.random.Generator, lanes: tuple = ()):
@@ -122,20 +131,33 @@ def propose(model: UniformPriorModel, j: int, rng: np.random.Generator, lanes: t
 
 def is_acceptance(model: UniformPriorModel, j: int, x: np.ndarray, xi: np.ndarray):
     """``1 ^ exp(|y - G_j(x)|^2 / 2 - |y - G_j(xi)|^2 / 2)``, one value per
-    row; ``x`` and ``xi`` go through the forward map as one stacked call."""
-    misfits = model.misfit(j, np.stack([x, xi]))
-    return np.exp(np.minimum(0.5 * misfits[0] - 0.5 * misfits[1], 0.0))
+    row; the rows of ``x`` and then of ``xi`` go through the forward map as
+    one call."""
+    x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+    alpha = _acceptance_rows(model, j, x.reshape(-1, x.shape[-1]), xi.reshape(-1, xi.shape[-1]))
+    return alpha.reshape(x.shape[:-1])[()]
+
+
+def _acceptance_rows(model: UniformPriorModel, j: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """:func:`is_acceptance` of ``(lanes, j)`` rows."""
+    halves = 0.5 * model.misfit(j, np.concatenate([x, xi]))
+    log_alpha = np.subtract(halves[: len(x)], halves[len(x) :])
+    return np.exp(np.minimum(log_alpha, 0.0, out=log_alpha), out=log_alpha)
 
 
 def draw_randomness(model: UniformPriorModel, j: int, rng: np.random.Generator, lanes: tuple = ()):
     """Draw the shared randomness of one split step at top dimension ``j``:
-    ``u1``, ``u2``, then the proposal rows, each one per lane."""
-    return StepRandomness(
-        u1=rng.random(lanes or None),
-        u2=rng.random(lanes or None),
-        xi1=propose(model, j, rng, lanes),
-        xi2=propose(model, j, rng, lanes),
-    )
+    ``u1``, ``u2``, then the proposal rows, each one per lane.  One
+    ``rng.random`` call fills all four in that order, with the values that
+    four calls in turn would give."""
+    n = math.prod(lanes)
+    draws = rng.random(2 * n * (j + 1))
+    xi = draws[2 * n :].reshape(2, *lanes, j)
+    xi *= 2.0  # (2 u - 1) * u*_k in place, as propose computes it
+    xi -= 1.0
+    xi *= model.widths(j)
+    u = draws[: 2 * n].reshape(2, *lanes)
+    return StepRandomness(u[0], u[1], xi[0], xi[1])
 
 
 def split_step(model: UniformPriorModel, j: int, x: np.ndarray, w: StepRandomness):
@@ -148,21 +170,28 @@ def split_step(model: UniformPriorModel, j: int, x: np.ndarray, w: StepRandomnes
     independence-sampler step.  ``x`` is one state, returned with its
     :class:`Branch`, or ``(lanes, j)`` rows stepping as 1-d states would
     under lane-shaped ``w``, returned with one branch code per lane; a
-    residual acceptance below the floor on any lane raises.
+    residual acceptance below the floor on any lane raises.  Only the
+    residual lanes go through the forward map.
     """
-    floor = model.alpha_star
     x = np.asarray(x, dtype=float)
-    xi1, xi2 = w.xi1[..., :j], w.xi2[..., :j]
+    if x.ndim == 1:  # one state steps as a lane of one
+        row = StepRandomness(np.reshape(w.u1, 1), np.reshape(w.u2, 1), w.xi1[None], w.xi2[None])
+        new, code = split_step(model, j, x[None], row)
+        return new[0], Branch(int(code[0]))
+    floor = model.alpha_star
+    xi2 = w.xi2[:, :j]
     rest = np.asarray(w.u1) > floor
-    code = np.where(rest, Branch.RESIDUAL_REJECT.value, Branch.MINORIZE.value)
-    if rest.any():
-        alpha = is_acceptance(model, j, x[rest], xi2[rest])
-        if np.any(alpha < floor - 1e-12):
+    new = np.where(rest[:, None], x, w.xi1[:, :j])
+    code = rest * _REJECT  # MINORIZE is 0
+    lanes = rest.nonzero()[0]
+    if lanes.size:
+        alpha = _acceptance_rows(model, j, x.take(lanes, axis=0), xi2.take(lanes, axis=0))
+        if alpha.min() < floor - 1e-12:
             raise AcceptanceFloorError(float(alpha.min()), floor)
-        accept = np.asarray(w.u2)[rest] <= (alpha - floor) / (1.0 - floor)
-        code[rest] = np.where(accept, Branch.RESIDUAL_ACCEPT.value, Branch.RESIDUAL_REJECT.value)
-    new = np.choose(code[..., None], (xi1, xi2, x))
-    return (new, code) if x.ndim > 1 else (new, Branch(int(code)))
+        accepted = lanes[np.asarray(w.u2).take(lanes) <= (alpha - floor) / (1.0 - floor)]
+        new[accepted] = xi2.take(accepted, axis=0)
+        code[accepted] = _ACCEPT
+    return new, code
 
 
 def sampler_step(
@@ -213,16 +242,13 @@ def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, 
 
 
 def _delta(model, schedule, first, counts, f, x0, rng):
-    def lanes(x):
-        return np.shape(x)[:-1]
-
     def lone(j):
-        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng, lanes(x)))[0]
+        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng, x.shape[:-1]))[0]
 
     def joint(j_lo, j_hi):
         def step(pair, rng):
             top, bottom = pair
-            w = draw_randomness(model, j_hi, rng, lanes(top))
+            w = draw_randomness(model, j_hi, rng, top.shape[:-1])
             (bottom, top), _ = coupled_is_step(model, (j_lo, j_hi), (bottom, top), w)
             return top, bottom
 

@@ -371,12 +371,15 @@ def _zeta(x: float) -> float:
 
 class _EllipticOperator(NamedTuple):
     """The level-``(j, n)`` forward map as arrays over the evaluation points
-    (the grid, then each observation point that falls between grid nodes)."""
+    (the grid, then each observation point that falls between grid nodes),
+    each laid out as the right operand of one product in
+    :func:`elliptic_forward`."""
 
-    basis: np.ndarray  # (points, j): e_k at each point
-    h: np.ndarray  # (points,): source antiderivative H at each point
+    basis_t: np.ndarray  # (j, points), contiguous: e_k at each point
+    h_weights: np.ndarray  # (points,): H times the trapezoid weights of int_0^1
     weights: np.ndarray  # (points,): trapezoid weights of int_0^1 on the grid
-    obs_weights: np.ndarray  # (obs, points): trapezoid weights of int_0^{x_k}
+    obs_h: np.ndarray  # (points, obs), contiguous: H times the weights of int_0^{x_k}
+    obs_t: np.ndarray  # (points, obs), contiguous: trapezoid weights of int_0^{x_k}
 
 
 @dataclass(frozen=True)
@@ -448,10 +451,12 @@ class EllipticModel:
         coeffs = np.asarray(coeffs, dtype=float)
         return self.m0 + _sine_basis(coeffs.size, points) @ coeffs
 
-    def _operator(self, j: int, n: int) -> _EllipticOperator:
-        """The cached forward operator at truncation ``j`` on ``n`` grid points."""
-        op = self._operator_cache.get((j, n))
+    def _operator(self, j: int, n_points: int | None = None) -> _EllipticOperator:
+        """The cached forward operator at truncation ``j`` on ``n_points``
+        grid points (default: the level-``j`` rule)."""
+        op = self._operator_cache.get((j, n_points))
         if op is None:
+            n = self.quad_points(j) if n_points is None else int(n_points)
             if n < 2:
                 raise ValueError("the quadrature grid needs at least 2 points")
             grid = points = np.linspace(0.0, 1.0, n)
@@ -468,13 +473,15 @@ class EllipticModel:
             obs_weights = np.zeros((len(partial_nodes), points.size))
             for row, nodes in zip(obs_weights, partial_nodes):
                 row[nodes] = _trapezoid_weights(points[nodes])
+            h = np.asarray(self.source_antiderivative(points), dtype=float)
             op = _EllipticOperator(
-                _sine_basis(j, points),
-                np.asarray(self.source_antiderivative(points), dtype=float),
+                np.ascontiguousarray(_sine_basis(j, points).T),
+                h * weights,
                 weights,
-                obs_weights,
+                np.ascontiguousarray((obs_weights * h).T),
+                np.ascontiguousarray(obs_weights.T),
             )
-            self._operator_cache[(j, n)] = op
+            self._operator_cache[(j, n_points)] = op
         return op
 
     def forward(self, j: int, coeffs, n_points: int | None = None) -> np.ndarray:
@@ -493,21 +500,25 @@ def elliptic_forward(
 
     Every quadrature is a fixed weight vector applied to ``H/u`` or ``1/u``
     at the grid and off-grid observation points, so the map is evaluated
-    through ``model._operator(j, n)``, built once per ``(j, n)`` and cached
-    on the model: one matrix product for ``u``, then weighted sums of
-    ``1/u`` alone.  ``coeffs`` is one coefficient vector or ``(lanes, j)``
-    rows (zero-padded or cut to ``j``), giving one observation row per lane.
+    through ``model._operator(j, n_points)``, built once per ``(j, n_points)``
+    and cached on the model with every weight vector and matrix it needs:
+    one matrix product for ``u``, then weighted sums of ``1/u`` alone.  ``coeffs`` is
+    one coefficient vector or ``(lanes, j)`` rows (zero-padded or cut to
+    ``j``), giving one observation row per lane.
     """
     coeffs = pad_to(coeffs, j)
-    n = model.quad_points(j) if n_points is None else int(n_points)
-    op = model._operator(j, n)
-    inv_u = coeffs @ op.basis.T
+    op = model._operator(j, n_points)
+    inv_u = coeffs @ op.basis_t
     inv_u += model.m0  # u, made 1/u in place: one (lanes, points) array per call
     if not inv_u.min() > 0.0:
         raise ValueError("diffusion coefficient is not positive on the grid")
     np.reciprocal(inv_u, out=inv_u)
-    c_u = -(inv_u @ (op.h * op.weights)) / (inv_u @ op.weights)
-    return -(inv_u @ (op.obs_weights * op.h).T + c_u[..., None] * (inv_u @ op.obs_weights.T))
+    # -(int H/u + C_u int 1/u) with -C_u = ratio, as ratio * int 1/u - int H/u.
+    ratio = (inv_u @ op.h_weights) / (inv_u @ op.weights)
+    p = inv_u @ op.obs_t
+    p *= ratio[..., None]
+    p -= inv_u @ op.obs_h
+    return p
 
 
 def elliptic_observation_gap(

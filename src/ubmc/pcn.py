@@ -48,6 +48,7 @@ __all__ = [
     "kernel",
     "coupling",
     "make_schedule",
+    "dimension_growth",
 ]
 
 
@@ -374,6 +375,17 @@ def coupling(model: PcnModel, j: int | None = None) -> CoupledKernel:
     return CoupledKernel(step=joint, marginal=marginal)
 
 
+def _dims_exponent(model: PcnModel, variant: str, m: int) -> float:
+    """``c m / (1 - 2a)``: :func:`make_schedule`'s dimensions are
+    ``ceil(r^(exponent i))``, with ``c = 2``, or ``4`` when unbounded."""
+    return (2.0 if variant == "bounded" else 4.0) * m / (1.0 - 2.0 * model.regularity)
+
+
+def dimension_growth(model: PcnModel, variant: str, m: int, r: float) -> float:
+    """The ratio ``g`` of :func:`make_schedule`'s dimensions, ``j_i ~ g^i``."""
+    return r ** _dims_exponent(model, variant, m)
+
+
 def make_schedule(
     model: PcnModel,
     variant: str,
@@ -421,7 +433,7 @@ def make_schedule(
         raise ValueError(
             f"requires 0 < eps < m - {growth:g} theta m / (2a - 1) = {eps_ub}"
         )
-    exponent = growth * m / (1.0 - 2.0 * a)  # negative, so dims grow
+    exponent = _dims_exponent(model, variant, m)  # negative, so dims grow
 
     dims = strictly_increasing(lambda k: math.ceil(r ** (exponent * k)))
     schedule = LevelSchedule(lambda i: m * (i + 1), dims)

@@ -245,3 +245,13 @@ class TestMakeSchedule:
     def test_polynomial_constraints(self):
         with pytest.raises(ValueError, match="q >"):
             make_schedule("holder", "polynomial", a=2.0, s=1.0, q=0.5, eps=0.1)
+
+    def test_polynomial_eps_bounded_by_bumped_growth(self):
+        # Dims ceil(i^0.5) are bumped to i + 1, so holder levels cost about
+        # i draws and E[work] needs a survival exponent above 2.  eps = 1.8
+        # passes the q = 0.5 bound but gives exponent 1.7.
+        with pytest.raises(ValueError, match="eps"):
+            make_schedule("holder", "polynomial", a=5.0, s=1.0, q=0.5, eps=1.8)
+        dims, survival = make_schedule("holder", "polynomial", a=5.0, s=1.0, q=0.5, eps=1.4)
+        assert [dims(i) for i in range(4)] == [1, 2, 3, 4]
+        assert survival.exponent > 2.0

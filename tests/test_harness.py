@@ -807,6 +807,34 @@ class TestCli:
         summary = run_experiment(config)
         assert abs(summary["mean"] - summary["target_mean"]) <= 4.0 * summary["se"]
 
+    @pytest.mark.parametrize(
+        "survival",
+        [
+            {"kind": "geometric", "rate": 0.95},
+            {"kind": "polynomial", "exponent": 6.0},
+            {"kind": "tabulated", "values": [1.0, 0.5], "tail_ratio": 0.9},
+        ],
+        ids=["geometric", "polynomial", "tabulated-tail"],
+    )
+    def test_pcn_infinite_work_law_exit_2(self, tmp_path, capsys, monkeypatch, survival):
+        # configs/pcn.json levels cost t_i = m (i + 1) j_i with j_i ~ 1.24^i,
+        # so a law needs Fbar_{i+1} / Fbar_i < 1 / 1.24; no polynomial law has it.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the law was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        config = json.loads((Path(__file__).parents[1] / "configs" / "pcn.json").read_text())
+        path = tmp_path / "pcn.json"
+        path.write_text(json.dumps(dict(config, survival=survival)))
+        assert cli_main(["pcn", "--config", str(path)]) == 2
+        assert "E[work] = sum_i t_i Fbar_i diverges: pcn levels" in capsys.readouterr().err
+
+    def test_pcn_law_override_with_finite_work_runs(self):
+        config = json.loads((Path(__file__).parents[1] / "configs" / "pcn.json").read_text())
+        config.update(survival={"kind": "geometric", "rate": 0.7}, replicates=500)
+        summary = run_experiment(ExperimentConfig.from_dict(config))
+        assert summary["replicates"] == 500 and math.isfinite(summary["expected_work"])
+
     def test_rejected_model_parameter_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pcn.json"
         path.write_text(json.dumps({"experiment": "pcn", "params": {"rho": 1.5}}))

@@ -212,6 +212,22 @@ class TestLaneSteps:
         assert w.xi1.shape == w.xi2.shape == (30, 2)
         assert np.all(np.abs(w.xi1) <= model.widths(2))
 
+    @pytest.mark.parametrize("lanes", [(), (1,), (7,), (3, 2)])
+    def test_draw_randomness_is_four_draws_in_turn(self, lanes):
+        # One rng.random call gives the values of u1, u2 and two proposals
+        # drawn one after another from the same generator.
+        model = linear_model()
+        one_call = Stream(9).generator()
+        w = draw_randomness(model, 2, one_call, lanes)
+        rng = Stream(9).generator()
+        expected = (
+            rng.random(lanes or None), rng.random(lanes or None),
+            propose(model, 2, rng, lanes), propose(model, 2, rng, lanes),
+        )
+        for got, want in zip(w, expected):
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        assert one_call.random() == rng.random()  # and leaves the generator where they do
+
     def test_split_rows_equal_one_dimensional_steps(self, stream):
         model = linear_model()
         rng = stream.generator()
