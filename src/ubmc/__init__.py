@@ -21,7 +21,6 @@ from .estimator import (
 from .couplings import (
     ContractionFit,
     CoupledKernel,
-    DistanceLike,
     LevelSchedule,
     MarkovKernel,
     contraction_delta_batch,
@@ -34,7 +33,6 @@ __all__ = [
     "BatchResult",
     "ContractionFit",
     "CoupledKernel",
-    "DistanceLike",
     "EstimatorError",
     "LevelSchedule",
     "MarkovKernel",

@@ -28,10 +28,8 @@ __all__ = [
     "MarkovKernel",
     "CoupledKernel",
     "LevelSchedule",
-    "DistanceLike",
     "contraction_delta_batch",
     "level_runs",
-    "strictly_increasing",
     "pad_to",
     "minorized_step",
     "estimate_contraction",
@@ -68,35 +66,21 @@ class CoupledKernel:
     marginal: MarkovKernel
 
 
-@dataclass
-class DistanceLike:
-    """Symmetric, nonnegative function vanishing on the diagonal."""
-
-    fn: Callable[[object, object], float]
-    symmetric: bool = True
-    vanishes_on_diagonal: bool = True
-
-    def __call__(self, x, y) -> float:
-        return self.fn(x, y)
-
-
 class LevelSchedule:
     """Paired level sequences: steps ``a_i`` and dimensions ``j_i``.
 
-    ``a`` must be strictly increasing with ``a_0 >= 1``; ``j`` must be
-    nondecreasing and positive (constant for fixed-space problems).
-    Both are supplied as callables or sequences and validated lazily on
-    the queried prefix.
+    ``a_0`` and ``j_0`` are at least 1, both sequences are nondecreasing,
+    and every level raises ``a_i`` or ``j_i``; so a fixed-space schedule
+    (``j`` constant, the default) needs strictly increasing steps.  Both
+    are supplied as callables or sequences and validated lazily, as one
+    cache of ``(a_i, j_i)`` pairs, on the queried prefix.
     """
 
     def __init__(self, steps, dims=None):
-        self._steps_fn = steps if callable(steps) else lambda i, s=list(steps): s[i]
-        if dims is None:
-            self._dims_fn = lambda i: 1
-        else:
-            self._dims_fn = dims if callable(dims) else lambda i, d=list(dims): d[i]
-        self._steps_cache: list[int] = []
-        self._dims_cache: list[int] = []
+        self._steps = steps if callable(steps) else list(steps).__getitem__
+        dims = (lambda i: 1) if dims is None else dims
+        self._dims = dims if callable(dims) else list(dims).__getitem__
+        self._levels: list[tuple[int, int]] = []
 
     @classmethod
     def arithmetic(cls, m: int, dims=None) -> "LevelSchedule":
@@ -106,27 +90,28 @@ class LevelSchedule:
         return cls(lambda i: m * (i + 1), dims)
 
     def steps_at(self, i: int) -> int:
-        return _checked_prefix(self._steps_cache, self._steps_fn, i, "a", strict=True)
+        return self._level(i)[0]
 
     def dims_at(self, i: int) -> int:
-        return _checked_prefix(self._dims_cache, self._dims_fn, i, "j", strict=False)
+        return self._level(i)[1]
 
-
-def _checked_prefix(cache: list, fn, i: int, name: str, strict: bool) -> int:
-    """Extend ``cache`` with ``int(fn(k))`` up to ``i``, checking each term is
-    positive and increasing (strictly or not); returns term ``i``."""
-    if i < 0:
-        raise ValueError("level index must be >= 0")
-    while len(cache) <= i:
-        k = len(cache)
-        v = int(fn(k))
-        if v < 1:
-            raise ValueError(f"{name}_{k} = {v} must be >= 1")
-        if cache and (v <= cache[-1] if strict else v < cache[-1]):
-            order = "strictly increasing" if strict else "nondecreasing"
-            raise ValueError(f"{name} must be {order}; {name}_{k} = {v}")
-        cache.append(v)
-    return cache[i]
+    def _level(self, i: int) -> tuple[int, int]:
+        if i < 0:
+            raise ValueError("level index must be >= 0")
+        levels = self._levels
+        while len(levels) <= i:
+            k = len(levels)
+            a, j = int(self._steps(k)), int(self._dims(k))
+            if not levels:
+                if a < 1 or j < 1:
+                    raise ValueError(f"need a_0, j_0 >= 1; got a_0 = {a}, j_0 = {j}")
+            elif a < levels[-1][0] or j < levels[-1][1] or (a, j) == levels[-1]:
+                raise ValueError(
+                    f"a and j must be nondecreasing with one of them rising at every "
+                    f"level; (a, j) goes from {levels[-1]} to {(a, j)} at level {k}"
+                )
+            levels.append((a, j))
+        return levels[i]
 
 
 def contraction_delta_batch(
@@ -265,26 +250,6 @@ def _split(state, cut: int) -> tuple:
     return (state[:cut], state[cut:]) if cut else (None, state)
 
 
-def strictly_increasing(fn: Callable[[int], float]) -> Callable[[int], int]:
-    """Cached integer sequence ``s_k = max(int(fn(k)), s_{k-1} + 1)``, ``s_{-1} = 0``.
-
-    Rounding can make a growing formula stall (``ceil(k**q)`` repeats
-    values for small ``q``); bumping each term past its predecessor keeps
-    it usable as level steps or dimensions.
-    """
-    cache: list[int] = []
-
-    def at(i: int) -> int:
-        if i < 0:
-            raise ValueError("level index must be >= 0")
-        while len(cache) <= i:
-            prev = cache[-1] if cache else 0
-            cache.append(max(int(fn(len(cache))), prev + 1))
-        return cache[i]
-
-    return at
-
-
 def pad_to(state, n: int) -> np.ndarray:
     """Embed a coefficient vector, or each row of a ``(lanes, j)`` array,
     into dimension ``n``: zero-pad or truncate."""
@@ -338,7 +303,7 @@ class ContractionFit:
 
 def estimate_contraction(
     coupling: CoupledKernel,
-    distance: DistanceLike | Callable[[object, object], float],
+    distance: Callable[[object, object], float],
     pairs: Sequence[tuple],
     n_steps: int,
     replicates: int,

@@ -22,7 +22,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .couplings import strictly_increasing
 from .estimator import SurvivalDistribution
 
 __all__ = [
@@ -241,7 +240,7 @@ def make_schedule(
     linear functions); for the prior-completed coupling this choice is
     conservative rather than rate-matched, and ``s`` enters only through
     it.  Its ``eps`` must keep the exponent above ``max(q, 1) + 1``: the
-    dimensions are bumped to grow at least one per level.
+    dimensions ``max(ceil(i^q), i + 1)`` grow at least one per level.
     """
     if variant not in ("holder", "linear-tail"):
         raise ValueError("variant must be 'holder' or 'linear-tail'")
@@ -270,21 +269,20 @@ def make_schedule(
         if not 0.0 < eps <= eps_ub:
             raise ValueError(f"requires 0 < eps <= {eps_ub}")
         rate = 2.0 ** ((2.0 - eps) * decay / 2.0)
-        dims = strictly_increasing(lambda i: 2**i)
-        return dims, SurvivalDistribution.geometric(rate)
+        return (lambda i: 2**i), SurvivalDistribution.geometric(rate)
 
     if q is None:
         raise ValueError("polynomial geometry needs the growth exponent q")
     q_lb = (s - 3.0) / (1.0 + s - 2.0 * a * s)
     if not q > q_lb:
         raise ValueError(f"requires q > (s - 3) / (1 + s - 2 a s) = {q_lb}")
-    # Dims ceil(i^q) are bumped to j_i >= i + 1, so level i costs about i^g
-    # draws, g = max(q, 1): E[work] is finite once the exponent passes g + 1.
+    # Dims max(ceil(i^q), i + 1) make level i cost about i^g draws,
+    # g = max(q, 1): E[work] is finite once the exponent passes g + 1.
     eps_ub = s - 3.0 - q * (1.0 + s - 2.0 * a * s) - (max(q, 1.0) - q)
     if not 0.0 < eps < eps_ub:
         raise ValueError(
             f"requires 0 < eps < s - 3 - q (1 + s - 2 a s) - (max(q, 1) - q) = {eps_ub}"
         )
     exponent = -(s * (q - 1.0 - 2.0 * a * q) + 2.0 + eps)
-    dims = strictly_increasing(lambda i: math.ceil(max(i, 1) ** q))
+    dims = lambda i: max(math.ceil(max(i, 1) ** q), i + 1)
     return dims, SurvivalDistribution.polynomial(exponent)

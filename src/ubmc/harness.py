@@ -108,29 +108,6 @@ def _survival_from_config(
         raise ConfigError(f"{kind} survival needs survival.{exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid survival spec {spec!r}: {exc}") from exc
-    # Every level costs at least one work unit, so E[work] >= sum_i Fbar_i:
-    # a law whose mean level diverges would never finish sampling.
-    _require(
-        kind != "polynomial" or law.exponent > 1.0,
-        "polynomial survival needs exponent > 1 (sum_i Fbar_i diverges otherwise)",
-    )
-    _require(law.proper, "tail_ratio 1 never decays (sum_i Fbar_i diverges)")
-    return law
-
-
-def _arithmetic_survival(
-    spec: dict, default: SurvivalDistribution | None
-) -> SurvivalDistribution:
-    """:func:`_survival_from_config` for a schedule of ``a_i = m (i + 1)``
-    steps at level ``i``."""
-    law = _survival_from_config(spec, default)
-    # E[work] >= m sum_i (i + 1) Fbar_i, which for Fbar_i = (i + 1)^-p is
-    # m sum_i (i + 1)^(1 - p): finite only for p > 2.
-    _require(
-        law.kind != "polynomial" or law.exponent > 2.0,
-        "polynomial survival needs exponent > 2 on a_i = m (i + 1) steps "
-        "(E[work] >= m sum_i (i + 1)^(1 - exponent) diverges otherwise)",
-    )
     return law
 
 
@@ -138,8 +115,10 @@ def _finite_work_survival(
     spec: dict, default: SurvivalDistribution | None, base: float, power: float, levels: str
 ) -> SurvivalDistribution:
     """:func:`_survival_from_config` for ``levels`` whose work grows like
-    ``t_i ~ base^i i^power`` (``base >= 1``): ``E[work] = sum_i t_i Fbar_i``
-    must be finite."""
+    ``t_i ~ base^i i^power`` (``base >= 1``, ``power >= 0``):
+    ``E[work] = sum_i t_i Fbar_i`` must be finite.  Every level costs at
+    least one work unit, so this also rules out a law whose mean level
+    ``sum_i Fbar_i`` diverges, such as a tail ratio of 1."""
     law = _survival_from_config(spec, default)
     if law.kind == "polynomial":
         finite = base == 1.0 and law.exponent > power + 1.0
@@ -182,7 +161,11 @@ def _known_keys(config: ExperimentConfig, section: str, known: tuple) -> dict:
 #   meta: summary extras
 #   replicates_override (optional): fixed row count
 # Plans are cached per process keyed by the config JSON, so worker
-# processes validate once.
+# processes validate once.  Each plan checks its truncation law, default
+# or override, with _finite_work_survival before any block runs.
+
+# Level i of a_i = m (i + 1) steps in a fixed dimension costs t_i ~ i.
+_ARITHMETIC_WORK = (1.0, 1.0, "arithmetic levels")
 
 
 def _lane_block(delta_batch, survival, dim_of_level):
@@ -214,9 +197,10 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
         _require(
             x0 == 0.0, "the optimal survival rule assumes the chain starts at 0"
         )
-        survival = tuning.contracting_optimal_survival(rho, m)
+        spec, default = {}, tuning.contracting_optimal_survival(rho, m)
     else:
-        survival = _arithmetic_survival(config.survival, None)
+        spec, default = config.survival, None
+    survival = _finite_work_survival(spec, default, *_ARITHMETIC_WORK)
 
     def run_block(stream: Stream, count: int, offset: int):
         out = models.contracting_unbiased_block(
@@ -239,7 +223,9 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
     _require(m >= 1, "schedule.m must be a positive integer")
     # Default truncation law: geometric at 0.7, comfortably above the
     # discrete-metric contraction rate 1 - (8 - 2 pi)/4 of the coupling.
-    survival = _arithmetic_survival(config.survival, SurvivalDistribution.geometric(0.7))
+    survival = _finite_work_survival(
+        config.survival, SurvivalDistribution.geometric(0.7), *_ARITHMETIC_WORK
+    )
     x0 = float(params.get("x0", 0.0))
     model = models.CircleChainModel()
     schedule = LevelSchedule.arithmetic(m)
@@ -247,7 +233,7 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
         model.kernel(), model.coupling(), schedule, np.cos, x0
     )
     return {
-        "run_block": _lane_block(delta_batch, survival, lambda n: 1),
+        "run_block": _lane_block(delta_batch, survival, schedule.dims_at),
         "meta": {"target_mean": 0.0},
     }
 
@@ -267,8 +253,8 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
         variant, geometry, a=a, p=p, s=s, q=q, eps=params.get("eps", 0.5)
     )
     # Level i costs t_i = j_i draws (holder) or j_i - j_{i-1} (linear-tail):
-    # t_i grows like 2^i on dims 2^i.  Dims ceil(i^q) are bumped to
-    # j_i >= i + 1, so t_i grows like i^g, g = max(q, 1), or i^(g - 1).
+    # t_i grows like 2^i on dims 2^i, and like i^g, g = max(q, 1), or
+    # i^(g - 1) on dims max(ceil(i^q), i + 1).
     base = 2.0 if geometry == "dyadic" else 1.0
     power = 0.0 if geometry == "dyadic" else max(q, 1.0) - (variant == "linear-tail")
     survival = _finite_work_survival(
@@ -322,14 +308,14 @@ def _elliptic_is_model(params: dict) -> tuple:
 
 def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     params = _params(
-        config, "model", "f", "theta", "alpha_star", "kappa", "gamma", "data", "y",
+        config, "model", "f", "theta", "alpha_star", "gamma", "data", "y",
         "pilot_dim", "pilot_proposals", "matrix", "half_widths",
     )
     kind = params.get("model", "elliptic")
     if kind == "elliptic":
         elliptic, is_model = _elliptic_is_model(params)
         beta = elliptic.gamma - 0.5
-        kappa = params.get("kappa", 2.0 * (elliptic.gamma - 1.0))
+        kappa = 2.0 * (elliptic.gamma - 1.0)
         theta = elliptic.work_exponent
     elif kind == "linear2d":
         matrix = np.asarray(params.get("matrix", [[0.8, 0.3], [-0.2, 0.5]]), float)
@@ -368,6 +354,9 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
             q=q, beta=b_eff, kappa=k_eff, theta=th,
             alpha_star=is_model.alpha_star, t=t,
         )
+        # t_i = a_i j_i^theta with j_i ~ i^max(q, 1) and a_i ~ log i; the log
+        # factor does not move the strict bound on a polynomial exponent.
+        power = max(q, 1.0) * is_model.work_exponent
     elif sched_kind == "saturating":
         # Dimensions climb one per level up to the model's state size; the
         # remaining levels refine only the time direction.
@@ -376,8 +365,9 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         dmax = int(sched.get("max_dim", len(widths) if kind == "linear2d" else 2))
         _require(m >= 1 and dmax >= 1, "saturating schedule needs m, max_dim >= 1")
         top_dim = dmax
-        schedule = LevelSchedule(lambda i: m * (i + 1), lambda i: min(i + 1, dmax))
+        schedule = LevelSchedule.arithmetic(m, lambda i: min(i + 1, dmax))
         survival = SurvivalDistribution.geometric(float(sched.get("rate", 0.6)))
+        power = 1.0  # t_i = m (i + 1) j_i^theta with j_i <= max_dim
     elif sched_kind == "sequence":
         _schedule(config, "kind", "steps", "dims")
         steps, dims = sched["steps"], sched["dims"]
@@ -391,12 +381,15 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         schedule.steps_at(levels - 1)
         top_dim = schedule.dims_at(levels - 1)
         survival = None  # the config must supply the law
+        power = 0.0  # finite support: the law must end within the L levels
     else:
         raise ConfigError(f"unknown schedule kind {sched_kind!r}")
     if kind == "linear2d":  # one state coordinate per half-width
         message = f"schedule dims reach {top_dim}, past {len(widths)} half_widths"
         _require(top_dim <= len(widths), message)
-    survival = _survival_from_config(config.survival, survival)
+    survival = _finite_work_survival(
+        config.survival, survival, 1.0, power, f"{sched_kind} indep-sampler levels"
+    )
     if sched_kind == "sequence":
         _require(
             survival.kind == "tabulated"
@@ -463,7 +456,7 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     )
     # The config's own law is checked before the fit and the pilot, whose
     # contraction rate fixes the schedule: the config gives none.
-    law = _arithmetic_survival(config.survival, None) if config.survival else None
+    law = _finite_work_survival(config.survival, None, *_ARITHMETIC_WORK) if config.survival else None
     _schedule(config)
     model = models.LogisticModel.synthetic(
         n_obs=int(params.get("n_obs", 100)),
@@ -499,12 +492,13 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     )
     r = math.exp(0.5 * pilot.slope)
     m = tuning.step_multiplier(r)
-    schedule = LevelSchedule.arithmetic(m)
-    survival = SurvivalDistribution.geometric(r**m) if law is None else law
+    schedule = LevelSchedule.arithmetic(m, lambda i: model.dim)
+    if law is None:
+        law = _finite_work_survival({}, SurvivalDistribution.geometric(r**m), *_ARITHMETIC_WORK)
     coord = int(params.get("coordinate", 1))
     delta_batch = pcn.delta_batch(chain, schedule, lambda beta: beta[:, coord - 1], center)
     return {
-        "run_block": _lane_block(delta_batch, survival, lambda n: model.dim),
+        "run_block": _lane_block(delta_batch, law, schedule.dims_at),
         "meta": {
             "contraction_slope": pilot.slope,
             "contraction_rate": r,

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .couplings import LevelSchedule, _level_difference, _run_batches, pad_to, strictly_increasing
+from .couplings import LevelSchedule, _level_difference, _run_batches, pad_to
 from .estimator import SurvivalDistribution
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "coupled_is_step",
     "delta_batch",
     "make_schedule",
-    "pad_to",
 ]
 
 
@@ -291,6 +290,6 @@ def make_schedule(
     c_star = -math.log1p(-alpha_star)
     rate = q * beta / c_star
 
-    steps = strictly_increasing(lambda k: math.ceil(rate * math.log(k + 2.0)))
-    dims = strictly_increasing(lambda k: math.ceil(max(k, 1) ** q))
+    steps = lambda k: math.ceil(rate * math.log(k + 2.0))
+    dims = lambda k: max(math.ceil(max(k, 1) ** q), k + 1)
     return LevelSchedule(steps, dims), SurvivalDistribution.polynomial(t)

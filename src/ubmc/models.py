@@ -399,7 +399,6 @@ class EllipticModel:
     obs_points: tuple[float, ...] = (0.25, 0.5, 0.75)
     m0: float | None = None
     source_antiderivative: Callable[[np.ndarray], np.ndarray] = field(default=None)
-    source_oscillation: float = 1.0
     # Operators by (j, n); they hold H and the observation weights, hence frozen.
     _operator_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -412,7 +411,6 @@ class EllipticModel:
         if self.source_antiderivative is None:
             # Default source h = 1, antiderivative H(s) = s.
             object.__setattr__(self, "source_antiderivative", lambda s: s)
-            object.__setattr__(self, "source_oscillation", 1.0)
         if not all(0.0 < x < 1.0 for x in self.obs_points):
             raise ValueError("observation points must lie in (0, 1)")
 

@@ -30,7 +30,6 @@ from .couplings import (
     MarkovKernel,
     _level_difference,
     pad_to,
-    strictly_increasing,
 )
 from .estimator import SurvivalDistribution
 
@@ -435,7 +434,7 @@ def make_schedule(
         )
     exponent = _dims_exponent(model, variant, m)  # negative, so dims grow
 
-    dims = strictly_increasing(lambda k: math.ceil(r ** (exponent * k)))
-    schedule = LevelSchedule(lambda i: m * (i + 1), dims)
+    dims = lambda k: max(math.ceil(r ** (exponent * k)), k + 1)
+    schedule = LevelSchedule.arithmetic(m, dims)
     survival = SurvivalDistribution.geometric(r ** (m - eps))
     return schedule, survival

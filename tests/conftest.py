@@ -121,12 +121,8 @@ def scaled_elliptic_is_model(seed: int = 20240817, scale: float = 40.0, gamma: f
     calibrated at half the smallest acceptance seen and remains runtime
     checked.
     """
-    from ubmc.independence_sampler import (
-        UniformPriorModel,
-        is_acceptance,
-        pad_to,
-        propose,
-    )
+    from ubmc.couplings import pad_to
+    from ubmc.independence_sampler import UniformPriorModel, is_acceptance, propose
     from ubmc.models import EllipticModel
 
     elliptic = EllipticModel(gamma=gamma)

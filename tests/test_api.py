@@ -2,7 +2,10 @@
 
 A stale ``__all__`` entry fails here rather than in a user's ``import *``;
 level differences enter the estimator only as a ``delta_batch``, so no
-module defines a per-draw generator factory again.
+module defines a per-draw generator factory again; and schedules are their
+formulas, checked by one finite-work rule, so none of the bump, the second
+schedule cache, the arithmetic-only law check or the distance wrapper
+returns.
 """
 
 import importlib
@@ -23,3 +26,8 @@ def test_exports_resolve_and_no_per_draw_generators():
             if name in ("LevelDifferenceGenerator", "_per_lane") or name.endswith("_generator")
         ]
         assert not per_draw, f"{module.__name__} defines {per_draw}"
+        deleted = [
+            name for name in vars(module)
+            if name in ("strictly_increasing", "_checked_prefix", "_arithmetic_survival", "DistanceLike")
+        ]
+        assert not deleted, f"{module.__name__} defines {deleted}"

@@ -14,11 +14,10 @@ from ubmc import (
     estimate_contraction,
     minorized_step,
 )
-from ubmc import couplings
+from ubmc import couplings, gaussian_linear, independence_sampler, pcn
 from ubmc.couplings import (
     contraction_delta_batch,
     level_runs,
-    strictly_increasing,
     subgeometric_schedule,
 )
 from ubmc.models import CircleChainModel, ContractingNormalsModel
@@ -57,13 +56,62 @@ class TestLevelSchedule:
             with pytest.raises(ValueError):
                 sched.dims_at(-1)
 
-    def test_strictly_increasing_bumps_stalled_terms(self):
-        seq = strictly_increasing(lambda k: math.ceil(max(k, 1) ** 0.5))
-        assert [seq(i) for i in range(5)] == [1, 2, 3, 4, 5]
-        assert [strictly_increasing(lambda k: 2**k)(i) for i in range(4)] == [1, 2, 4, 8]
-        assert strictly_increasing(lambda k: -3)(0) == 1
-        with pytest.raises(ValueError):
-            seq(-1)
+    def test_every_level_raises_steps_or_dims(self):
+        # A step plateau is fine while the dimension rises.
+        sched = LevelSchedule([2, 2, 3], [1, 2, 3])
+        assert [(sched.steps_at(i), sched.dims_at(i)) for i in range(3)] == [(2, 1), (2, 2), (3, 3)]
+        for steps, dims in [([2, 2], [2, 2]), ([3, 2], [1, 2])]:
+            sched = LevelSchedule(steps, dims)
+            sched.steps_at(0)
+            with pytest.raises(ValueError):
+                sched.steps_at(1)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("pcn", 2.0, "bounded", 0.5), ("pcn", 3.0, "unbounded", 0.5),
+            ("pcn", 2.0, "bounded", 0.6), ("pcn", 2.0, "bounded", 0.85),
+            ("indep-sampler", 2.6), ("indep-sampler", 4.0),
+            ("linear-gaussian", 0.5), ("linear-gaussian", 2.5),
+        ],
+        ids=lambda case: "-".join(map(str, case)),
+    )
+    def test_floored_formulas_match_recursive_bump(self, case):
+        # Each schedule floors its formula f at k + 1, which equals raising
+        # every term to one past the one before: f(k) - k peaks at an end of
+        # every prefix for these convex ceilings and for k^q with q < 1.
+        kind, *args = case
+        if kind == "pcn":
+            a, variant, r = args
+            model = pcn.PcnModel.diagonal(
+                0.7, lambda x: np.zeros(np.shape(x)[:-1]), lambda l: float(l) ** (-2 * a), regularity=a
+            )
+            exponent = pcn._dims_exponent(model, variant, 2)
+            raw = lambda k: math.ceil(r ** (exponent * k))
+            sched, _ = pcn.make_schedule(model, variant, m=2, r=r, theta=1.0, eps=0.2)
+            dims = sched.dims_at
+        else:
+            (q,) = args
+            raw = lambda k: math.ceil(max(k, 1) ** q)
+            if kind == "indep-sampler":
+                beta, kappa, theta, t = (2.7, 4.4, 1.35, 4.8) if q < 3 else (2.0, 2.0, 1.0, 5.5)
+                sched, _ = independence_sampler.make_schedule(
+                    q=q, beta=beta, kappa=kappa, theta=theta, alpha_star=0.5, t=t
+                )
+                dims = sched.dims_at
+            else:
+                dims, _ = gaussian_linear.make_schedule(
+                    "holder", "polynomial", a=5.0, s=1.0, q=q, eps=1.4 if q < 1 else 0.5
+                )
+        bumped = []
+        for k in range(2000):
+            try:
+                term = raw(k)
+            except OverflowError:  # r^(exponent k) left the float range
+                break
+            bumped.append(max(term, bumped[-1] + 1 if bumped else 1))
+        assert len(bumped) >= 600
+        assert [dims(k) for k in range(len(bumped))] == bumped
 
 
 def one_draw(model, sched, level, rng):
@@ -313,14 +361,6 @@ class TestMarginalsAndFaithfulness:
         first = np.array([step(1.3, rng1) for _ in range(5000)])
         second = np.array([step(1.3, rng2) for _ in range(5000)])
         assert stats.ks_2samp(first, second).pvalue > 1e-3
-
-    def test_distance_like_wrapper(self):
-        from ubmc import DistanceLike
-
-        d = DistanceLike(fn=lambda x, y: abs(x - y))
-        assert d(2.0, 2.0) == 0.0
-        assert d(1.0, 3.0) == d(3.0, 1.0) == 2.0
-        assert d.symmetric and d.vanishes_on_diagonal
 
     @pytest.mark.parametrize(
         "model", [ContractingNormalsModel(0.6), CircleChainModel()],

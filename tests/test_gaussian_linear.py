@@ -247,7 +247,7 @@ class TestMakeSchedule:
             make_schedule("holder", "polynomial", a=2.0, s=1.0, q=0.5, eps=0.1)
 
     def test_polynomial_eps_bounded_by_bumped_growth(self):
-        # Dims ceil(i^0.5) are bumped to i + 1, so holder levels cost about
+        # Dims max(ceil(i^0.5), i + 1) are i + 1, so holder levels cost about
         # i draws and E[work] needs a survival exponent above 2.  eps = 1.8
         # passes the q = 0.5 bound but gives exponent 1.7.
         with pytest.raises(ValueError, match="eps"):

@@ -762,7 +762,7 @@ class TestCli:
                 {"variant": "linear-tail"}, {"kind": "polynomial", "q": 3.0},
                 {"kind": "polynomial", "exponent": 3.0},
             ),
-            # Dims ceil(i^q) are bumped to j_i >= i + 1, so q < 1 costs like q = 1.
+            # Dims max(ceil(i^q), i + 1) grow like i for q < 1, so q < 1 costs like q = 1.
             (
                 {"variant": "holder", "a": 5.0}, {"kind": "polynomial", "q": 0.5},
                 {"kind": "polynomial", "exponent": 1.8},
@@ -828,6 +828,41 @@ class TestCli:
         path.write_text(json.dumps(dict(config, survival=survival)))
         assert cli_main(["pcn", "--config", str(path)]) == 2
         assert "E[work] = sum_i t_i Fbar_i diverges: pcn levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # t_i ~ i^(2.6 theta) log i with theta = 1.35: a polynomial law
+            # needs an exponent above 1 + 2.6 theta = 4.51.
+            dict(
+                json.loads((Path(__file__).parents[1] / "configs" / "indep-sampler.json").read_text()),
+                survival={"kind": "polynomial", "exponent": 4.4},
+            ),
+            # t_i = m (i + 1) j_i^theta with j_i <= max_dim: exponent above 2.
+            {
+                "experiment": "indep-sampler",
+                "params": {"model": "linear2d"},
+                "schedule": {"kind": "saturating"},
+                "survival": {"kind": "polynomial", "exponent": 1.8},
+            },
+        ],
+        ids=["log-growth", "saturating"],
+    )
+    def test_indep_sampler_infinite_work_law_exit_2(self, tmp_path, capsys, monkeypatch, config):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the law was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        path = tmp_path / "indep-sampler.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["indep-sampler", "--config", str(path)]) == 2
+        kind = config["schedule"]["kind"]
+        assert f"E[work] = sum_i t_i Fbar_i diverges: {kind} indep-sampler levels" in capsys.readouterr().err
+
+    def test_shipped_indep_sampler_config_runs(self):
+        config = json.loads((Path(__file__).parents[1] / "configs" / "indep-sampler.json").read_text())
+        summary = run_experiment(ExperimentConfig.from_dict(dict(config, replicates=500)))
+        assert summary["replicates"] == 500 and math.isfinite(summary["expected_work"])
 
     def test_pcn_law_override_with_finite_work_runs(self):
         config = json.loads((Path(__file__).parents[1] / "configs" / "pcn.json").read_text())

@@ -1,13 +1,16 @@
 """Split independence sampler: acceptance floor, coupling, unbiasedness."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ubmc import LevelSchedule, Stream, SurvivalDistribution
+from ubmc import LevelSchedule, Stream, SurvivalDistribution, expected_work, harness
 from ubmc import independence_sampler
+from ubmc.couplings import pad_to
 from ubmc.estimator import estimate_block
 from ubmc.independence_sampler import (
     AcceptanceFloorError,
@@ -19,7 +22,6 @@ from ubmc.independence_sampler import (
     draw_randomness,
     is_acceptance,
     make_schedule,
-    pad_to,
     propose,
     sampler_step,
     split_step,
@@ -443,3 +445,31 @@ class TestMakeSchedule:
         )
         rate = 4 * 2 / math.log(2.0)
         assert schedule.steps_at(0) == max(1, math.ceil(rate * math.log(2.0)))
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        """``configs/indep-sampler.json``'s schedule and law, with the
+        harness's defaults for every key the config leaves out."""
+        config = json.loads((Path(__file__).parents[1] / "configs" / "indep-sampler.json").read_text())
+        elliptic, model = harness._elliptic_is_model(config["params"])
+        q, beta, kappa = config["schedule"]["q"], elliptic.gamma - 0.5, 2.0 * (elliptic.gamma - 1.0)
+        theta = elliptic.work_exponent
+        t = 0.5 * ((1.0 + theta * q) + (min(beta, kappa) * q - 2.0))
+        schedule, law = make_schedule(q, beta, kappa, theta, model.alpha_star, t)
+        return schedule, law, q * beta / -math.log1p(-model.alpha_star), theta
+
+    def test_shipped_steps_are_logarithmic(self, shipped):
+        # a_i = ceil(rate log(i + 2)) plateaus from level 11 on; raising
+        # each step past the one before would make them linear there.
+        schedule, _, rate, _ = shipped
+        steps = [schedule.steps_at(i) for i in range(40)]
+        assert steps == [math.ceil(rate * math.log(i + 2.0)) for i in range(40)]
+        assert steps[11] == steps[12] == 27
+
+    def test_shipped_law_has_finite_work(self, shipped):
+        # t_i = a_i j_i^theta grows like i^(2.6 theta) log i against the
+        # law's i^-t: the partial sums settle near 100, where linear steps
+        # would give 1311 at 10^4 levels and keep growing.
+        schedule, law, _, theta = shipped
+        cost = lambda i: schedule.steps_at(i) * schedule.dims_at(i) ** theta
+        assert expected_work(cost, law, 10_000) < 150.0
