@@ -25,7 +25,6 @@ from .couplings import (
     MarkovKernel,
     contraction_delta_batch,
     estimate_contraction,
-    minorized_step,
 )
 from .rng import Stream
 
@@ -45,7 +44,6 @@ __all__ = [
     "estimate_once",
     "estimate_contraction",
     "expected_work",
-    "minorized_step",
     "sample_truncation",
     "second_moment_formula",
 ]

@@ -9,8 +9,8 @@ contracting coupling drives ``f(top) - f(bottom)`` to zero geometrically.
 Levels that share both dimensions and the lone-phase length form a run,
 and one driver steps every pair of a run as one lane array.
 
-Also provided: the minorization split step used for uniformly recurrent
-chains, a least-squares contraction-rate estimator, and schedule helpers.
+Also provided: a least-squares contraction-rate estimator and the level
+schedule.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimator import SurvivalDistribution
 from .rng import Stream
 
 __all__ = [
@@ -31,10 +30,8 @@ __all__ = [
     "contraction_delta_batch",
     "level_runs",
     "pad_to",
-    "minorized_step",
     "estimate_contraction",
     "ContractionFit",
-    "subgeometric_schedule",
 ]
 
 
@@ -50,7 +47,6 @@ class MarkovKernel:
 
     step: Callable[[object, np.random.Generator], object]
     work_per_step: float = 1.0
-    dim: int | None = None
 
 
 @dataclass
@@ -58,12 +54,11 @@ class CoupledKernel:
     """Joint one-step transition ``(x, y) -> (x', y')``.
 
     Each marginal of one coupled step must be distributed as one step of
-    ``marginal``; shared-randomness couplings on a fixed space should also
-    be faithful (``x == y`` implies ``x' == y'``).
+    the chain's own :class:`MarkovKernel`; shared-randomness couplings on a
+    fixed space should also be faithful (``x == y`` implies ``x' == y'``).
     """
 
     step: Callable[[tuple, np.random.Generator], tuple]
-    marginal: MarkovKernel
 
 
 class LevelSchedule:
@@ -264,28 +259,6 @@ def pad_to(state, n: int) -> np.ndarray:
     return padded
 
 
-def minorized_step(
-    lam: float,
-    minorizing_sampler: Callable[[np.random.Generator], object],
-    residual_kernel: MarkovKernel,
-    x,
-    rng: np.random.Generator,
-):
-    """Split transition ``P = lam * nu + (1 - lam) * Q``.
-
-    With probability ``lam`` the next state is a fresh draw from the
-    minorizing measure (ignoring ``x``); otherwise one residual-kernel
-    step is taken from ``x``.  Two chains driven by the same stream
-    coalesce as soon as the constant branch fires, hence within ``n``
-    steps with probability at least ``1 - (1 - lam)**n``.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
-    if rng.random() <= lam:
-        return minorizing_sampler(rng)
-    return residual_kernel.step(x, rng)
-
-
 @dataclass
 class ContractionFit:
     """Least-squares fit of ``log E d(X_k, Y_k)`` against ``k``."""
@@ -357,25 +330,3 @@ def _tile(state, lanes: int):
         values = {f.name: getattr(state, f.name) for f in fields(state)}
         return replace(state, **{k: _tile(v, lanes) for k, v in values.items() if v is not None})
     return np.full((lanes, *np.shape(state)), state, dtype=float)
-
-
-def subgeometric_schedule(k: int, r: float, eps: float) -> tuple[LevelSchedule, SurvivalDistribution]:
-    """Schedule for couplings contracting polynomially, ``E d_n <= C n^{-2r}``.
-
-    Steps grow as ``a_i = (i + 1)**k`` and the survival decays as
-    ``(i + 1)**(-(2rk - 2 - eps))``.  Requires ``r > 1/2``,
-    ``k > 3 / (2r - 1)`` and ``0 < eps < (2r - 1) k - 3`` so that both the
-    variance and the expected work of the estimator stay finite.  No
-    concrete model in this package exercises it; validation is limited to
-    the schedule arithmetic.
-    """
-    if r <= 0.5:
-        raise ValueError("requires r > 1/2")
-    if k <= 3.0 / (2.0 * r - 1.0):
-        raise ValueError("requires k > 3 / (2r - 1)")
-    ub = (2.0 * r - 1.0) * k - 3.0
-    if not 0.0 < eps < ub:
-        raise ValueError(f"requires 0 < eps < (2r - 1)k - 3 = {ub}")
-    schedule = LevelSchedule(lambda i: (i + 1) ** k)
-    survival = SurvivalDistribution.polynomial(2.0 * r * k - 2.0 - eps)
-    return schedule, survival

@@ -88,6 +88,14 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+# The keys each survival kind reads besides ``kind``.
+_SURVIVAL_KEYS = {
+    "geometric": ("rate", "exponent"),
+    "polynomial": ("exponent",),
+    "tabulated": ("values", "tail_ratio"),
+}
+
+
 def _survival_from_config(
     spec: dict, default: SurvivalDistribution | None
 ) -> SurvivalDistribution:
@@ -95,8 +103,10 @@ def _survival_from_config(
     if not spec and default is not None:
         return default
     kind = spec.get("kind")
-    if kind not in ("geometric", "polynomial", "tabulated"):
+    if kind not in _SURVIVAL_KEYS:
         raise ConfigError(f"unknown survival spec {spec!r}")
+    unknown = sorted(set(spec) - {"kind", *_SURVIVAL_KEYS[kind]})
+    _require(not unknown, f"unknown {kind} survival keys: {unknown}")
     try:
         if kind == "geometric":
             law = SurvivalDistribution.geometric(spec["rate"], spec.get("exponent", 1.0))
@@ -194,6 +204,7 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
         raise ConfigError(f"unknown schedule kind {sched_kind!r}")
     schedule = LevelSchedule.arithmetic(m)
     if config.survival.get("kind", "optimal") == "optimal":
+        _known_keys(config, "survival", ("kind",))
         _require(
             x0 == 0.0, "the optimal survival rule assumes the chain starts at 0"
         )
@@ -277,6 +288,10 @@ def _elliptic_is_model(params: dict) -> tuple:
     gamma = float(params.get("gamma", 3.2))
     model = models.EllipticModel(gamma=gamma)
     data_spec = params.get("data", {"seed": 2024, "noise": 0.02, "dim": 64})
+    _require(
+        isinstance(data_spec, dict) and set(data_spec) <= {"seed", "noise", "dim"},
+        f"params.data must be an object with keys among seed, noise and dim, got {data_spec!r}",
+    )
     if "y" in params:
         y = np.asarray(params["y"], dtype=float)
     else:
@@ -424,9 +439,10 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     else:
         raise ConfigError(f"unknown log-change {gname!r}")
     model = pcn.PcnModel.diagonal(
-        rho, g, lambda l: float(l) ** (-2.0 * a), regularity=a, lipschitz=1.0
+        rho, g, lambda l: float(l) ** (-2.0 * a), regularity=a
     )
     tau = float(params.get("tau", 1.0))
+    _require(tau > 0.0, "params.tau must be positive")
     fname = params.get("f", "capped-norm")
     if fname == "capped-norm":
         f = lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1) / tau)
@@ -462,6 +478,8 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
         n_obs=int(params.get("n_obs", 100)),
         seed=int(params.get("data_seed", 7)),
     )
+    coord = int(params.get("coordinate", 1))
+    _require(1 <= coord <= model.dim, f"params.coordinate must lie in 1..{model.dim}")
     rho = float(params.get("rho", 0.5))
     # rwm_steps: the key's name from when a random-walk chain made the fit.
     _require(
@@ -495,7 +513,6 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     schedule = LevelSchedule.arithmetic(m, lambda i: model.dim)
     if law is None:
         law = _finite_work_survival({}, SurvivalDistribution.geometric(r**m), *_ARITHMETIC_WORK)
-    coord = int(params.get("coordinate", 1))
     delta_batch = pcn.delta_batch(chain, schedule, lambda beta: beta[:, coord - 1], center)
     return {
         "run_block": _lane_block(delta_batch, law, schedule.dims_at),
@@ -514,9 +531,11 @@ def _prepare_tune(config: ExperimentConfig) -> dict:
     # (N = step multiplier, z = tuned/ergodic ratio, work = tuned product).
     params = _params(config, "rho_grid")
     _schedule(config)
+    _known_keys(config, "survival", ())
     grid = params.get("rho_grid")
     if grid is None:
         grid = [round(0.50 + 0.05 * k, 2) for k in range(10)]
+    _require(isinstance(grid, list) and grid, "params.rho_grid must be a nonempty list")
     w = tuning.OPTIMAL_W
     rows = []
     for rho in grid:

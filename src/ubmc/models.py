@@ -28,14 +28,12 @@ __all__ = [
     "contracting_unbiased_block",
     "CircleChainModel",
     "circle_maximal_coupling",
-    "circle_arc",
     "LogisticModel",
     "logistic_posterior_logdensity",
     "logistic_reference_fit",
     "ReferenceFit",
     "EllipticModel",
     "elliptic_forward",
-    "elliptic_observation_gap",
 ]
 
 
@@ -64,7 +62,7 @@ class ContractingNormalsModel:
         def step(x, rng):
             return rho * x + scale * rng.standard_normal(getattr(x, "shape", None) or None)
 
-        return MarkovKernel(step=step, work_per_step=1.0, dim=1)
+        return MarkovKernel(step=step, work_per_step=1.0)
 
     def coupling(self) -> CoupledKernel:
         rho = self.rho
@@ -73,7 +71,7 @@ class ContractingNormalsModel:
             noise = rng.standard_normal(getattr(pair[0], "shape", None) or None)
             return contracting_normals_coupling(pair, noise, rho)
 
-        return CoupledKernel(step=joint, marginal=self.kernel())
+        return CoupledKernel(step=joint)
 
 
 def contracting_normals_coupling(pair, noise, rho: float) -> tuple:
@@ -108,18 +106,6 @@ def contracting_unbiased_block(
 # ---------------------------------------------------------------------------
 
 
-def circle_arc(x: float) -> list[tuple[float, float]]:
-    """Support of one step from ``x``: the arc ``(x - 2, x + 2) mod 2 pi``.
-
-    Returned as one or two half-open intervals inside ``[0, 2 pi)``.
-    """
-    lo = (x - 2.0) % TWO_PI
-    hi = lo + 4.0
-    if hi <= TWO_PI:
-        return [(lo, hi)]
-    return [(lo, TWO_PI), (0.0, hi - TWO_PI)]
-
-
 def _circle_step(x, rng: np.random.Generator):
     return (x + rng.uniform(-2.0, 2.0, getattr(x, "shape", None) or None)) % TWO_PI
 
@@ -135,10 +121,10 @@ class CircleChainModel:
     """
 
     def kernel(self) -> MarkovKernel:
-        return MarkovKernel(step=_circle_step, work_per_step=1.0, dim=1)
+        return MarkovKernel(step=_circle_step, work_per_step=1.0)
 
     def coupling(self) -> CoupledKernel:
-        return CoupledKernel(step=circle_maximal_coupling, marginal=self.kernel())
+        return CoupledKernel(step=circle_maximal_coupling)
 
 
 def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple:
@@ -422,15 +408,6 @@ class EllipticModel:
     def half_widths(self, j: int) -> np.ndarray:
         return np.arange(1, j + 1, dtype=float) ** (-self.gamma)
 
-    @property
-    def coefficient_lower_bound(self) -> float:
-        """Lower bound on ``u``: ``m0 - sqrt(2) * sum_k u*_k`` (sine basis sup)."""
-        return self.m0 - math.sqrt(2.0) * _zeta(self.gamma)
-
-    @property
-    def coefficient_upper_bound(self) -> float:
-        return self.m0 + math.sqrt(2.0) * _zeta(self.gamma)
-
     def prior_sample(self, j: int, rng: np.random.Generator) -> np.ndarray:
         return (2.0 * rng.random(j) - 1.0) * self.half_widths(j)
 
@@ -443,11 +420,6 @@ class EllipticModel:
     def work_exponent(self) -> float:
         """Cost exponent of one chain step at truncation ``j``."""
         return self.gamma / 2.0 - 0.25
-
-    def coefficient_values(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """``u`` at ``points`` for the coefficient vector ``coeffs``."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        return self.m0 + _sine_basis(coeffs.size, points) @ coeffs
 
     def _operator(self, j: int, n_points: int | None = None) -> _EllipticOperator:
         """The cached forward operator at truncation ``j`` on ``n_points``
@@ -517,17 +489,3 @@ def elliptic_forward(
     p *= ratio[..., None]
     p -= inv_u @ op.obs_h
     return p
-
-
-def elliptic_observation_gap(
-    model: EllipticModel, j: int, n_draws: int, stream: Stream, factor: int = 2
-) -> float:
-    """Sup over prior draws of ``|G_j(u) - G_{factor*j}(u)|``.
-
-    Each level uses its own quadrature rule, mirroring how the sampler
-    would evaluate the forward map at those truncations.
-    """
-    rngs = (stream.child(r).generator() for r in range(n_draws))
-    coeffs = np.stack([model.prior_sample(factor * j, rng) for rng in rngs])  # a lane per draw
-    gaps = np.linalg.norm(model.forward(j, coeffs) - model.forward(factor * j, coeffs), axis=-1)
-    return float(gaps.max())

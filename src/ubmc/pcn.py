@@ -36,9 +36,6 @@ from .estimator import SurvivalDistribution
 __all__ = [
     "PcnModel",
     "PcnState",
-    "PcnDistance",
-    "pcn_distance",
-    "pcn_acceptance",
     "propose_noise",
     "pcn_step",
     "coupled_pcn_step",
@@ -66,7 +63,6 @@ class PcnModel:
     log_change: Callable[[np.ndarray], float]
     eigenvalues: Callable[[int], float] | None = None
     regularity: float | None = None
-    lipschitz: float | None = None
     center: np.ndarray | None = None
     covariance: np.ndarray | None = None
     work_exponent: float = 1.0
@@ -93,7 +89,6 @@ class PcnModel:
         log_change: Callable[[np.ndarray], float],
         eigenvalues: Callable[[int], float],
         regularity: float,
-        lipschitz: float | None = None,
         work_exponent: float = 1.0,
     ) -> "PcnModel":
         return cls(
@@ -101,7 +96,6 @@ class PcnModel:
             log_change=log_change,
             eigenvalues=eigenvalues,
             regularity=regularity,
-            lipschitz=lipschitz,
             work_exponent=work_exponent,
         )
 
@@ -151,47 +145,6 @@ class PcnModel:
 
 
 @dataclass(frozen=True)
-class PcnDistance:
-    """Capped-norm distance and its energy-weighted companion.
-
-    ``capped``: ``d(x, y) = 1 ^ |x - y| / tau`` (a bounded metric).
-    ``weighted``: ``sqrt(d_capped (1 + V(x) + V(y)))`` with
-    ``V(x) = exp(|x|)``, a distance-like function suited to unbounded
-    observables.
-    """
-
-    variant: str = "capped"
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if self.variant not in ("capped", "weighted"):
-            raise ValueError("variant must be 'capped' or 'weighted'")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-
-    def __call__(self, x, y) -> float:
-        return pcn_distance(self.variant, self.tau, x, y)
-
-
-def pcn_distance(variant: str, tau: float, x, y):
-    """Evaluate the capped or energy-weighted distance, one value per row
-    of ``(lanes, j)`` states; states of unequal dimension are compared
-    through zero-padding."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    x, y = np.atleast_1d(x, y)
-    n = max(x.shape[-1], y.shape[-1])
-    x, y = pad_to(x, n), pad_to(y, n)
-    capped = np.minimum(1.0, np.linalg.norm(x - y, axis=-1) / tau)
-    if variant == "capped":
-        return capped
-    if variant == "weighted":
-        nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
-        return np.sqrt(capped * (1.0 + np.exp(nx) + np.exp(ny)))
-    raise ValueError("variant must be 'capped' or 'weighted'")
-
-
-@dataclass(frozen=True)
 class PcnState:
     """Chain state(s) ``x``, one ``(j,)`` state or ``(lanes, j)`` lanes,
     carried with the log-change ``g(x)`` (``None`` until a step fills it
@@ -203,11 +156,6 @@ class PcnState:
     def __getitem__(self, lanes) -> "PcnState":
         """The state of the lanes ``lanes`` (a slice or index of the lane axis)."""
         return PcnState(self.x[lanes], None if self.g is None else self.g[lanes])
-
-
-def pcn_acceptance(model: PcnModel, x: np.ndarray, proposal: np.ndarray) -> float:
-    """``1 ^ exp(g(x) - g(x^))``, one value per lane for ``(lanes, j)`` states."""
-    return _acceptance(model.log_change(x) - model.log_change(proposal))
 
 
 def _acceptance(log_ratio):
@@ -343,25 +291,18 @@ def kernel(model: PcnModel, j: int | None = None) -> MarkovKernel:
     ``j`` is the truncation dimension in diagonal mode and ignored in
     recentred mode.
     """
-    if model.recentred:
-        dim = model.center.size
-    else:
-        if j is None:
-            raise ValueError("diagonal mode needs the dimension j")
-        dim = j
+    dim = _fixed_dim(model, j)
 
     def step(x, rng):
         return sampler_step(model, dim, x, rng)
 
-    return MarkovKernel(
-        step=step, work_per_step=float(dim) ** model.work_exponent, dim=dim
-    )
+    return MarkovKernel(step=step, work_per_step=float(dim) ** model.work_exponent)
 
 
 def coupling(model: PcnModel, j: int | None = None) -> CoupledKernel:
-    """Basic shared-randomness coupling at a fixed dimension."""
-    marginal = kernel(model, j)
-    dim = marginal.dim
+    """Basic shared-randomness coupling at a fixed dimension, ``j`` as in
+    :func:`kernel`."""
+    dim = _fixed_dim(model, j)
 
     def joint(pair, rng):
         x, y = pair
@@ -371,7 +312,17 @@ def coupling(model: PcnModel, j: int | None = None) -> CoupledKernel:
             pcn_step(model, dim, y, w),
         )
 
-    return CoupledKernel(step=joint, marginal=marginal)
+    return CoupledKernel(step=joint)
+
+
+def _fixed_dim(model: PcnModel, j: int | None) -> int:
+    """The state dimension of a fixed-dimension chain: the reference's in
+    recentred mode, else ``j``, which diagonal mode requires."""
+    if model.recentred:
+        return model.center.size
+    if j is None:
+        raise ValueError("diagonal mode needs the dimension j")
+    return j
 
 
 def _dims_exponent(model: PcnModel, variant: str, m: int) -> float:

@@ -153,6 +153,45 @@ def scaled_elliptic_is_model(seed: int = 20240817, scale: float = 40.0, gamma: f
     return elliptic, model
 
 
+def circle_arc(x: float) -> list[tuple[float, float]]:
+    """Support of one circle-chain step from ``x``: the arc
+    ``(x - 2, x + 2) mod 2 pi``, as one or two half-open intervals inside
+    ``[0, 2 pi)``."""
+    from ubmc.models import TWO_PI
+
+    lo = (x - 2.0) % TWO_PI
+    hi = lo + 4.0
+    if hi <= TWO_PI:
+        return [(lo, hi)]
+    return [(lo, TWO_PI), (0.0, hi - TWO_PI)]
+
+
+def coefficient_values(model, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The elliptic diffusion coefficient ``u`` at ``points`` for ``coeffs``."""
+    from ubmc.models import _sine_basis
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    return model.m0 + _sine_basis(coeffs.size, points) @ coeffs
+
+
+def coefficient_bounds(model) -> tuple[float, float]:
+    """``m0 -/+ sqrt(2) * sum_k u*_k``: the bounds on every prior draw of
+    the elliptic coefficient (the sine basis is at most ``sqrt(2)``)."""
+    from ubmc.models import _zeta
+
+    spread = math.sqrt(2.0) * _zeta(model.gamma)
+    return model.m0 - spread, model.m0 + spread
+
+
+def elliptic_observation_gap(model, j: int, n_draws: int, stream: Stream, factor: int = 2) -> float:
+    """Sup over prior draws of ``|G_j(u) - G_{factor*j}(u)|``, each level
+    on its own quadrature rule, as the sampler evaluates the forward map."""
+    rngs = (stream.child(r).generator() for r in range(n_draws))
+    coeffs = np.stack([model.prior_sample(factor * j, rng) for rng in rngs])  # a lane per draw
+    gaps = np.linalg.norm(model.forward(j, coeffs) - model.forward(factor * j, coeffs), axis=-1)
+    return float(gaps.max())
+
+
 @pytest.fixture
 def stream():
     return Stream(20240817)

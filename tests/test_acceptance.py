@@ -38,10 +38,8 @@ from ubmc.models import (
     EllipticModel,
     LogisticModel,
     TWO_PI,
-    circle_arc,
     circle_maximal_coupling,
     contracting_unbiased_block,
-    elliptic_observation_gap,
     logistic_reference_fit,
 )
 from ubmc.tuning import (
@@ -54,7 +52,7 @@ from ubmc.tuning import (
     unbiased_msework,
 )
 
-from conftest import scaled_elliptic_is_model
+from conftest import circle_arc, elliptic_observation_gap, scaled_elliptic_is_model
 from test_models import arc_cdf
 
 
@@ -335,7 +333,7 @@ def test_criterion_10_pcn():
     # Transdimensional gap: decay then plateau near the tail mass.
     norm_model = pcn.PcnModel.diagonal(
         0.7, lambda v: float(np.linalg.norm(v)), lambda l: float(l) ** -4.0,
-        regularity=2.0, lipschitz=1.0,
+        regularity=2.0,
     )
     j_lo, j_hi = 5, 15
     lam_hi = np.array([float(l) ** -4.0 for l in range(1, j_hi + 1)])

@@ -5,13 +5,26 @@ level differences enter the estimator only as a ``delta_batch``, so no
 module defines a per-draw generator factory again; and schedules are their
 formulas, checked by one finite-work rule, so none of the bump, the second
 schedule cache, the arithmetic-only law check or the distance wrapper
-returns.
+returns; nor does any other name or field that no experiment reaches.
+The package's exports are pinned, so adding or dropping one shows in review.
 """
 
 import importlib
 import pkgutil
+from dataclasses import fields
 
 import ubmc
+from ubmc.couplings import CoupledKernel, MarkovKernel
+from ubmc.models import EllipticModel
+from ubmc.pcn import PcnModel
+
+# Names deleted from the library; tests that still need a reference keep
+# their own copy in conftest.
+DELETED = {
+    "strictly_increasing", "_checked_prefix", "_arithmetic_survival", "DistanceLike",
+    "minorized_step", "subgeometric_schedule", "PcnDistance", "pcn_distance",
+    "pcn_acceptance", "circle_arc", "elliptic_observation_gap",
+}
 
 
 def test_exports_resolve_and_no_per_draw_generators():
@@ -26,8 +39,36 @@ def test_exports_resolve_and_no_per_draw_generators():
             if name in ("LevelDifferenceGenerator", "_per_lane") or name.endswith("_generator")
         ]
         assert not per_draw, f"{module.__name__} defines {per_draw}"
-        deleted = [
-            name for name in vars(module)
-            if name in ("strictly_increasing", "_checked_prefix", "_arithmetic_survival", "DistanceLike")
-        ]
+        deleted = [name for name in vars(module) if name in DELETED]
         assert not deleted, f"{module.__name__} defines {deleted}"
+
+
+def test_public_names_are_pinned():
+    assert set(ubmc.__all__) == {
+        "BatchResult",
+        "ContractionFit",
+        "CoupledKernel",
+        "EstimatorError",
+        "LevelSchedule",
+        "MarkovKernel",
+        "NonFiniteDeltaError",
+        "Stream",
+        "SurvivalDistribution",
+        "UnbiasedDraw",
+        "contraction_delta_batch",
+        "estimate_batch",
+        "estimate_once",
+        "estimate_contraction",
+        "expected_work",
+        "sample_truncation",
+        "second_moment_formula",
+    }
+
+
+def test_no_dead_fields():
+    # Fields that every constructor set and no code read.
+    assert "dim" not in {f.name for f in fields(MarkovKernel)}
+    assert "marginal" not in {f.name for f in fields(CoupledKernel)}
+    assert "lipschitz" not in {f.name for f in fields(PcnModel)}
+    for name in ("coefficient_values", "coefficient_lower_bound", "coefficient_upper_bound"):
+        assert not hasattr(EllipticModel, name), name

@@ -1,4 +1,4 @@
-"""Coupled-chain machinery: schedules, the coupled driver, minorization."""
+"""Coupled-chain machinery: schedules, the coupled driver, contraction fits."""
 
 import math
 
@@ -9,17 +9,11 @@ from scipy import stats
 from ubmc import (
     CoupledKernel,
     LevelSchedule,
-    MarkovKernel,
     Stream,
     estimate_contraction,
-    minorized_step,
 )
 from ubmc import couplings, gaussian_linear, independence_sampler, pcn
-from ubmc.couplings import (
-    contraction_delta_batch,
-    level_runs,
-    subgeometric_schedule,
-)
+from ubmc.couplings import contraction_delta_batch, level_runs
 from ubmc.models import CircleChainModel, ContractingNormalsModel
 
 from conftest import ConstantStreamDouble, ScriptedNormals, four_se, moments_agree, recording_level_rng
@@ -223,50 +217,6 @@ class TestLevelRuns:
             moments_agree(fused[level][0], single)
 
 
-class TestMinorizedStep:
-    def test_constant_branch_dominates(self, stream):
-        rng = stream.generator()
-        identity = MarkovKernel(step=lambda x, r: x)
-        out = [
-            minorized_step(1.0 - 1e-12, lambda r: 7.0, identity, 3.0, rng)
-            for _ in range(2000)
-        ]
-        assert all(v == 7.0 for v in out)
-
-    def test_bernoulli_mixture_frequencies(self, stream):
-        rng = stream.generator()
-        identity = MarkovKernel(step=lambda x, r: x)
-        n = 100_000
-        hits = sum(
-            minorized_step(0.5, lambda r: 7.0, identity, 3.0, rng) == 7.0
-            for _ in range(n)
-        )
-        se = math.sqrt(0.25 / n)
-        assert abs(hits / n - 0.5) <= 4.0 * se
-
-    def test_coalescence_probability(self, stream):
-        # Shared stream, distinct starts, identity residual: the chains
-        # coincide iff the constant branch ever fired.
-        lam, n_steps, reps = 0.3, 6, 20_000
-        identity = MarkovKernel(step=lambda x, r: x)
-        bound = 1.0 - (1.0 - lam) ** n_steps
-        met = 0
-        for r in range(reps):
-            x, y = 3.0, -2.0
-            for k in range(n_steps):
-                shared = stream.child(r, k)
-                x = minorized_step(lam, lambda g: 7.0, identity, x, shared.generator())
-                y = minorized_step(lam, lambda g: 7.0, identity, y, shared.generator())
-            met += x == y
-        se = math.sqrt(bound * (1.0 - bound) / reps)
-        assert met / reps >= bound - 4.0 * se
-
-    def test_lambda_bounds(self):
-        identity = MarkovKernel(step=lambda x, r: x)
-        with pytest.raises(ValueError):
-            minorized_step(0.0, lambda r: 0.0, identity, 1.0, Stream(0).generator())
-
-
 class TestEstimateContraction:
     def test_exact_geometric_contraction(self, stream):
         model = ContractingNormalsModel(0.5)
@@ -281,9 +231,7 @@ class TestEstimateContraction:
         assert fit.slope == pytest.approx(math.log(0.5), abs=0.05)
 
     def test_identity_coupling_zero_slope(self, stream):
-        frozen = CoupledKernel(
-            step=lambda pair, rng: pair, marginal=MarkovKernel(step=lambda x, r: x)
-        )
+        frozen = CoupledKernel(step=lambda pair, rng: pair)
         fit = estimate_contraction(
             frozen, lambda x, y: abs(x - y), [(1.0, 0.0)], 8, 5, stream
         )
@@ -307,7 +255,7 @@ class TestEstimateContraction:
             x, y = pair
             return (0.5 * x, 0.5 * y)
 
-        frozen = CoupledKernel(step=step, marginal=MarkovKernel(step=lambda x, r: x))
+        frozen = CoupledKernel(step=step)
         fit = estimate_contraction(
             frozen, lambda x, y: abs(x - y), [(1.0, 0.0)], 8, 1, stream
         )
@@ -378,18 +326,3 @@ class TestMarginalsAndFaithfulness:
         lone = np.array([model.kernel().step(start[0], rng_lone) for _ in range(n)])
         assert stats.ks_2samp(joint, lone).pvalue > 1e-3
 
-
-class TestSubgeometricSchedule:
-    def test_valid_choice(self):
-        sched, survival = subgeometric_schedule(k=4, r=1.0, eps=0.5)
-        assert [sched.steps_at(i) for i in range(3)] == [1, 16, 81]
-        # survival exponent 2rk - 2 - eps
-        assert survival.exponent == pytest.approx(2 * 1.0 * 4 - 2 - 0.5)
-
-    def test_constraints_enforced(self):
-        with pytest.raises(ValueError):
-            subgeometric_schedule(k=4, r=0.4, eps=0.1)
-        with pytest.raises(ValueError):
-            subgeometric_schedule(k=2, r=1.0, eps=0.1)  # k <= 3/(2r-1)
-        with pytest.raises(ValueError):
-            subgeometric_schedule(k=4, r=1.0, eps=1.1)  # eps >= (2r-1)k-3

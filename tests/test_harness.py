@@ -227,7 +227,7 @@ class TestLanePathLaw:
         # take one 1-d state.
         model = pcn.PcnModel.diagonal(
             0.7, lambda x: float(np.linalg.norm(x)), lambda l: float(l) ** -4.0,
-            regularity=2.0, lipschitz=1.0,
+            regularity=2.0,
         )
         schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.6, theta=1.0, eps=0.25)
         f, x0 = lambda x: min(1.0, float(np.linalg.norm(x))), np.zeros(schedule.dims_at(0))
@@ -585,6 +585,9 @@ class TestCli:
             {"survival": {"kind": "polynomial", "exponent": 1.0}},
             {"survival": {"kind": "tabulated", "values": [1.0, 1.0], "tail_ratio": 1.0}},
             {"wall_clock": True},
+            {"survival": {"kind": "geometric", "rate": 0.7, "tail_ratio": 0.5}},
+            {"survival": {"kind": "polynomial", "exponent": 3, "rate": 0.2}},
+            {"survival": {"kind": "optimal", "rate": 0.5}},
         ],
         ids=[
             "survival-missing-rate",
@@ -599,6 +602,9 @@ class TestCli:
             "survival-harmonic-tail",
             "survival-constant-tail",
             "unknown-field",
+            "geometric-survival-tail-ratio",
+            "polynomial-survival-rate",
+            "optimal-survival-rate",
         ],
     )
     def test_config_type_and_value_errors_exit_2(self, tmp_path, capsys, change):
@@ -703,6 +709,35 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "schedule" in err, err
+
+    @pytest.mark.parametrize(
+        "experiment, change, message",
+        [
+            ("logistic", {"params": {"coordinate": 0}}, "coordinate must lie in 1..3"),
+            ("logistic", {"params": {"coordinate": 9}}, "coordinate must lie in 1..3"),
+            ("pcn", {"params": {"tau": 0}}, "tau must be positive"),
+            ("pcn", {"params": {"tau": -1}}, "tau must be positive"),
+            ("indep-sampler", {"params": {"data": 5}}, "params.data must be an object"),
+            ("indep-sampler", {"params": {"data": {"sead": 3}}}, "params.data must be an object"),
+            ("tune", {"params": {"rho_grid": []}}, "rho_grid must be a nonempty list"),
+            ("tune", {"survival": {"kind": "geometric", "rate": 0.5}}, "unknown tune survival"),
+        ],
+        ids=[
+            "logistic-coordinate-0", "logistic-coordinate-9", "pcn-tau-0", "pcn-tau-negative",
+            "indep-sampler-data-int", "indep-sampler-data-key", "tune-empty-grid", "tune-survival",
+        ],
+    )
+    def test_bad_value_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, experiment, change, message):
+        # Each ran to a wrong answer, or failed while sampling with exit 3.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict({"experiment": experiment, "replicates": 50}, **change)))
+        assert cli_main([experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err, err
 
     def test_reference_draws_with_alias_exit_2(self, tmp_path, capsys):
         path = tmp_path / "logistic.json"

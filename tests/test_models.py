@@ -20,15 +20,20 @@ from ubmc.models import (
     LogisticModel,
     TWO_PI,
     _zeta,
-    circle_arc,
     circle_maximal_coupling,
     contracting_normals_coupling,
     elliptic_forward,
-    elliptic_observation_gap,
     logistic_posterior_logdensity,
     logistic_reference_fit,
 )
-from conftest import four_se, per_lane
+from conftest import (
+    circle_arc,
+    coefficient_bounds,
+    coefficient_values,
+    elliptic_observation_gap,
+    four_se,
+    per_lane,
+)
 
 
 def arc_length(x):
@@ -528,13 +533,14 @@ class TestElliptic:
 
     def test_prior_draw_bounds(self, stream):
         model = EllipticModel(gamma=4.0)
-        assert model.coefficient_lower_bound > 0.0
+        lower, upper = coefficient_bounds(model)
+        assert lower > 0.0
         grid = np.linspace(0, 1, 501)
         for r in range(5):
             coeffs = model.prior_sample(64, stream.child(r).generator())
-            u_vals = model.coefficient_values(coeffs, grid)
-            assert np.all(u_vals >= model.coefficient_lower_bound - 1e-12)
-            assert np.all(u_vals <= model.coefficient_upper_bound + 1e-12)
+            u_vals = coefficient_values(model, coeffs, grid)
+            assert np.all(u_vals >= lower - 1e-12)
+            assert np.all(u_vals <= upper + 1e-12)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""pCN chain, its fixed- and cross-dimension couplings, distances, schedules."""
+"""pCN chain, its fixed- and cross-dimension couplings, schedules."""
 
 import dataclasses
 import json
@@ -21,8 +21,12 @@ def norm_model(rho=0.7, a=2.0):
         lambda x: float(np.linalg.norm(x)),
         lambda l: float(l) ** (-2 * a),
         regularity=a,
-        lipschitz=1.0,
     )
+
+
+def capped_distance(x, y, tau=1.0):
+    """``1 ^ |x - y| / tau`` per row of same-dimension ``(lanes, j)`` states."""
+    return np.minimum(1.0, np.linalg.norm(x - y, axis=-1) / tau)
 
 
 def flat_model(rho=0.7, a=2.0):
@@ -50,7 +54,8 @@ class TestStep:
         )
         proposal = 0.6 * 0.0 + math.sqrt(1 - 0.36) * 1.0
         assert proposal == pytest.approx(0.8)
-        alpha = pcn.pcn_acceptance(model, np.array([0.0]), np.array([proposal]))
+        g = model.log_change
+        alpha = min(1.0, math.exp(g(np.array([0.0])) - g(np.array([proposal]))))
         assert alpha == pytest.approx(math.exp(-0.8))
         # u above the acceptance probability rejects, below accepts
         assert pcn.pcn_step(model, 1, np.array([0.0]), (np.array([1.0]), 0.9))[0] == 0.0
@@ -81,7 +86,8 @@ class TestStep:
         )
         x = np.array([-1.0, 0.0])
         uphill = (np.array([2.0, 0.0]), 0.5)
-        assert pcn.pcn_acceptance(model, x, pcn.pcn_step(model, 2, x, (uphill[0], 0.0))) == 0.0
+        g, proposal = model.log_change, pcn.pcn_step(model, 2, x, (uphill[0], 0.0))
+        assert min(1.0, math.exp(g(x) - g(proposal))) == 0.0
         assert np.array_equal(pcn.pcn_step(model, 2, x, uphill), x)
         rng = stream.generator()
         for _ in range(50):
@@ -125,7 +131,6 @@ def row_norm_model(rho=0.7, a=2.0):
         lambda x: np.linalg.norm(x, axis=-1),
         lambda l: float(l) ** (-2 * a),
         regularity=a,
-        lipschitz=1.0,
     )
 
 
@@ -292,7 +297,7 @@ class TestUnbiasedDelta:
         model = row_norm_model(rho=0.7, a=2.0)
         pilot = estimate_contraction(
             pcn.coupling(model, 8),
-            pcn.PcnDistance("capped", 1.0),
+            capped_distance,
             pairs=[(np.full(8, 0.5), np.full(8, -0.5))],
             n_steps=12,
             replicates=300,
@@ -321,40 +326,6 @@ class TestUnbiasedDelta:
             [1, 1], lambda level: stream.child(level).generator()
         )
         assert work == pytest.approx(5 * 3.0**1.5)
-
-
-class TestDistances:
-    def test_examples(self):
-        assert pcn.pcn_distance("capped", 1.0, np.zeros(3), np.zeros(3)) == 0.0
-        x, y = np.array([2.0]), np.array([0.0])
-        assert pcn.pcn_distance("capped", 1.0, x, y) == 1.0  # |x-y| = 2 tau
-        assert pcn.pcn_distance("weighted", 1.0, np.zeros(2), np.zeros(2)) == 0.0
-
-    def test_weighted_combines_energy(self):
-        x, y = np.array([0.3]), np.array([0.1])
-        capped = pcn.pcn_distance("capped", 1.0, x, y)
-        expected = math.sqrt(capped * (1 + math.e**0.3 + math.e**0.1))
-        assert pcn.pcn_distance("weighted", 1.0, x, y) == pytest.approx(expected)
-
-    def test_unequal_dimensions_padded(self):
-        x, y = np.array([0.5, 0.2]), np.array([0.5])
-        assert pcn.pcn_distance("capped", 1.0, x, y) == pytest.approx(0.2)
-
-    @pytest.mark.parametrize("variant", ["capped", "weighted"])
-    def test_rows_equal_one_dimensional_calls(self, stream, variant):
-        rng = stream.generator()
-        x, y = 0.6 * rng.standard_normal((2, 50, 4))
-        for x_rows in (x, x[:, :2]):  # unequal dimensions pad each row
-            rows = pcn.pcn_distance(variant, 1.5, x_rows, y)
-            assert rows.shape == (50,)
-            expected = [pcn.pcn_distance(variant, 1.5, a, b) for a, b in zip(x_rows, y)]
-            np.testing.assert_array_equal(rows, expected)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pcn.pcn_distance("capped", 0.0, np.zeros(1), np.zeros(1))
-        with pytest.raises(ValueError):
-            pcn.PcnDistance("other", 1.0)
 
 
 class TestMakeSchedule:
@@ -413,7 +384,7 @@ class TestStationarity:
         config = json.loads((Path(__file__).parents[1] / "configs" / "pcn.json").read_text())
         fit = estimate_contraction(
             pcn.coupling(row_norm_model(rho=0.7, a=2.0), j),
-            pcn.PcnDistance("capped", 1.0),
+            capped_distance,
             [(np.full(j, -1.0), np.full(j, 1.0))],
             n_steps=20,
             replicates=4000,
@@ -431,7 +402,7 @@ class TestStationarity:
         model = pcn.PcnModel.diagonal(
             params["rho"], lambda x: np.linalg.norm(x, axis=-1),
             lambda l: float(l) ** (-2.0 * params["a"]),
-            regularity=params["a"], lipschitz=1.0,
+            regularity=params["a"],
         )
         schedule, law = pcn.make_schedule(
             model, sched["variant"], m=sched["m"], r=sched["r"],
@@ -457,7 +428,7 @@ class TestStationarity:
             pair = (3.0 * lam_sqrt, -3.0 * lam_sqrt)
             fit = estimate_contraction(
                 pcn.coupling(model, j),
-                pcn.PcnDistance("capped", 1.0),
+                capped_distance,
                 [pair],
                 n_steps=10,
                 replicates=300,
@@ -473,7 +444,7 @@ class TestStationarity:
         # within combined Monte Carlo error.
         model = pcn.PcnModel.diagonal(
             0.6, lambda x: np.abs(x).sum(axis=-1), lambda l: 1.0,
-            regularity=2.0, lipschitz=1.0,
+            regularity=2.0,
         )
         f = lambda x: np.minimum(1.0, np.abs(x).sum(axis=-1))
         rng = Stream(3).generator()
