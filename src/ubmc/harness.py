@@ -20,7 +20,6 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from . import gaussian_linear, independence_sampler, models, pcn, tuning
 from .couplings import LevelSchedule, MarkovKernel, contraction_delta_batch, estimate_contraction
 from .estimator import BLOCK_SIZE, SurvivalDistribution, draw_statistics, estimate_block
 from .estimator import estimate_once  # noqa: F401 - name the benchmark's trace probe wraps
@@ -143,6 +142,19 @@ def _finite_work_survival(
     return law
 
 
+def _integer(value, name: str) -> int:
+    """A count or index param, given as an int or an integral float.
+    ``int()`` would truncate a fractional value and read ``true`` as 1, so
+    both, like any other value, are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    _require(
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+        f"{name} must be an integer, got {value!r}",
+    )
+    return int(value)
+
+
 def _params(config: ExperimentConfig, *known: str) -> dict:
     """``config.params``, checked to name only ``known`` keys: a misspelled
     key would otherwise run silently on its default."""
@@ -189,13 +201,15 @@ def _lane_block(delta_batch, survival, dim_of_level):
 
 
 def _prepare_contracting(config: ExperimentConfig) -> dict:
+    from . import models, tuning
+
     params = _params(config, "rho", "x0")
     rho = params.get("rho")
     _require(rho is not None and 0.0 < rho < 1.0, "params.rho must lie in (0, 1)")
     x0 = float(params.get("x0", 0.0))
     sched_kind = config.schedule.get("kind", "arithmetic")
     if sched_kind == "arithmetic":
-        m = int(_schedule(config, "kind", "m").get("m", 1))
+        m = _integer(_schedule(config, "kind", "m").get("m", 1), "schedule.m")
         _require(m >= 1, "schedule.m must be a positive integer")
     elif sched_kind == "multiplier-ansatz":
         _schedule(config, "kind")
@@ -227,10 +241,12 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
 
 
 def _prepare_circle(config: ExperimentConfig) -> dict:
+    from . import models
+
     params = _params(config, "x0")
     sched = _schedule(config, "kind", "m")
     _require(sched.get("kind", "arithmetic") == "arithmetic", "circle runs an arithmetic schedule only")
-    m = int(sched.get("m", 1))
+    m = _integer(sched.get("m", 1), "schedule.m")
     _require(m >= 1, "schedule.m must be a positive integer")
     # Default truncation law: geometric at 0.7, comfortably above the
     # discrete-metric contraction rate 1 - (8 - 2 pi)/4 of the coupling.
@@ -250,13 +266,15 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
 
 
 def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
+    from . import gaussian_linear
+
     params = _params(config, "variant", "a", "p", "s", "coordinate", "eps")
     variant = params.get("variant", "holder")  # make_schedule checks it
     a = params.get("a")
     _require(a is not None, "params.a is required")
     p = float(params.get("p", 0.0))
     s = float(params.get("s", 1.0))
-    coord = int(params.get("coordinate", 1))
+    coord = _integer(params.get("coordinate", 1), "params.coordinate")
     _require(coord >= 1, "params.coordinate must be >= 1")
     sched = _schedule(config, "kind", "q")
     geometry, q = sched.get("kind", "dyadic"), sched.get("q")
@@ -285,6 +303,8 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
 
 
 def _elliptic_is_model(params: dict) -> tuple:
+    from . import independence_sampler, models
+
     gamma = float(params.get("gamma", 3.2))
     model = models.EllipticModel(gamma=gamma)
     data_spec = params.get("data", {"seed": 2024, "noise": 0.02, "dim": 64})
@@ -292,12 +312,13 @@ def _elliptic_is_model(params: dict) -> tuple:
         isinstance(data_spec, dict) and set(data_spec) <= {"seed", "noise", "dim"},
         f"params.data must be an object with keys among seed, noise and dim, got {data_spec!r}",
     )
+    data_seed = _integer(data_spec.get("seed", 2024), "params.data.seed")
     if "y" in params:
         y = np.asarray(params["y"], dtype=float)
     else:
-        stream = Stream(int(data_spec.get("seed", 2024)))
-        truth = model.prior_sample(int(data_spec.get("dim", 64)), stream.generator())
-        y = model.forward(int(data_spec.get("dim", 64)), truth)
+        stream = Stream(data_seed)
+        dim = _integer(data_spec.get("dim", 64), "params.data.dim")
+        y = model.forward(dim, model.prior_sample(dim, stream.generator()))
         noise = float(data_spec.get("noise", 0.02))
         y = y + noise * stream.child(1).generator().standard_normal(y.size)
     alpha_star = params.get("alpha_star")
@@ -312,9 +333,9 @@ def _elliptic_is_model(params: dict) -> tuple:
         # Pilot-calibrated floor, runtime-checked: half the smallest acceptance
         # over lanes of prior (x, xi) pairs, drawn pair by pair.  The model's
         # worst-case bound is far too small to schedule against.
-        rng = Stream(int(data_spec.get("seed", 2024))).child(2).generator()
-        j_pilot = int(params.get("pilot_dim", 32))
-        pairs = (int(params.get("pilot_proposals", 512)), 2)
+        rng = Stream(data_seed).child(2).generator()
+        j_pilot = _integer(params.get("pilot_dim", 32), "params.pilot_dim")
+        pairs = (_integer(params.get("pilot_proposals", 512), "params.pilot_proposals"), 2)
         x, xi = independence_sampler.propose(is_model, j_pilot, rng, pairs).transpose(1, 0, 2)
         alphas = independence_sampler.is_acceptance(is_model, j_pilot, x, xi)
         is_model = replace(is_model, alpha_star=0.5 * float(np.min(alphas, initial=1.0)))
@@ -322,6 +343,8 @@ def _elliptic_is_model(params: dict) -> tuple:
 
 
 def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
+    from . import independence_sampler
+
     params = _params(
         config, "model", "f", "theta", "alpha_star", "gamma", "data", "y",
         "pilot_dim", "pilot_proposals", "matrix", "half_widths",
@@ -376,8 +399,10 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         # Dimensions climb one per level up to the model's state size; the
         # remaining levels refine only the time direction.
         _schedule(config, "kind", "m", "max_dim", "rate")
-        m = int(sched.get("m", 2))
-        dmax = int(sched.get("max_dim", len(widths) if kind == "linear2d" else 2))
+        m = _integer(sched.get("m", 2), "schedule.m")
+        dmax = _integer(
+            sched.get("max_dim", len(widths) if kind == "linear2d" else 2), "schedule.max_dim"
+        )
         _require(m >= 1 and dmax >= 1, "saturating schedule needs m, max_dim >= 1")
         top_dim = dmax
         schedule = LevelSchedule.arithmetic(m, lambda i: min(i + 1, dmax))
@@ -391,7 +416,9 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
             levels >= 1 and isinstance(dims, list) and len(dims) == levels,
             "sequence schedule needs steps and dims as lists of one length L >= 1",
         )
-        schedule = LevelSchedule(steps, dims)
+        schedule = LevelSchedule(
+            [_integer(a, "schedule.steps") for a in steps], [_integer(j, "schedule.dims") for j in dims]
+        )
         # Check every term now: the lists are otherwise read while sampling.
         schedule.steps_at(levels - 1)
         top_dim = schedule.dims_at(levels - 1)
@@ -427,6 +454,8 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
 
 
 def _prepare_pcn(config: ExperimentConfig) -> dict:
+    from . import pcn
+
     params = _params(config, "rho", "a", "g", "tau", "f")
     rho = float(params.get("rho", 0.7))
     a = float(params.get("a", 2.0))
@@ -451,7 +480,8 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     else:
         raise ConfigError(f"unknown observable {fname!r}")
     sched = _schedule(config, "variant", "m", "r", "theta", "eps")
-    variant, m, r = sched.get("variant", "bounded"), int(sched.get("m", 2)), float(sched.get("r", 0.85))
+    variant, r = sched.get("variant", "bounded"), float(sched.get("r", 0.85))
+    m = _integer(sched.get("m", 2), "schedule.m")
     schedule, survival = pcn.make_schedule(
         model, variant, m=m, r=r, theta=float(sched.get("theta", 1.0)), eps=float(sched.get("eps", 0.25))
     )
@@ -466,6 +496,8 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
 
 
 def _prepare_logistic(config: ExperimentConfig) -> dict:
+    from . import models, pcn, tuning
+
     params = _params(
         config, "rho", "coordinate", "n_obs", "data_seed", "reference_draws", "rwm_steps",
         "fit_seed", "pilot_steps", "pilot_replicates", "pilot_seed",
@@ -475,10 +507,10 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     law = _finite_work_survival(config.survival, None, *_ARITHMETIC_WORK) if config.survival else None
     _schedule(config)
     model = models.LogisticModel.synthetic(
-        n_obs=int(params.get("n_obs", 100)),
-        seed=int(params.get("data_seed", 7)),
+        n_obs=_integer(params.get("n_obs", 100), "params.n_obs"),
+        seed=_integer(params.get("data_seed", 7), "params.data_seed"),
     )
-    coord = int(params.get("coordinate", 1))
+    coord = _integer(params.get("coordinate", 1), "params.coordinate")
     _require(1 <= coord <= model.dim, f"params.coordinate must lie in 1..{model.dim}")
     rho = float(params.get("rho", 0.5))
     # rwm_steps: the key's name from when a random-walk chain made the fit.
@@ -486,8 +518,11 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
         not {"reference_draws", "rwm_steps"} <= set(params),
         "give params.reference_draws or its alias rwm_steps, not both",
     )
-    draws = int(params.get("reference_draws", params.get("rwm_steps", 200_000)))
-    fit = models.logistic_reference_fit(model, draws, seed=int(params.get("fit_seed", 101)))
+    key = "rwm_steps" if "rwm_steps" in params else "reference_draws"
+    draws = _integer(params.get(key, 200_000), f"params.{key}")
+    fit = models.logistic_reference_fit(
+        model, draws, seed=_integer(params.get("fit_seed", 101), "params.fit_seed")
+    )
     center, cov = fit
     chain = pcn.PcnModel.gaussian_reference(
         rho, model.neg_log_density, center, cov
@@ -504,9 +539,9 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
         pcn.coupling(chain),
         lambda s, t: np.linalg.norm(s.x - t.x, axis=-1),
         pairs=[(pcn.PcnState(center + spread), pcn.PcnState(center - spread))],
-        n_steps=int(params.get("pilot_steps", 40)),
-        replicates=int(params.get("pilot_replicates", 200)),
-        stream=Stream(int(params.get("pilot_seed", 55))),
+        n_steps=_integer(params.get("pilot_steps", 40), "params.pilot_steps"),
+        replicates=_integer(params.get("pilot_replicates", 200), "params.pilot_replicates"),
+        stream=Stream(_integer(params.get("pilot_seed", 55), "params.pilot_seed")),
     )
     r = math.exp(0.5 * pilot.slope)
     m = tuning.step_multiplier(r)
@@ -527,6 +562,8 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
 
 
 def _prepare_tune(config: ExperimentConfig) -> dict:
+    from . import tuning
+
     # No sampling: one CSV row per grid point, reusing the draw schema
     # (N = step multiplier, z = tuned/ergodic ratio, work = tuned product).
     params = _params(config, "rho_grid")

@@ -204,6 +204,16 @@ class LogisticModel:
         """``(d, n_obs)``: ``beta @ _neg_margins`` is ``-y_i beta . T_i``."""
         return np.ascontiguousarray(-(self.labels[:, None] * self.design).T)
 
+    @functools.cached_property
+    def _margin_sums(self) -> np.ndarray:
+        """``(d,)``: ``beta @ _margin_sums`` is ``sum_i -y_i beta . T_i``."""
+        return self._neg_margins.sum(axis=1)
+
+    @functools.cached_property
+    def _ones(self) -> np.ndarray:
+        """``(n_obs,)`` ones: ``v @ _ones`` sums each row of ``v``."""
+        return np.ones(self.labels.size)
+
     def log_density(self, beta: np.ndarray) -> float:
         return logistic_posterior_logdensity(self, beta)
 
@@ -221,13 +231,14 @@ def logistic_posterior_logdensity(model: LogisticModel, beta) -> float | np.ndar
     """Posterior log-density up to an additive constant; one value per row
     of a ``(lanes, d)`` array of coefficients."""
     beta = np.asarray(beta, dtype=float)
-    # -log h(z) = max(m, 0) + log1p(exp(-|m|)) at m = -z, summed per row in
-    # one (lanes, n_obs) buffer: the max terms sum to (sum m + sum |m|) / 2.
+    # -log h(z) = max(m, 0) + log1p(exp(-|m|)) at m = -z, in one (lanes, n_obs)
+    # buffer: the max terms sum to (sum m + sum |m|) / 2.  Row sums are BLAS
+    # products, sum m taken from the margins' sums as beta @ _margin_sums.
     m = beta @ model._neg_margins
-    twice_max = np.add.reduce(m, axis=-1) + np.add.reduce(np.abs(m, out=m), axis=-1)
+    twice_max = beta @ model._margin_sums + np.abs(m, out=m) @ model._ones
     np.log1p(np.exp(np.negative(m, out=m), out=m), out=m)
     squares = np.add.reduce(beta * beta, axis=-1)
-    return -0.5 * (squares + twice_max) - np.add.reduce(m, axis=-1)
+    return -0.5 * (squares + twice_max) - m @ model._ones
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ubmc.models
 from ubmc import harness
 from ubmc.cli import main as cli_main
 from ubmc.harness import (
@@ -167,9 +168,9 @@ class TestRunExperiment:
 
     def test_logistic_low_reference_ess_is_config_error(self, monkeypatch):
         # Weights toward a target 40 times sharper than the Laplace fit's.
-        exact = harness.models.logistic_posterior_logdensity
+        exact = ubmc.models.logistic_posterior_logdensity
         monkeypatch.setattr(
-            harness.models, "logistic_posterior_logdensity",
+            ubmc.models, "logistic_posterior_logdensity",
             lambda m, beta: 40.0 * exact(m, beta),
         )
         # fit_seed 4: no other test prepares this plan, so no cached plan skips the fit.
@@ -721,10 +722,21 @@ class TestCli:
             ("indep-sampler", {"params": {"data": {"sead": 3}}}, "params.data must be an object"),
             ("tune", {"params": {"rho_grid": []}}, "rho_grid must be a nonempty list"),
             ("tune", {"survival": {"kind": "geometric", "rate": 0.5}}, "unknown tune survival"),
+            ("circle", {"schedule": {"m": 2.9}}, "schedule.m must be an integer"),
+            ("logistic", {"params": {"coordinate": 1.7}}, "params.coordinate must be an integer"),
+            ("pcn", {"schedule": {"m": True}}, "schedule.m must be an integer"),
+            ("indep-sampler", {"params": {"data": {"dim": "64"}}}, "params.data.dim must be an integer"),
+            (
+                "indep-sampler",
+                {"params": {"model": "linear2d"}, "schedule": {"kind": "sequence", "steps": [1, 2.5], "dims": [1, 2]}},
+                "schedule.steps must be an integer",
+            ),
         ],
         ids=[
             "logistic-coordinate-0", "logistic-coordinate-9", "pcn-tau-0", "pcn-tau-negative",
             "indep-sampler-data-int", "indep-sampler-data-key", "tune-empty-grid", "tune-survival",
+            "circle-fractional-m", "logistic-fractional-coordinate", "pcn-bool-m",
+            "indep-sampler-string-dim", "indep-sampler-fractional-steps",
         ],
     )
     def test_bad_value_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, experiment, change, message):
@@ -738,6 +750,15 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err, err
+
+    def test_integral_float_count_runs(self):
+        # Some JSON writers emit 10000.0 for a count: an integral float reads as the int.
+        params = {"reference_draws": 10_000.0, "fit_seed": 6, "coordinate": 2.0}
+        summary = run_experiment(ExperimentConfig(experiment="logistic", params=params, replicates=8))
+        exact = dict(params, reference_draws=10_000, coordinate=2)
+        assert summary["mean"] == run_experiment(
+            ExperimentConfig(experiment="logistic", params=exact, replicates=8)
+        )["mean"]
 
     def test_reference_draws_with_alias_exit_2(self, tmp_path, capsys):
         path = tmp_path / "logistic.json"

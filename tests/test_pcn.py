@@ -211,6 +211,43 @@ class TestLaneStep:
 
 
 class TestCoupledStep:
+    @pytest.mark.parametrize("lanes", [(37,), ()], ids=["lanes", "one-d"])
+    @pytest.mark.parametrize("start", ["states-with-g", "states", "first-carries-g", "arrays"])
+    @pytest.mark.parametrize("kind", ["recentred", "diagonal"])
+    def test_fixed_space_coupling_is_two_steps_bit_for_bit(self, stream, kind, start, lanes):
+        # coupling() steps both chains as one (2, lanes, j) array: x and g
+        # must be the bits two pcn_step calls on the shared (noise, uniform)
+        # give, whether g is carried by both chains, by one or by neither.
+        # At 37 lanes, BLAS would round some rows of one (74, j) array
+        # differently from those of two (37, j) arrays.  The starts are
+        # spread so that some rows accept and some reject.
+        model, j = (logistic_chain(), 3) if kind == "recentred" else (row_norm_model(), 5)
+        center, spread = (model.center, 0.6) if kind == "recentred" else (0.0, 0.05)
+        rng = stream.generator()
+        x, y = (center + spread * rng.standard_normal((*lanes, j)) for _ in range(2))
+        if start != "arrays":
+            x, y = pcn.PcnState(x), pcn.PcnState(y)
+        if start in ("states-with-g", "first-carries-g"):
+            x = pcn.PcnState(x.x, model.log_change(x.x))
+        if start == "states-with-g":
+            y = pcn.PcnState(y.x, model.log_change(y.x))
+        seed = int(rng.integers(2**32))
+        joint = pcn.coupling(model, j).step((x, y), np.random.default_rng(seed))
+        shared_rng = np.random.default_rng(seed)
+        w = (pcn.propose_noise(model, j, shared_rng, lanes), shared_rng.random(lanes or None))
+        for new, old in zip(joint, (x, y)):
+            expected = pcn.pcn_step(model, j, old, w)
+            assert type(new) is type(expected)
+            if start == "arrays":
+                np.testing.assert_array_equal(new, expected)
+                continue
+            assert np.shape(new.x) == np.shape(old.x) and np.shape(new.g) == lanes
+            np.testing.assert_array_equal(new.x, expected.x)
+            np.testing.assert_array_equal(new.g, expected.g)
+        if lanes:
+            moved = np.any(getattr(joint[0], "x", joint[0]) != getattr(x, "x", x), axis=-1)
+            assert moved.any() and not moved.all()
+
     def test_faithfulness_exact(self, stream):
         model = norm_model()
         rng = stream.generator()
@@ -522,8 +559,9 @@ class TestRecentred:
 
     def test_pilot_on_states_evaluates_proposals_only(self):
         # Pairs given as PcnStates carry g(x) from step to step: the same
-        # fit as on raw arrays, with the log-density evaluated once per
-        # chain at the start and then only at each step's proposals.
+        # fit as on raw arrays, with the log-density evaluated once at the
+        # start and then only at each step's proposals.  Both chains step
+        # as one array, so each evaluation covers the pair.
         center, cov = np.array([0.5, -1.0]), np.diag([0.6, 0.3])
         calls = []
 
@@ -546,4 +584,23 @@ class TestRecentred:
         raw, states = fits
         assert states.slope == raw.slope
         np.testing.assert_array_equal(states.mean_distances, raw.mean_distances)
-        assert evaluations == [4 * 12, 2 * 12 + 2]
+        assert evaluations == [2 * 12, 12 + 1]
+
+    def test_delta_batch_evaluates_the_start_once(self):
+        # Every chain of the level runs starts at x0 carrying g(x0): the
+        # log-density sees the start once, as one 1-d state, and never as
+        # rows that all equal it.
+        center, cov = np.array([0.5, -1.0]), np.diag([0.6, 0.3])
+        starts = []
+
+        def neg_log_target(x):
+            if np.all(x == center):
+                starts.append(np.shape(x))
+            return 0.5 * np.sum(x * x, axis=-1) + 0.1 * np.sum(x**4, axis=-1)
+
+        model = pcn.PcnModel.gaussian_reference(0.5, neg_log_target, center, cov)
+        delta_batch = pcn.delta_batch(model, LevelSchedule.arithmetic(2), lambda b: b[:, 0], center)
+        stream = Stream(3)
+        levels = delta_batch([50, 20, 5], lambda i: stream.child(i).generator())
+        assert [np.shape(deltas) for deltas, _ in levels] == [(50,), (20,), (5,)]
+        assert starts == [(2,)]

@@ -4,7 +4,8 @@ Each case runs ``--replicates 3000 --seed 5`` and compares the SHA-256 of
 the draws CSV and of the summary JSON (re-serialized without the
 ``out`` and ``parallel`` config fields, which name the run, not its
 result) with hashes recorded before the independence-sampler lane step
-and the elliptic forward map were rewritten.  Acceptance probabilities
+and the elliptic forward map were rewritten (logistic: once its
+log-density took its row sums as BLAS products).  Acceptance probabilities
 go through BLAS products whose last bit depends on the batch shape, so a
 draw could only move if a uniform fell within that bit of a threshold.
 """
@@ -37,6 +38,16 @@ PINNED = {
         "00cef5c62cc20a52ee24ec9b6f525cd9bfec8a43bfeecb500b75456b0934dec9",
         "0308638c28b45cdddb11863cd7db3d8aed05cd8f5bc8eb86e96b1182b13ce9fb",
     ),
+    # Logistic draws go through the log-density's BLAS row sums, pinned
+    # since they replaced the reductions.  As with alpha_star, the
+    # summary's reference_center and contraction_* come from BLAS products
+    # whose last bit depends on the batch shape, so a change of batching
+    # in the fit or the pilot can move them, and the draws with them.
+    "logistic-fit": (
+        "perfbench/configs/logistic-fit.json",
+        "a4b6400ce0c8242c979a723c0a4698461016f04f77dde2af07d1181bde13b062",
+        "46d0785ddd9f83ae8d78fd18bd23e0b49165584082963419c6afd91117389b3b",
+    ),
     "contracting-normals": (
         "configs/contracting-normals.json",
         "27e722581a318b52278dbc9d06d714dcc8250912f6239348f056fb32fda8f323",
@@ -61,5 +72,5 @@ def test_outputs_match_pinned_hashes(tmp_path, case):
     if isinstance(config, str):
         config = json.loads((ROOT / config).read_text())
     assert output_hashes(config, tmp_path / "p1", 1) == (csv, summary)
-    if case == "elliptic-is":  # three blocks over two workers: the same bytes
+    if case in ("elliptic-is", "logistic-fit"):  # three blocks over two workers: the same bytes
         assert output_hashes(config, tmp_path / "p2", 2) == (csv, summary)
