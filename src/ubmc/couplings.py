@@ -123,14 +123,13 @@ def contraction_delta_batch(
     steps from ``x0``, then jointly with a bottom chain from ``x0`` for
     ``a_{i-1}`` steps, and returns ``f(top) - f(bottom)`` (level 0: ``f``
     after ``a_0`` steps) with work ``a_i * kernel.work_per_step``.  Each
-    run of levels steps as one array of states tiled from ``x0``, so the
-    steps and ``f`` must act on a leading lane axis.
+    run of levels steps as one array of states tiled from ``x0`` (or a
+    dataclass of arrays, tiled as :func:`_tile` does), so the steps and
+    ``f`` must act on a leading lane axis.
     """
-    x0 = np.asarray(x0, dtype=float)
     # _delta is looked up at call time, as the benchmark's trace probe needs.
     return _run_batches(schedule, lambda first, counts, rng: _delta(
-        kernel, coupling, schedule, first, counts,
-        np.full((sum(counts), *x0.shape), x0), f, rng,
+        kernel, coupling, schedule, first, counts, _tile(x0, sum(counts)), f, rng,
     ))
 
 
@@ -257,6 +256,21 @@ def pad_to(state, n: int) -> np.ndarray:
     padded = np.zeros((*state.shape[:-1], n))
     padded[..., :width] = state
     return padded
+
+
+def _positive_nonincreasing(values: np.ndarray, term: Callable[[int], float], j: int, name: str):
+    """``values``, the read-only array ``term(1), term(2), ...`` so far,
+    extended through ``term(j)``; every term must be positive and no larger
+    than the one before."""
+    if values.size >= j:
+        return values
+    values = np.append(values, [float(term(k)) for k in range(values.size + 1, j + 1)])
+    if values.min() <= 0.0:
+        raise ValueError(f"{name} must be positive")
+    if np.any(np.diff(values) > 0.0):
+        raise ValueError(f"{name} must be nonincreasing")
+    values.flags.writeable = False
+    return values
 
 
 @dataclass

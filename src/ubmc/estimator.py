@@ -194,31 +194,20 @@ class SurvivalDistribution:
         table = self._sampling_table
         if u >= table[-1]:
             return int(_last_above(table, u))
-        # Past the table: start from a closed form, then settle it against
-        # the exact predicate (it can be off by one unit in floating point).
-        last = table.size - 1
-        if self.kind == "geometric":
-            guess = math.log(u) / (self.exponent * math.log(self.rate))
-        elif self.kind == "polynomial":
-            guess = u ** (-1.0 / self.exponent) - 1.0
-        elif u >= self.table[-1] or self.tail_ratio is None:
-            return int(_last_above(self.table, u))
-        elif self.tail_ratio == 1.0:
-            raise EstimatorError("improper survival (constant tail) cannot be sampled")
-        else:
-            values = self.table
-            guess = values.size - 1 + math.log(u / values[-1]) / math.log(self.tail_ratio)
-        if guess > MAX_LEVEL:
-            raise EstimatorError(
-                f"truncation sample exceeded the {MAX_LEVEL} level cap; "
-                "survival tail is too heavy"
-            )
-        n = max(last, int(math.ceil(guess)) - 1)
-        while self.survival(n + 1) > u:
-            n += 1
-        while n > last and self.survival(n) <= u:
-            n -= 1
-        return n
+        # Past the table, for every family: double while Fbar_hi > u, then
+        # bisect, keeping Fbar_lo > u >= Fbar_hi.
+        lo, hi = table.size - 1, 2 * table.size
+        while self.survival(hi) > u:
+            if hi >= MAX_LEVEL:
+                raise EstimatorError(
+                    f"truncation sample exceeded the {MAX_LEVEL} level cap; "
+                    "survival tail is too heavy or never decays"
+                )
+            lo, hi = hi, min(2 * hi, MAX_LEVEL)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.survival(mid) > u else (lo, mid)
+        return lo
 
     def sample_many(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` independent truncation levels (vectorized).

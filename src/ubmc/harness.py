@@ -20,7 +20,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .couplings import LevelSchedule, MarkovKernel, contraction_delta_batch, estimate_contraction
+from .couplings import LevelSchedule, MarkovKernel, _tile, contraction_delta_batch, estimate_contraction
 from .estimator import BLOCK_SIZE, SurvivalDistribution, draw_statistics, estimate_block
 from .estimator import estimate_once  # noqa: F401 - name the benchmark's trace probe wraps
 from .rng import Stream
@@ -108,9 +108,11 @@ def _survival_from_config(
     _require(not unknown, f"unknown {kind} survival keys: {unknown}")
     try:
         if kind == "geometric":
-            law = SurvivalDistribution.geometric(spec["rate"], spec.get("exponent", 1.0))
+            law = SurvivalDistribution.geometric(
+                _real(spec["rate"], "survival.rate"), _real(spec.get("exponent", 1.0), "survival.exponent")
+            )
         elif kind == "polynomial":
-            law = SurvivalDistribution.polynomial(spec["exponent"])
+            law = SurvivalDistribution.polynomial(_real(spec["exponent"], "survival.exponent"))
         else:
             law = SurvivalDistribution.tabulated(spec["values"], spec.get("tail_ratio"))
     except KeyError as exc:
@@ -153,6 +155,16 @@ def _integer(value, name: str) -> int:
         f"{name} must be an integer, got {value!r}",
     )
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """A real param, given as an int or a float.  ``float()`` would read
+    ``true`` as 1.0 and parse a string, so both are rejected."""
+    _require(
+        isinstance(value, (int, float, np.integer)) and not isinstance(value, bool),
+        f"{name} must be a real number, got {value!r}",
+    )
+    return float(value)
 
 
 def _params(config: ExperimentConfig, *known: str) -> dict:
@@ -204,9 +216,9 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
     from . import models, tuning
 
     params = _params(config, "rho", "x0")
-    rho = params.get("rho")
-    _require(rho is not None and 0.0 < rho < 1.0, "params.rho must lie in (0, 1)")
-    x0 = float(params.get("x0", 0.0))
+    rho = _real(params.get("rho"), "params.rho")
+    _require(0.0 < rho < 1.0, "params.rho must lie in (0, 1)")
+    x0 = _real(params.get("x0", 0.0), "params.x0")
     sched_kind = config.schedule.get("kind", "arithmetic")
     if sched_kind == "arithmetic":
         m = _integer(_schedule(config, "kind", "m").get("m", 1), "schedule.m")
@@ -253,7 +265,7 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
     survival = _finite_work_survival(
         config.survival, SurvivalDistribution.geometric(0.7), *_ARITHMETIC_WORK
     )
-    x0 = float(params.get("x0", 0.0))
+    x0 = _real(params.get("x0", 0.0), "params.x0")
     model = models.CircleChainModel()
     schedule = LevelSchedule.arithmetic(m)
     delta_batch = contraction_delta_batch(
@@ -268,18 +280,21 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
 def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
     from . import gaussian_linear
 
-    params = _params(config, "variant", "a", "p", "s", "coordinate", "eps")
-    variant = params.get("variant", "holder")  # make_schedule checks it
-    a = params.get("a")
-    _require(a is not None, "params.a is required")
-    p = float(params.get("p", 0.0))
-    s = float(params.get("s", 1.0))
+    variant = config.params.get("variant", "holder")  # make_schedule checks it
+    # Only the Holder variant reads s, and only polynomial dims read q.
+    holder = ["s"] if variant == "holder" else []
+    params = _params(config, "variant", "a", "p", "coordinate", "eps", *holder)
+    _require("a" in params, "params.a is required")
+    a = _real(params["a"], "params.a")
+    p = _real(params.get("p", 0.0), "params.p")
+    s = _real(params.get("s", 1.0), "params.s")
     coord = _integer(params.get("coordinate", 1), "params.coordinate")
     _require(coord >= 1, "params.coordinate must be >= 1")
-    sched = _schedule(config, "kind", "q")
-    geometry, q = sched.get("kind", "dyadic"), sched.get("q")
+    geometry = config.schedule.get("kind", "dyadic")
+    sched = _schedule(config, "kind", *(["q"] if geometry == "polynomial" else []))
+    q = None if sched.get("q") is None else _real(sched["q"], "schedule.q")
     dims, survival = gaussian_linear.make_schedule(
-        variant, geometry, a=a, p=p, s=s, q=q, eps=params.get("eps", 0.5)
+        variant, geometry, a=a, p=p, s=s, q=q, eps=_real(params.get("eps", 0.5), "params.eps")
     )
     # Level i costs t_i = j_i draws (holder) or j_i - j_{i-1} (linear-tail):
     # t_i grows like 2^i on dims 2^i, and like i^g, g = max(q, 1), or
@@ -305,7 +320,7 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
 def _elliptic_is_model(params: dict) -> tuple:
     from . import independence_sampler, models
 
-    gamma = float(params.get("gamma", 3.2))
+    gamma = _real(params.get("gamma", 3.2), "params.gamma")
     model = models.EllipticModel(gamma=gamma)
     data_spec = params.get("data", {"seed": 2024, "noise": 0.02, "dim": 64})
     _require(
@@ -319,14 +334,14 @@ def _elliptic_is_model(params: dict) -> tuple:
         stream = Stream(data_seed)
         dim = _integer(data_spec.get("dim", 64), "params.data.dim")
         y = model.forward(dim, model.prior_sample(dim, stream.generator()))
-        noise = float(data_spec.get("noise", 0.02))
+        noise = _real(data_spec.get("noise", 0.02), "params.data.noise")
         y = y + noise * stream.child(1).generator().standard_normal(y.size)
     alpha_star = params.get("alpha_star")
     is_model = independence_sampler.UniformPriorModel(
         half_widths=model.half_width,
         forward=lambda j, x: model.forward(j, x),
         y=y,
-        alpha_star=1e-12 if alpha_star is None else float(alpha_star),
+        alpha_star=1e-12 if alpha_star is None else _real(alpha_star, "params.alpha_star"),
         work_exponent=model.work_exponent,
     )
     if alpha_star is None:
@@ -345,17 +360,16 @@ def _elliptic_is_model(params: dict) -> tuple:
 def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     from . import independence_sampler
 
-    params = _params(
-        config, "model", "f", "theta", "alpha_star", "gamma", "data", "y",
-        "pilot_dim", "pilot_proposals", "matrix", "half_widths",
-    )
-    kind = params.get("model", "elliptic")
+    kind = config.params.get("model", "elliptic")
     if kind == "elliptic":
+        # The pilot that calibrates alpha_star runs only when none is given.
+        pilot = ["pilot_dim", "pilot_proposals"] if config.params.get("alpha_star") is None else []
+        params = _params(config, "model", "f", "alpha_star", "gamma", "data", "y", *pilot)
         elliptic, is_model = _elliptic_is_model(params)
         beta = elliptic.gamma - 0.5
         kappa = 2.0 * (elliptic.gamma - 1.0)
-        theta = elliptic.work_exponent
     elif kind == "linear2d":
+        params = _params(config, "model", "f", "theta", "alpha_star", "matrix", "y", "half_widths")
         matrix = np.asarray(params.get("matrix", [[0.8, 0.3], [-0.2, 0.5]]), float)
         y = np.asarray(params.get("y", [0.3, -0.1]), float)
         widths = list(params.get("half_widths", [1.0, 0.5]))
@@ -367,10 +381,10 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
             half_widths=lambda k, w=widths: w[k - 1],
             forward=lambda j, x, A=matrix: x[..., :j] @ A[:, :j].T,
             y=y,
-            alpha_star=float(alpha_star),
-            work_exponent=float(params.get("theta", 1.0)),
+            alpha_star=_real(alpha_star, "params.alpha_star"),
+            work_exponent=_real(params.get("theta", 1.0), "params.theta"),
         )
-        beta, kappa, theta = 2.0, 2.0, float(params.get("theta", 1.0))
+        beta, kappa = 2.0, 2.0
     else:
         raise ConfigError(f"unknown indep-sampler model {kind!r}")
 
@@ -378,23 +392,24 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     default_kind = "log-growth" if kind == "elliptic" else "saturating"
     sched_kind = sched.get("kind", default_kind)
     if sched_kind == "log-growth":
-        _schedule(config, "kind", "q", "beta", "kappa", "theta", "t")
-        q = float(sched.get("q", 2.0))
-        b_eff = float(sched.get("beta", beta))
-        k_eff = float(sched.get("kappa", kappa))
-        th = float(sched.get("theta", theta))
+        # The cost exponent is the model's: work and the finite-work check use it.
+        _schedule(config, "kind", "q", "beta", "kappa", "t")
+        q = _real(sched.get("q", 2.0), "schedule.q")
+        b_eff = _real(sched.get("beta", beta), "schedule.beta")
+        k_eff = _real(sched.get("kappa", kappa), "schedule.kappa")
+        theta = is_model.work_exponent
         if "t" in sched:
-            t = float(sched["t"])
+            t = _real(sched["t"], "schedule.t")
         else:
-            t = 0.5 * ((1.0 + th * q) + (min(b_eff, k_eff) * q - 2.0))
+            t = 0.5 * ((1.0 + theta * q) + (min(b_eff, k_eff) * q - 2.0))
         top_dim = math.inf  # the dimensions grow without bound
         schedule, survival = independence_sampler.make_schedule(
-            q=q, beta=b_eff, kappa=k_eff, theta=th,
+            q=q, beta=b_eff, kappa=k_eff, theta=theta,
             alpha_star=is_model.alpha_star, t=t,
         )
         # t_i = a_i j_i^theta with j_i ~ i^max(q, 1) and a_i ~ log i; the log
         # factor does not move the strict bound on a polynomial exponent.
-        power = max(q, 1.0) * is_model.work_exponent
+        power = max(q, 1.0) * theta
     elif sched_kind == "saturating":
         # Dimensions climb one per level up to the model's state size; the
         # remaining levels refine only the time direction.
@@ -406,7 +421,7 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         _require(m >= 1 and dmax >= 1, "saturating schedule needs m, max_dim >= 1")
         top_dim = dmax
         schedule = LevelSchedule.arithmetic(m, lambda i: min(i + 1, dmax))
-        survival = SurvivalDistribution.geometric(float(sched.get("rate", 0.6)))
+        survival = SurvivalDistribution.geometric(_real(sched.get("rate", 0.6), "schedule.rate"))
         power = 1.0  # t_i = m (i + 1) j_i^theta with j_i <= max_dim
     elif sched_kind == "sequence":
         _schedule(config, "kind", "steps", "dims")
@@ -456,9 +471,11 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
 def _prepare_pcn(config: ExperimentConfig) -> dict:
     from . import pcn
 
-    params = _params(config, "rho", "a", "g", "tau", "f")
-    rho = float(params.get("rho", 0.7))
-    a = float(params.get("a", 2.0))
+    fname = config.params.get("f", "capped-norm")
+    # Only the capped norm reads tau.
+    params = _params(config, "rho", "a", "g", "f", *(["tau"] if fname == "capped-norm" else []))
+    rho = _real(params.get("rho", 0.7), "params.rho")
+    a = _real(params.get("a", 2.0), "params.a")
     gname = params.get("g", "norm")
     # Log-changes and observables act row-wise on (lanes, j) states.
     if gname == "norm":
@@ -467,23 +484,25 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
         g = lambda x: np.zeros(np.shape(x)[:-1])
     else:
         raise ConfigError(f"unknown log-change {gname!r}")
+    sched = _schedule(config, "variant", "m", "r", "theta", "eps")
+    theta = _real(sched.get("theta", 1.0), "schedule.theta")
     model = pcn.PcnModel.diagonal(
-        rho, g, lambda l: float(l) ** (-2.0 * a), regularity=a
+        rho, g, lambda l: float(l) ** (-2.0 * a), regularity=a, work_exponent=theta
     )
-    tau = float(params.get("tau", 1.0))
-    _require(tau > 0.0, "params.tau must be positive")
-    fname = params.get("f", "capped-norm")
+    meta = {}
     if fname == "capped-norm":
+        tau = _real(params.get("tau", 1.0), "params.tau")
+        _require(tau > 0.0, "params.tau must be positive")
         f = lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1) / tau)
+        meta = {"tau": tau}
     elif fname == "coord1":
         f = lambda x: x[..., 0]
     else:
         raise ConfigError(f"unknown observable {fname!r}")
-    sched = _schedule(config, "variant", "m", "r", "theta", "eps")
-    variant, r = sched.get("variant", "bounded"), float(sched.get("r", 0.85))
+    variant, r = sched.get("variant", "bounded"), _real(sched.get("r", 0.85), "schedule.r")
     m = _integer(sched.get("m", 2), "schedule.m")
     schedule, survival = pcn.make_schedule(
-        model, variant, m=m, r=r, theta=float(sched.get("theta", 1.0)), eps=float(sched.get("eps", 0.25))
+        model, variant, m=m, r=r, theta=theta, eps=_real(sched.get("eps", 0.25), "schedule.eps")
     )
     # Level i costs t_i = m (i + 1) j_i^theta, and j_i grows like g^i.
     cost_growth = pcn.dimension_growth(model, variant, m, r) ** model.work_exponent
@@ -491,7 +510,7 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     x0 = np.zeros(schedule.dims_at(0))
     return {
         "run_block": _lane_block(pcn.delta_batch(model, schedule, f, x0), survival, schedule.dims_at),
-        "meta": {"tau": tau},
+        "meta": meta,
     }
 
 
@@ -512,7 +531,7 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     )
     coord = _integer(params.get("coordinate", 1), "params.coordinate")
     _require(1 <= coord <= model.dim, f"params.coordinate must lie in 1..{model.dim}")
-    rho = float(params.get("rho", 0.5))
+    rho = _real(params.get("rho", 0.5), "params.rho")
     # rwm_steps: the key's name from when a random-walk chain made the fit.
     _require(
         not {"reference_draws", "rwm_steps"} <= set(params),
@@ -786,7 +805,7 @@ def ergodic_baseline(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = Stream(seed).generator()
-    states = np.full((restarts, *np.shape(x0)), x0, dtype=float)
+    states = _tile(x0, restarts)
     sums = np.zeros(restarts)
     for _ in range(steps):
         states = kernel.step(states, rng)

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .couplings import LevelSchedule, _level_difference, _run_batches, pad_to
+from .couplings import LevelSchedule, _level_difference, _positive_nonincreasing, _run_batches, _tile, pad_to
 from .estimator import SurvivalDistribution
 
 __all__ = [
@@ -93,23 +93,12 @@ class UniformPriorModel:
         if not 0.0 < self.alpha_star <= 1.0:
             raise ValueError("alpha_star must lie in (0, 1]")
         self.y = np.asarray(self.y, dtype=float)
-        self._widths_cache: list[float] = []
         self._widths = np.empty(0)
 
     def widths(self, j: int) -> np.ndarray:
-        """``u*_1 .. u*_j``, a read-only view of one cached array."""
-        cache = self._widths_cache
-        while len(cache) < j:
-            k = len(cache) + 1
-            w = float(self.half_widths(k))
-            if w <= 0.0:
-                raise ValueError("box half-widths must be positive")
-            if cache and w > cache[-1]:
-                raise ValueError("box half-widths must be nonincreasing")
-            cache.append(w)
-        if self._widths.size < j:
-            self._widths = np.array(cache)
-            self._widths.flags.writeable = False
+        """``u*_1 .. u*_j``, a read-only view of one cached array, checked
+        positive and nonincreasing on first use."""
+        self._widths = _positive_nonincreasing(self._widths, self.half_widths, j, "box half-widths")
         return self._widths[:j]
 
     def misfit(self, j: int, state: np.ndarray) -> np.ndarray:
@@ -236,7 +225,7 @@ def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     # _delta is looked up at call time, as the benchmark's trace probe needs.
     return _run_batches(schedule, lambda first, counts, rng: _delta(
-        model, schedule, first, counts, f, np.tile(x0, (sum(counts), 1)), rng
+        model, schedule, first, counts, f, _tile(x0, sum(counts)), rng
     ))
 
 

@@ -23,12 +23,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import couplings
 from .couplings import (
     CoupledKernel,
     LevelSchedule,
     MarkovKernel,
     _level_difference,
+    _positive_nonincreasing,
+    _run_batches,
+    _tile,
+    contraction_delta_batch,
     pad_to,
 )
 from .estimator import SurvivalDistribution
@@ -68,7 +71,7 @@ class PcnModel:
     work_exponent: float = 1.0
     # Derived from the fields above, so never shared by a replaced copy.
     _chol: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _eig_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _eigs: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -131,17 +134,10 @@ class PcnModel:
         return self.center is not None
 
     def scales(self, j: int) -> np.ndarray:
-        """``sqrt(lambda_1..lambda_j)`` with monotonicity checked lazily."""
-        cache = self._eig_cache
-        while len(cache) < j:
-            l = len(cache) + 1
-            lam = float(self.eigenvalues(l))
-            if lam <= 0.0:
-                raise ValueError("reference eigenvalues must be positive")
-            if cache and lam > cache[-1] + 1e-15:
-                raise ValueError("reference eigenvalues must be nonincreasing")
-            cache.append(lam)
-        return np.sqrt(np.asarray(cache[:j]))
+        """``sqrt(lambda_1..lambda_j)``, the eigenvalues checked positive and
+        nonincreasing on first use."""
+        self._eigs = _positive_nonincreasing(self._eigs, self.eigenvalues, j, "reference eigenvalues")
+        return np.sqrt(self._eigs[:j])
 
 
 @dataclass(frozen=True)
@@ -243,25 +239,19 @@ def delta_batch(
     ``j_i`` (top) and ``j_{i-1}`` (bottom), sharing ``(noise, uniform)``
     in the joint phase, with work ``a_i * j_i^work_exponent``.  Each run
     of levels steps as one zero-padded ``(pairs, j_i)`` chain (recentred
-    mode: the fixed-space driver on :func:`kernel` and :func:`coupling`,
-    every chain a :class:`PcnState` that starts carrying ``g(x0)``);
-    ``f`` maps ``(lanes, j)`` rows to ``(lanes,)`` and ``model.log_change``
-    ``(..., j)`` rows to ``(...)``.
+    mode: :func:`~ubmc.couplings.contraction_delta_batch` on
+    :func:`kernel` and :func:`coupling`, every chain a :class:`PcnState`
+    that starts carrying ``g(x0)``, taken once); ``f`` maps ``(lanes, j)``
+    rows to ``(lanes,)`` and ``model.log_change`` ``(..., j)`` rows to
+    ``(...)``.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not model.recentred:
-        return couplings._run_batches(schedule, lambda first, counts, rng: _delta(
-            model, schedule, first, counts, f, np.tile(x0, (sum(counts), 1)), rng
-        ))
-    chain, joint = kernel(model), coupling(model)
-    # Every chain starts at x0 carrying g(x0), taken once, so no step
-    # evaluates g on rows that all equal the start.
-    g0 = model.log_change(x0)
-    # Looked up on the module at call time, as the benchmark's trace probe needs.
-    return couplings._run_batches(schedule, lambda first, counts, rng: couplings._delta(
-        chain, joint, schedule, first, counts,
-        PcnState(np.tile(x0, (sum(counts), 1)), np.full(sum(counts), g0)),
-        lambda s: f(s.x), rng,
+    if model.recentred:
+        start = PcnState(x0, model.log_change(x0))
+        return contraction_delta_batch(kernel(model), coupling(model), schedule, lambda s: f(s.x), start)
+    # _delta is looked up at call time, as the benchmark's trace probe needs.
+    return _run_batches(schedule, lambda first, counts, rng: _delta(
+        model, schedule, first, counts, f, _tile(x0, sum(counts)), rng
     ))
 
 

@@ -15,6 +15,7 @@ from dataclasses import fields
 
 import ubmc
 from ubmc.couplings import CoupledKernel, MarkovKernel
+from ubmc.independence_sampler import UniformPriorModel
 from ubmc.models import EllipticModel
 from ubmc.pcn import PcnModel
 
@@ -70,5 +71,9 @@ def test_no_dead_fields():
     assert "dim" not in {f.name for f in fields(MarkovKernel)}
     assert "marginal" not in {f.name for f in fields(CoupledKernel)}
     assert "lipschitz" not in {f.name for f in fields(PcnModel)}
+    # Caches replaced by one checked, read-only array per model.
+    assert "_eig_cache" not in {f.name for f in fields(PcnModel)}
+    widths_model = UniformPriorModel(half_widths=lambda k: 1.0, forward=None, y=[0.0], alpha_star=1.0)
+    assert not hasattr(widths_model, "_widths_cache")
     for name in ("coefficient_values", "coefficient_lower_bound", "coefficient_upper_bound"):
         assert not hasattr(EllipticModel, name), name

@@ -1,5 +1,6 @@
 """Coupled-chain machinery: schedules, the coupled driver, contraction fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,52 @@ class TestLevelSchedule:
             bumped.append(max(term, bumped[-1] + 1 if bumped else 1))
         assert len(bumped) >= 600
         assert [dims(k) for k in range(len(bumped))] == bumped
+
+
+class TestPositiveNonincreasing:
+    """pCN's reference eigenvalues and the uniform prior's box half-widths
+    are one checked, cached sequence."""
+
+    READERS = {
+        "pcn": lambda term: pcn.PcnModel.diagonal(0.5, lambda x: 0.0, term, regularity=2.0).scales,
+        "uniform-prior": lambda term: independence_sampler.UniformPriorModel(
+            half_widths=term, forward=lambda j, x: np.zeros(1), y=np.zeros(1), alpha_star=1.0
+        ).widths,
+    }
+
+    @pytest.mark.parametrize("model", READERS)
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (lambda k: float(k), "nonincreasing"),
+            (lambda k: 1.0 - 0.5 * k, "positive"),
+            (lambda k: 1.0 if k < 3 else math.nextafter(1.0, 2.0), "nonincreasing"),
+        ],
+        ids=["rising", "nonpositive", "rising-one-ulp"],
+    )
+    def test_rejects_bad_terms(self, model, term, message):
+        with pytest.raises(ValueError, match=message):
+            self.READERS[model](term)(3)
+
+    def test_terms_are_read_once_into_one_read_only_array(self):
+        read = []
+        term = lambda k: read.append(k) or 1.0 / k
+        two = couplings._positive_nonincreasing(np.empty(0), term, 2, "terms")
+        four = couplings._positive_nonincreasing(two, term, 4, "terms")
+        assert couplings._positive_nonincreasing(four, term, 3, "terms") is four
+        assert read == [1, 2, 3, 4]
+        np.testing.assert_array_equal(four, [1.0, 0.5, 1.0 / 3.0, 0.25])
+        assert not two.flags.writeable and not four.flags.writeable
+
+    def test_replaced_uniform_prior_builds_its_own_widths(self):
+        model = independence_sampler.UniformPriorModel(
+            half_widths=lambda k: 1.0 / k, forward=lambda j, x: np.zeros(1), y=np.zeros(1), alpha_star=1.0
+        )
+        widths = model.widths(3)
+        assert not widths.flags.writeable
+        wider = dataclasses.replace(model, half_widths=lambda k: 2.0 / k)
+        np.testing.assert_array_equal(wider.widths(3), [2.0, 1.0, 2.0 / 3.0])
+        np.testing.assert_array_equal(model.widths(3), [1.0, 0.5, 1.0 / 3.0])
 
 
 def one_draw(model, sched, level, rng):

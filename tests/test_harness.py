@@ -669,15 +669,33 @@ class TestCli:
         assert "past 2 half_widths" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "experiment",
-        ["contracting-normals", "circle", "linear-gaussian", "indep-sampler", "pcn", "logistic", "tune"],
+        "experiment, params, unknown",
+        [(experiment, {"bogus_knob": 3}, ["bogus_knob"]) for experiment in harness.EXPERIMENTS]
+        + [
+            # Keys that only another model, variant or observable reads.
+            ("indep-sampler", {"model": "linear2d", "gamma": 3.2}, ["gamma"]),
+            ("indep-sampler", {"model": "linear2d", "pilot_dim": 8}, ["pilot_dim"]),
+            ("indep-sampler", {"theta": 2.0}, ["theta"]),
+            ("indep-sampler", {"matrix": [[1.0]], "half_widths": [1.0]}, ["half_widths", "matrix"]),
+            ("indep-sampler", {"alpha_star": 0.01, "pilot_proposals": 64}, ["pilot_proposals"]),
+            ("linear-gaussian", {"a": 1.5, "variant": "linear-tail", "s": 0.5}, ["s"]),
+            ("pcn", {"f": "coord1", "tau": 2.0}, ["tau"]),
+        ],
+        ids=list(harness.EXPERIMENTS) + [
+            "linear2d-gamma", "linear2d-pilot-dim", "elliptic-theta", "elliptic-matrix",
+            "elliptic-given-alpha-star-pilot", "linear-tail-s", "pcn-coord1-tau",
+        ],
     )
-    def test_unknown_param_exit_2(self, tmp_path, capsys, experiment):
+    def test_unknown_param_exit_2(self, tmp_path, capsys, monkeypatch, experiment, params, unknown):
         # A misspelled key would otherwise run on the default it was meant to replace.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the params were checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
         path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"experiment": experiment, "params": {"bogus_knob": 3}}))
+        path.write_text(json.dumps({"experiment": experiment, "params": params}))
         assert cli_main([experiment, "--config", str(path)]) == 2
-        assert f"unknown {experiment} params: ['bogus_knob']" in capsys.readouterr().err
+        assert f"unknown {experiment} params: {unknown}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "experiment, params, schedule",
@@ -692,10 +710,13 @@ class TestCli:
             ("pcn", {}, {"variant": "bounded", "bogus": 1}),
             ("logistic", {"reference_draws": 10_000}, {"kind": "arithmetic", "m": 4}),
             ("tune", {}, {"m": 4}),
+            ("linear-gaussian", {"a": 1.5}, {"kind": "dyadic", "q": 2.0}),
+            ("indep-sampler", {"alpha_star": 0.01}, {"kind": "log-growth", "theta": 1.0}),
         ],
         ids=[
             "contracting-normals", "contracting-ansatz-m", "circle", "circle-kind",
             "linear-gaussian", "linear-gaussian-eps", "indep-sampler", "pcn", "logistic", "tune",
+            "linear-gaussian-dyadic-q", "indep-sampler-log-growth-theta",
         ],
     )
     def test_unread_schedule_exit_2(self, tmp_path, capsys, monkeypatch, experiment, params, schedule):
@@ -731,12 +752,27 @@ class TestCli:
                 {"params": {"model": "linear2d"}, "schedule": {"kind": "sequence", "steps": [1, 2.5], "dims": [1, 2]}},
                 "schedule.steps must be an integer",
             ),
+            ("pcn", {"params": {"tau": True}}, "params.tau must be a real number"),
+            ("pcn", {"params": {"rho": "0.7"}}, "params.rho must be a real number"),
+            ("pcn", {"schedule": {"theta": True}}, "schedule.theta must be a real number"),
+            ("circle", {"params": {"x0": "1.5"}}, "params.x0 must be a real number"),
+            (
+                "indep-sampler", {"params": {"model": "linear2d", "theta": True}},
+                "params.theta must be a real number",
+            ),
+            (
+                "contracting-normals",
+                {"params": {"rho": 0.8, "x0": True}, "survival": {"kind": "geometric", "rate": 0.5}},
+                "params.x0 must be a real number",
+            ),
         ],
         ids=[
             "logistic-coordinate-0", "logistic-coordinate-9", "pcn-tau-0", "pcn-tau-negative",
             "indep-sampler-data-int", "indep-sampler-data-key", "tune-empty-grid", "tune-survival",
             "circle-fractional-m", "logistic-fractional-coordinate", "pcn-bool-m",
             "indep-sampler-string-dim", "indep-sampler-fractional-steps",
+            "pcn-bool-tau", "pcn-string-rho", "pcn-bool-theta", "circle-string-x0",
+            "linear2d-bool-theta", "contracting-bool-x0",
         ],
     )
     def test_bad_value_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, experiment, change, message):
@@ -925,6 +961,22 @@ class TestCli:
         config.update(survival={"kind": "geometric", "rate": 0.7}, replicates=500)
         summary = run_experiment(ExperimentConfig.from_dict(config))
         assert summary["replicates"] == 500 and math.isfinite(summary["expected_work"])
+
+    def test_pcn_work_counts_theta(self):
+        # Level k costs a_k j_k^theta: theta is the chain's cost exponent, not
+        # only a bound on the schedule's eps.
+        from ubmc import pcn
+        from ubmc.harness import _run_blocks
+
+        config = ExperimentConfig(
+            experiment="pcn", params={"a": 3.0}, schedule={"theta": 2.0}, replicates=2000, seed=3
+        )
+        _, records = _run_blocks(config)
+        model = pcn.PcnModel.diagonal(0.7, None, lambda l: float(l) ** -6.0, regularity=3.0)
+        schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.85, theta=2.0, eps=0.25)
+        for n in np.unique(records["N"]):
+            work = sum(schedule.steps_at(k) * float(schedule.dims_at(k)) ** 2 for k in range(n + 1))
+            np.testing.assert_allclose(records["work"][records["N"] == n], work, rtol=1e-12)
 
     def test_rejected_model_parameter_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pcn.json"

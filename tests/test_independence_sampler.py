@@ -72,19 +72,6 @@ def constant_forward_model(alpha_star=1.0) -> UniformPriorModel:
     )
 
 
-@pytest.mark.parametrize(
-    "half_widths, message",
-    [(lambda k: float(k), "nonincreasing"), (lambda k: 1.0 - 0.5 * k, "positive")],
-    ids=["rising", "nonpositive"],
-)
-def test_widths_reject_bad_half_widths(half_widths, message):
-    model = UniformPriorModel(
-        half_widths=half_widths, forward=lambda j, x: np.zeros(1), y=np.zeros(1), alpha_star=1.0
-    )
-    with pytest.raises(ValueError, match=message):
-        model.widths(3)
-
-
 class TestAcceptance:
     def test_constant_forward_always_one(self, stream):
         model = constant_forward_model(alpha_star=0.5)

@@ -94,16 +94,6 @@ class TestStep:
             assert pcn.sampler_step(model, 2, x, rng)[0] < 0.0
 
 
-    @pytest.mark.parametrize(
-        "eigenvalues, message",
-        [(lambda l: float(l), "nonincreasing"), (lambda l: 1.0 - 0.5 * l, "positive")],
-        ids=["rising", "nonpositive"],
-    )
-    def test_scales_reject_bad_eigenvalues(self, eigenvalues, message):
-        model = pcn.PcnModel.diagonal(0.5, lambda x: 0.0, eigenvalues, regularity=2.0)
-        with pytest.raises(ValueError, match=message):
-            model.scales(3)
-
     def test_replaced_model_builds_its_own_scales_and_factor(self):
         model = pcn.PcnModel.diagonal(0.5, lambda x: 0.0, lambda l: l**-4.0, regularity=2.0)
         np.testing.assert_allclose(model.scales(3), [1.0, 0.25, 1.0 / 9.0])

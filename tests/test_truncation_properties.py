@@ -4,7 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubmc import SurvivalDistribution
+import pytest
+
+from ubmc import EstimatorError, SurvivalDistribution
+from ubmc.estimator import MAX_LEVEL
 
 # Fixed example sequence and no example database: the suite stays
 # reproducible and writes nothing to the working tree.
@@ -122,3 +125,46 @@ def test_tabulated_law_continues_into_its_tail(law, data):
         )
     )
     assert law.quantile_level(u) == max(i for i in range(last + 64) if law.survival(i) > u)
+
+
+# Laws whose sampling tables end above the uniforms drawn for them, so every
+# draw is inverted by doubling, then bisecting, on Fbar.
+deep_laws = st.one_of(
+    st.builds(SurvivalDistribution.polynomial, st.floats(2.05, 3.0)),
+    st.builds(SurvivalDistribution.geometric, st.floats(0.99, 0.9999), st.floats(0.5, 2.0)),
+    st.builds(
+        lambda rs, tail: SurvivalDistribution.tabulated(_table(rs), tail), ratios, st.floats(0.99, 0.9999)
+    ),
+)
+
+
+@PROPERTY
+@given(law=deep_laws, data=st.data())
+def test_deep_inversion_brackets_u(law, data):
+    last = law._sampling_table.size - 1
+    floor = law.survival(MAX_LEVEL)
+    tie = data.draw(st.integers(last + 1, MAX_LEVEL).map(law.survival).filter(lambda v: v > floor))
+    u = data.draw(
+        st.one_of(st.floats(floor, law.survival(last), exclude_min=True, exclude_max=True), st.just(tie))
+    )
+    n = law.quantile_level(u)
+    assert n >= last
+    assert law.survival(n) > u >= law.survival(n + 1)
+    assert law.sample_many(1, _ReplayUniforms([u])).tolist() == [n]
+
+
+@pytest.mark.parametrize(
+    "law, u",
+    [
+        (SurvivalDistribution.tabulated([1.0, 0.5], tail_ratio=1.0), 0.25),
+        (SurvivalDistribution.polynomial(1.0), 1e-10),
+        (SurvivalDistribution.geometric(1.0 - 1e-12), 0.5),
+    ],
+    ids=["improper", "polynomial-past-cap", "geometric-past-cap"],
+)
+def test_deep_inversion_raises_at_the_level_cap(law, u):
+    assert u < law._sampling_table[-1]
+    with pytest.raises(EstimatorError, match="level cap"):
+        law.quantile_level(u)
+    with pytest.raises(EstimatorError, match="level cap"):
+        law.sample_many(1, _ReplayUniforms([u]))
