@@ -87,43 +87,30 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-# The keys each survival kind reads besides ``kind``.
-_SURVIVAL_KEYS = {
-    "geometric": ("rate", "exponent"),
-    "polynomial": ("exponent",),
-    "tabulated": ("values", "tail_ratio"),
-}
-
-
 def _survival_from_config(
-    spec: dict, default: SurvivalDistribution | None
+    spec: _Section | None, default: SurvivalDistribution | None
 ) -> SurvivalDistribution:
     """The config's truncation law, or ``default`` when none is given."""
-    if not spec and default is not None:
+    if spec is None or (not spec.values and default is not None):
         return default
     kind = spec.get("kind")
-    if kind not in _SURVIVAL_KEYS:
-        raise ConfigError(f"unknown survival spec {spec!r}")
-    unknown = sorted(set(spec) - {"kind", *_SURVIVAL_KEYS[kind]})
-    _require(not unknown, f"unknown {kind} survival keys: {unknown}")
+    if kind == "geometric":
+        args = spec.real("rate"), spec.real("exponent", 1.0)
+    elif kind == "polynomial":
+        args = (spec.real("exponent"),)
+    elif kind == "tabulated":
+        args = spec.reals("values"), spec.real("tail_ratio", None)
+    else:
+        raise ConfigError(f"unknown survival spec {spec.values!r}")
+    spec.close()
     try:
-        if kind == "geometric":
-            law = SurvivalDistribution.geometric(
-                _real(spec["rate"], "survival.rate"), _real(spec.get("exponent", 1.0), "survival.exponent")
-            )
-        elif kind == "polynomial":
-            law = SurvivalDistribution.polynomial(_real(spec["exponent"], "survival.exponent"))
-        else:
-            law = SurvivalDistribution.tabulated(spec["values"], spec.get("tail_ratio"))
-    except KeyError as exc:
-        raise ConfigError(f"{kind} survival needs survival.{exc.args[0]}") from exc
+        return getattr(SurvivalDistribution, kind)(*args)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid survival spec {spec!r}: {exc}") from exc
-    return law
+        raise ConfigError(f"invalid survival spec {spec.values!r}: {exc}") from exc
 
 
 def _finite_work_survival(
-    spec: dict, default: SurvivalDistribution | None, base: float, power: float, levels: str
+    spec: _Section | None, default: SurvivalDistribution | None, base: float, power: float, levels: str
 ) -> SurvivalDistribution:
     """:func:`_survival_from_config` for ``levels`` whose work grows like
     ``t_i ~ base^i i^power`` (``base >= 1``, ``power >= 0``):
@@ -167,30 +154,77 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-def _params(config: ExperimentConfig, *known: str) -> dict:
-    """``config.params``, checked to name only ``known`` keys: a misspelled
-    key would otherwise run silently on its default."""
-    return _known_keys(config, "params", known)
+def _listed(value, name: str, each=_real) -> list:
+    """A list of ``each`` values: real numbers unless told."""
+    _require(isinstance(value, list), f"{name} must be a list, got {value!r}")
+    return [each(v, name) for v in value]
 
 
-def _schedule(config: ExperimentConfig, *known: str) -> dict:
-    """``config.schedule``, checked like :func:`_params`; a plan that reads
-    no schedule passes no keys, so any schedule it is given is rejected."""
-    return _known_keys(config, "schedule", known)
+_REQUIRED = object()  # the default of a key that must be given
 
 
-def _known_keys(config: ExperimentConfig, section: str, known: tuple) -> dict:
-    values = getattr(config, section)
-    unknown = sorted(set(values) - set(known))
-    _require(not unknown, f"unknown {config.experiment} {section}: {unknown}")
-    return values
+class _Section:
+    """One config object (``params``, ``schedule``, ``survival`` or one
+    nested in them, such as ``params.data``) read key by key.  Each read
+    records its key and names it ``<section>.<key>``; one with no default
+    reads a required key.  :meth:`close` rejects each given key no read
+    asked for, then reports the first missing key or mistyped value."""
+
+    def __init__(self, values, name: str, experiment: str):
+        _require(isinstance(values, dict), f"{name} must be an object, got {values!r}")
+        self.values, self.name, self.experiment = values, name, experiment
+        self.read, self.errors, self.nested = set(), [], []
+
+    def get(self, key: str, default=_REQUIRED):
+        """The raw value of ``key``, or ``default`` when it is absent."""
+        self.read.add(key)
+        if key not in self.values and default is _REQUIRED:
+            self.errors.append(f"{self.name}.{key} is required")
+        return self.values.get(key, None if default is _REQUIRED else default)
+
+    def _typed(self, check, key: str, default=_REQUIRED):
+        value = self.get(key, default)
+        try:
+            return check(value, f"{self.name}.{key}") if key in self.values else value
+        except ConfigError as exc:  # reads as None; close() reports it after any unknown key
+            self.errors.append(str(exc))
+
+    integer = functools.partialmethod(_typed, _integer)
+    real = functools.partialmethod(_typed, _real)
+    integers = functools.partialmethod(_typed, functools.partial(_listed, each=_integer))
+    reals = functools.partialmethod(_typed, _listed)
+    rows = functools.partialmethod(_typed, functools.partial(_listed, each=_listed))
+
+    def section(self, key: str) -> "_Section":
+        """The object nested under ``key`` (empty when absent), closed with this one."""
+        nested = _Section(self.get(key, {}), f"{self.name}.{key}", self.experiment)
+        self.nested.append(nested)
+        return nested
+
+    def check(self, condition: bool, key: str, problem: str):
+        _require(condition, f"{self.name}.{key} {problem}")
+
+    def close(self):
+        unknown, read = sorted(set(self.values) - self.read), sorted(self.read)
+        message = f"unknown {self.experiment} {self.name}: {unknown}; {self.name} must be an object"
+        _require(not unknown, f"{message} with keys among {read}")
+        for nested in self.nested:
+            nested.close()
+        if self.errors:
+            raise ConfigError(self.errors[0])
+
+
+def _close(*sections: _Section):
+    for section in sections:
+        section.close()
 
 
 # ---------------------------------------------------------------------------
 # Experiment implementations
 # ---------------------------------------------------------------------------
 #
-# prepare_* validates a config and returns a "plan": a dict with
+# prepare_*(params, schedule, survival) reads the config's sections into
+# locals, closes them, then validates and returns a "plan": a dict with
 #   run_block(stream, count, offset) -> dict of per-draw arrays
 #   meta: summary extras
 #   replicates_override (optional): fixed row count
@@ -212,32 +246,25 @@ def _lane_block(delta_batch, survival, dim_of_level):
     return run_block
 
 
-def _prepare_contracting(config: ExperimentConfig) -> dict:
+def _prepare_contracting(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import models, tuning
 
-    params = _params(config, "rho", "x0")
-    rho = _real(params.get("rho"), "params.rho")
-    _require(0.0 < rho < 1.0, "params.rho must lie in (0, 1)")
-    x0 = _real(params.get("x0", 0.0), "params.x0")
-    sched_kind = config.schedule.get("kind", "arithmetic")
-    if sched_kind == "arithmetic":
-        m = _integer(_schedule(config, "kind", "m").get("m", 1), "schedule.m")
-        _require(m >= 1, "schedule.m must be a positive integer")
-    elif sched_kind == "multiplier-ansatz":
-        _schedule(config, "kind")
+    rho, x0 = params.real("rho"), params.real("x0", 0.0)
+    sched_kind = sched.get("kind", "arithmetic")
+    _require(sched_kind in ("arithmetic", "multiplier-ansatz"), f"unknown schedule kind {sched_kind!r}")
+    m = sched.integer("m", 1) if sched_kind == "arithmetic" else None
+    optimal = spec.get("kind", "optimal") == "optimal"
+    _close(params, sched)
+    params.check(0.0 < rho < 1.0, "rho", "must lie in (0, 1)")
+    if m is None:
         m = tuning.step_multiplier(rho)
-    else:
-        raise ConfigError(f"unknown schedule kind {sched_kind!r}")
+    sched.check(m >= 1, "m", "must be a positive integer")
     schedule = LevelSchedule.arithmetic(m)
-    if config.survival.get("kind", "optimal") == "optimal":
-        _known_keys(config, "survival", ("kind",))
-        _require(
-            x0 == 0.0, "the optimal survival rule assumes the chain starts at 0"
-        )
-        spec, default = {}, tuning.contracting_optimal_survival(rho, m)
-    else:
-        spec, default = config.survival, None
-    survival = _finite_work_survival(spec, default, *_ARITHMETIC_WORK)
+    if optimal:
+        spec.close()
+        _require(x0 == 0.0, "the optimal survival rule assumes the chain starts at 0")
+    default = tuning.contracting_optimal_survival(rho, m) if optimal else None
+    survival = _finite_work_survival(None if optimal else spec, default, *_ARITHMETIC_WORK)
 
     def run_block(stream: Stream, count: int, offset: int):
         out = models.contracting_unbiased_block(
@@ -252,20 +279,18 @@ def _prepare_contracting(config: ExperimentConfig) -> dict:
     }
 
 
-def _prepare_circle(config: ExperimentConfig) -> dict:
+def _prepare_circle(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import models
 
-    params = _params(config, "x0")
-    sched = _schedule(config, "kind", "m")
-    _require(sched.get("kind", "arithmetic") == "arithmetic", "circle runs an arithmetic schedule only")
-    m = _integer(sched.get("m", 1), "schedule.m")
-    _require(m >= 1, "schedule.m must be a positive integer")
+    x0 = params.real("x0", 0.0)
+    sched_kind = sched.get("kind", "arithmetic")
+    m = sched.integer("m", 1)
+    _close(params, sched)
+    _require(sched_kind == "arithmetic", "circle runs an arithmetic schedule only")
+    sched.check(m >= 1, "m", "must be a positive integer")
     # Default truncation law: geometric at 0.7, comfortably above the
     # discrete-metric contraction rate 1 - (8 - 2 pi)/4 of the coupling.
-    survival = _finite_work_survival(
-        config.survival, SurvivalDistribution.geometric(0.7), *_ARITHMETIC_WORK
-    )
-    x0 = _real(params.get("x0", 0.0), "params.x0")
+    survival = _finite_work_survival(spec, SurvivalDistribution.geometric(0.7), *_ARITHMETIC_WORK)
     model = models.CircleChainModel()
     schedule = LevelSchedule.arithmetic(m)
     delta_batch = contraction_delta_batch(
@@ -277,33 +302,25 @@ def _prepare_circle(config: ExperimentConfig) -> dict:
     }
 
 
-def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
+def _prepare_linear_gaussian(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import gaussian_linear
 
-    variant = config.params.get("variant", "holder")  # make_schedule checks it
+    variant = params.get("variant", "holder")  # make_schedule checks it
+    a, p, eps = params.real("a"), params.real("p", 0.0), params.real("eps", 0.5)
     # Only the Holder variant reads s, and only polynomial dims read q.
-    holder = ["s"] if variant == "holder" else []
-    params = _params(config, "variant", "a", "p", "coordinate", "eps", *holder)
-    _require("a" in params, "params.a is required")
-    a = _real(params["a"], "params.a")
-    p = _real(params.get("p", 0.0), "params.p")
-    s = _real(params.get("s", 1.0), "params.s")
-    coord = _integer(params.get("coordinate", 1), "params.coordinate")
-    _require(coord >= 1, "params.coordinate must be >= 1")
-    geometry = config.schedule.get("kind", "dyadic")
-    sched = _schedule(config, "kind", *(["q"] if geometry == "polynomial" else []))
-    q = None if sched.get("q") is None else _real(sched["q"], "schedule.q")
-    dims, survival = gaussian_linear.make_schedule(
-        variant, geometry, a=a, p=p, s=s, q=q, eps=_real(params.get("eps", 0.5), "params.eps")
-    )
+    s = params.real("s", 1.0) if variant == "holder" else 1.0
+    coord = params.integer("coordinate", 1)
+    geometry = sched.get("kind", "dyadic")
+    q = sched.real("q", None) if geometry == "polynomial" else None
+    _close(params, sched)
+    params.check(coord >= 1, "coordinate", "must be >= 1")
+    dims, survival = gaussian_linear.make_schedule(variant, geometry, a=a, p=p, s=s, q=q, eps=eps)
     # Level i costs t_i = j_i draws (holder) or j_i - j_{i-1} (linear-tail):
     # t_i grows like 2^i on dims 2^i, and like i^g, g = max(q, 1), or
     # i^(g - 1) on dims max(ceil(i^q), i + 1).
     base = 2.0 if geometry == "dyadic" else 1.0
     power = 0.0 if geometry == "dyadic" else max(q, 1.0) - (variant == "linear-tail")
-    survival = _finite_work_survival(
-        config.survival, survival, base, power, f"{variant} levels on {geometry} dims"
-    )
+    survival = _finite_work_survival(spec, survival, base, power, f"{variant} levels on {geometry} dims")
     model = gaussian_linear.GaussianLinearModel(p=p, a=a)
     if variant == "holder":
         level_delta = gaussian_linear.truncation_delta
@@ -317,31 +334,35 @@ def _prepare_linear_gaussian(config: ExperimentConfig) -> dict:
     }
 
 
-def _elliptic_is_model(params: dict) -> tuple:
+def _elliptic_is_model(params: _Section, ready: Callable[[], None] = lambda: None) -> tuple:
+    """The elliptic problem and its sampler model; ``ready()`` runs once
+    their keys are read, before the model, the data and the pilot."""
     from . import independence_sampler, models
 
-    gamma = _real(params.get("gamma", 3.2), "params.gamma")
+    gamma = params.real("gamma", 3.2)
+    y = params.reals("y", None)
+    alpha_star = params.real("alpha_star", None)
+    # data seeds the synthetic observations and the pilot: only they read it.
+    if y is None or alpha_star is None:
+        data = params.section("data")
+        data_seed = data.integer("seed", 2024)
+        if y is None:
+            dim, noise = data.integer("dim", 64), data.real("noise", 0.02)
+    if alpha_star is None:  # the pilot calibrates the floor
+        j_pilot, proposals = params.integer("pilot_dim", 32), params.integer("pilot_proposals", 512)
+    ready()
     model = models.EllipticModel(gamma=gamma)
-    data_spec = params.get("data", {"seed": 2024, "noise": 0.02, "dim": 64})
-    _require(
-        isinstance(data_spec, dict) and set(data_spec) <= {"seed", "noise", "dim"},
-        f"params.data must be an object with keys among seed, noise and dim, got {data_spec!r}",
-    )
-    data_seed = _integer(data_spec.get("seed", 2024), "params.data.seed")
-    if "y" in params:
-        y = np.asarray(params["y"], dtype=float)
-    else:
+    if y is None:
         stream = Stream(data_seed)
-        dim = _integer(data_spec.get("dim", 64), "params.data.dim")
         y = model.forward(dim, model.prior_sample(dim, stream.generator()))
-        noise = _real(data_spec.get("noise", 0.02), "params.data.noise")
         y = y + noise * stream.child(1).generator().standard_normal(y.size)
-    alpha_star = params.get("alpha_star")
+    else:
+        params.check(len(y) == len(model.obs_points), "y", "needs one value per observation point")
     is_model = independence_sampler.UniformPriorModel(
         half_widths=model.half_width,
         forward=lambda j, x: model.forward(j, x),
         y=y,
-        alpha_star=1e-12 if alpha_star is None else _real(alpha_star, "params.alpha_star"),
+        alpha_star=1e-12 if alpha_star is None else alpha_star,
         work_exponent=model.work_exponent,
     )
     if alpha_star is None:
@@ -349,58 +370,62 @@ def _elliptic_is_model(params: dict) -> tuple:
         # over lanes of prior (x, xi) pairs, drawn pair by pair.  The model's
         # worst-case bound is far too small to schedule against.
         rng = Stream(data_seed).child(2).generator()
-        j_pilot = _integer(params.get("pilot_dim", 32), "params.pilot_dim")
-        pairs = (_integer(params.get("pilot_proposals", 512), "params.pilot_proposals"), 2)
-        x, xi = independence_sampler.propose(is_model, j_pilot, rng, pairs).transpose(1, 0, 2)
+        x, xi = independence_sampler.propose(is_model, j_pilot, rng, (proposals, 2)).transpose(1, 0, 2)
         alphas = independence_sampler.is_acceptance(is_model, j_pilot, x, xi)
         is_model = replace(is_model, alpha_star=0.5 * float(np.min(alphas, initial=1.0)))
     return model, is_model
 
 
-def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
+def _prepare_indep_sampler(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import independence_sampler
 
-    kind = config.params.get("model", "elliptic")
+    kind = params.get("model", "elliptic")
+    fname = params.get("f", "sum")
+    # The schedule is read first, so the elliptic model closes both
+    # sections before its pilot; a default that is the model's reads as None.
+    sched_kind = sched.get("kind", "log-growth" if kind == "elliptic" else "saturating")
+    if sched_kind == "log-growth":
+        q, b_eff, k_eff = sched.real("q", 2.0), sched.real("beta", None), sched.real("kappa", None)
+        t = sched.real("t", None)
+    elif sched_kind == "saturating":
+        m, dmax, rate = sched.integer("m", 2), sched.integer("max_dim", None), sched.real("rate", 0.6)
+    elif sched_kind == "sequence":
+        steps, dims = sched.integers("steps"), sched.integers("dims")
+    else:
+        raise ConfigError(f"unknown schedule kind {sched_kind!r}")
+
     if kind == "elliptic":
-        # The pilot that calibrates alpha_star runs only when none is given.
-        pilot = ["pilot_dim", "pilot_proposals"] if config.params.get("alpha_star") is None else []
-        params = _params(config, "model", "f", "alpha_star", "gamma", "data", "y", *pilot)
-        elliptic, is_model = _elliptic_is_model(params)
-        beta = elliptic.gamma - 0.5
-        kappa = 2.0 * (elliptic.gamma - 1.0)
+        elliptic, is_model = _elliptic_is_model(params, lambda: _close(params, sched))
+        beta, kappa = elliptic.gamma - 0.5, 2.0 * (elliptic.gamma - 1.0)
     elif kind == "linear2d":
-        params = _params(config, "model", "f", "theta", "alpha_star", "matrix", "y", "half_widths")
-        matrix = np.asarray(params.get("matrix", [[0.8, 0.3], [-0.2, 0.5]]), float)
-        y = np.asarray(params.get("y", [0.3, -0.1]), float)
-        widths = list(params.get("half_widths", [1.0, 0.5]))
+        matrix = np.asarray(params.rows("matrix", [[0.8, 0.3], [-0.2, 0.5]]), float)
+        y = np.asarray(params.reals("y", [0.3, -0.1]), float)
+        widths = params.reals("half_widths", [1.0, 0.5])
+        alpha_star, theta = params.real("alpha_star", None), params.real("theta", 1.0)
+        _close(params, sched)
+        shape = (y.size, len(widths))  # a row per observation, a column per coordinate
+        message = f"must be len(y) x len(half_widths) = {shape}, got {matrix.shape}"
+        params.check(matrix.shape == shape, "matrix", message)
         sup_g = float(np.linalg.norm(np.abs(matrix) @ np.asarray(widths)))
-        alpha_star = params.get(
-            "alpha_star", math.exp(-0.5 * (np.linalg.norm(y) + sup_g) ** 2)
-        )
+        floor = math.exp(-0.5 * (np.linalg.norm(y) + sup_g) ** 2)
         is_model = independence_sampler.UniformPriorModel(
             half_widths=lambda k, w=widths: w[k - 1],
             forward=lambda j, x, A=matrix: x[..., :j] @ A[:, :j].T,
             y=y,
-            alpha_star=_real(alpha_star, "params.alpha_star"),
-            work_exponent=_real(params.get("theta", 1.0), "params.theta"),
+            alpha_star=floor if alpha_star is None else alpha_star,
+            work_exponent=theta,
         )
+        is_model.widths(len(widths))  # positive and nonincreasing, checked now
         beta, kappa = 2.0, 2.0
     else:
         raise ConfigError(f"unknown indep-sampler model {kind!r}")
 
-    sched = config.schedule
-    default_kind = "log-growth" if kind == "elliptic" else "saturating"
-    sched_kind = sched.get("kind", default_kind)
     if sched_kind == "log-growth":
         # The cost exponent is the model's: work and the finite-work check use it.
-        _schedule(config, "kind", "q", "beta", "kappa", "t")
-        q = _real(sched.get("q", 2.0), "schedule.q")
-        b_eff = _real(sched.get("beta", beta), "schedule.beta")
-        k_eff = _real(sched.get("kappa", kappa), "schedule.kappa")
         theta = is_model.work_exponent
-        if "t" in sched:
-            t = _real(sched["t"], "schedule.t")
-        else:
+        b_eff = beta if b_eff is None else b_eff
+        k_eff = kappa if k_eff is None else k_eff
+        if t is None:
             t = 0.5 * ((1.0 + theta * q) + (min(b_eff, k_eff) * q - 2.0))
         top_dim = math.inf  # the dimensions grow without bound
         schedule, survival = independence_sampler.make_schedule(
@@ -413,40 +438,29 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     elif sched_kind == "saturating":
         # Dimensions climb one per level up to the model's state size; the
         # remaining levels refine only the time direction.
-        _schedule(config, "kind", "m", "max_dim", "rate")
-        m = _integer(sched.get("m", 2), "schedule.m")
-        dmax = _integer(
-            sched.get("max_dim", len(widths) if kind == "linear2d" else 2), "schedule.max_dim"
-        )
+        if dmax is None:
+            dmax = len(widths) if kind == "linear2d" else 2
         _require(m >= 1 and dmax >= 1, "saturating schedule needs m, max_dim >= 1")
         top_dim = dmax
         schedule = LevelSchedule.arithmetic(m, lambda i: min(i + 1, dmax))
-        survival = SurvivalDistribution.geometric(_real(sched.get("rate", 0.6), "schedule.rate"))
+        survival = SurvivalDistribution.geometric(rate)
         power = 1.0  # t_i = m (i + 1) j_i^theta with j_i <= max_dim
-    elif sched_kind == "sequence":
-        _schedule(config, "kind", "steps", "dims")
-        steps, dims = sched["steps"], sched["dims"]
-        levels = len(steps) if isinstance(steps, list) else 0
+    else:  # sequence
+        levels = len(steps)
         _require(
-            levels >= 1 and isinstance(dims, list) and len(dims) == levels,
+            levels >= 1 and len(dims) == levels,
             "sequence schedule needs steps and dims as lists of one length L >= 1",
         )
-        schedule = LevelSchedule(
-            [_integer(a, "schedule.steps") for a in steps], [_integer(j, "schedule.dims") for j in dims]
-        )
+        schedule = LevelSchedule(steps, dims)
         # Check every term now: the lists are otherwise read while sampling.
         schedule.steps_at(levels - 1)
         top_dim = schedule.dims_at(levels - 1)
         survival = None  # the config must supply the law
         power = 0.0  # finite support: the law must end within the L levels
-    else:
-        raise ConfigError(f"unknown schedule kind {sched_kind!r}")
     if kind == "linear2d":  # one state coordinate per half-width
         message = f"schedule dims reach {top_dim}, past {len(widths)} half_widths"
         _require(top_dim <= len(widths), message)
-    survival = _finite_work_survival(
-        config.survival, survival, 1.0, power, f"{sched_kind} indep-sampler levels"
-    )
+    survival = _finite_work_survival(spec, survival, 1.0, power, f"{sched_kind} indep-sampler levels")
     if sched_kind == "sequence":
         _require(
             survival.kind == "tabulated"
@@ -457,7 +471,6 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
         )
 
     # Observables act row-wise on (lanes, j) states.
-    fname = params.get("f", "sum")
     f = {"sum": lambda u: np.sum(u, axis=-1), "coord1": lambda u: u[..., 0]}.get(fname)
     _require(f is not None, f"unknown observable {fname!r}")
     x0 = np.zeros(schedule.dims_at(0))
@@ -468,15 +481,16 @@ def _prepare_indep_sampler(config: ExperimentConfig) -> dict:
     }
 
 
-def _prepare_pcn(config: ExperimentConfig) -> dict:
+def _prepare_pcn(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import pcn
 
-    fname = config.params.get("f", "capped-norm")
+    rho, a = params.real("rho", 0.7), params.real("a", 2.0)
+    gname, fname = params.get("g", "norm"), params.get("f", "capped-norm")
     # Only the capped norm reads tau.
-    params = _params(config, "rho", "a", "g", "f", *(["tau"] if fname == "capped-norm" else []))
-    rho = _real(params.get("rho", 0.7), "params.rho")
-    a = _real(params.get("a", 2.0), "params.a")
-    gname = params.get("g", "norm")
+    tau = params.real("tau", 1.0) if fname == "capped-norm" else None
+    variant, m, r = sched.get("variant", "bounded"), sched.integer("m", 2), sched.real("r", 0.85)
+    theta, eps = sched.real("theta", 1.0), sched.real("eps", 0.25)
+    _close(params, sched)
     # Log-changes and observables act row-wise on (lanes, j) states.
     if gname == "norm":
         g = lambda x: np.linalg.norm(x, axis=-1)
@@ -484,29 +498,22 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
         g = lambda x: np.zeros(np.shape(x)[:-1])
     else:
         raise ConfigError(f"unknown log-change {gname!r}")
-    sched = _schedule(config, "variant", "m", "r", "theta", "eps")
-    theta = _real(sched.get("theta", 1.0), "schedule.theta")
     model = pcn.PcnModel.diagonal(
         rho, g, lambda l: float(l) ** (-2.0 * a), regularity=a, work_exponent=theta
     )
     meta = {}
     if fname == "capped-norm":
-        tau = _real(params.get("tau", 1.0), "params.tau")
-        _require(tau > 0.0, "params.tau must be positive")
+        params.check(tau > 0.0, "tau", "must be positive")
         f = lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1) / tau)
         meta = {"tau": tau}
     elif fname == "coord1":
         f = lambda x: x[..., 0]
     else:
         raise ConfigError(f"unknown observable {fname!r}")
-    variant, r = sched.get("variant", "bounded"), _real(sched.get("r", 0.85), "schedule.r")
-    m = _integer(sched.get("m", 2), "schedule.m")
-    schedule, survival = pcn.make_schedule(
-        model, variant, m=m, r=r, theta=theta, eps=_real(sched.get("eps", 0.25), "schedule.eps")
-    )
+    schedule, survival = pcn.make_schedule(model, variant, m=m, r=r, theta=theta, eps=eps)
     # Level i costs t_i = m (i + 1) j_i^theta, and j_i grows like g^i.
     cost_growth = pcn.dimension_growth(model, variant, m, r) ** model.work_exponent
-    survival = _finite_work_survival(config.survival, survival, cost_growth, 1.0, "pcn levels")
+    survival = _finite_work_survival(spec, survival, cost_growth, 1.0, "pcn levels")
     x0 = np.zeros(schedule.dims_at(0))
     return {
         "run_block": _lane_block(pcn.delta_batch(model, schedule, f, x0), survival, schedule.dims_at),
@@ -514,34 +521,26 @@ def _prepare_pcn(config: ExperimentConfig) -> dict:
     }
 
 
-def _prepare_logistic(config: ExperimentConfig) -> dict:
+def _prepare_logistic(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import models, pcn, tuning
 
-    params = _params(
-        config, "rho", "coordinate", "n_obs", "data_seed", "reference_draws", "rwm_steps",
-        "fit_seed", "pilot_steps", "pilot_replicates", "pilot_seed",
-    )
+    rho, coord = params.real("rho", 0.5), params.integer("coordinate", 1)
+    n_obs, data_seed = params.integer("n_obs", 100), params.integer("data_seed", 7)
+    # rwm_steps: the key's name from when a random-walk chain made the fit.
+    alias = params.integer("rwm_steps", None)
+    draws = params.integer("reference_draws", 200_000 if alias is None else alias)
+    fit_seed, pilot_seed = params.integer("fit_seed", 101), params.integer("pilot_seed", 55)
+    pilot_steps, pilot_reps = params.integer("pilot_steps", 40), params.integer("pilot_replicates", 200)
+    params.close()
     # The config's own law is checked before the fit and the pilot, whose
     # contraction rate fixes the schedule: the config gives none.
-    law = _finite_work_survival(config.survival, None, *_ARITHMETIC_WORK) if config.survival else None
-    _schedule(config)
-    model = models.LogisticModel.synthetic(
-        n_obs=_integer(params.get("n_obs", 100), "params.n_obs"),
-        seed=_integer(params.get("data_seed", 7), "params.data_seed"),
-    )
-    coord = _integer(params.get("coordinate", 1), "params.coordinate")
-    _require(1 <= coord <= model.dim, f"params.coordinate must lie in 1..{model.dim}")
-    rho = _real(params.get("rho", 0.5), "params.rho")
-    # rwm_steps: the key's name from when a random-walk chain made the fit.
-    _require(
-        not {"reference_draws", "rwm_steps"} <= set(params),
-        "give params.reference_draws or its alias rwm_steps, not both",
-    )
-    key = "rwm_steps" if "rwm_steps" in params else "reference_draws"
-    draws = _integer(params.get(key, 200_000), f"params.{key}")
-    fit = models.logistic_reference_fit(
-        model, draws, seed=_integer(params.get("fit_seed", 101), "params.fit_seed")
-    )
+    law = _finite_work_survival(spec, None, *_ARITHMETIC_WORK) if spec.values else None
+    sched.close()
+    given_both = alias is not None and "reference_draws" in params.values
+    params.check(not given_both, "reference_draws", "or its alias rwm_steps: give one, not both")
+    model = models.LogisticModel.synthetic(n_obs=n_obs, seed=data_seed)
+    params.check(1 <= coord <= model.dim, "coordinate", f"must lie in 1..{model.dim}")
+    fit = models.logistic_reference_fit(model, draws, seed=fit_seed)
     center, cov = fit
     chain = pcn.PcnModel.gaussian_reference(
         rho, model.neg_log_density, center, cov
@@ -558,15 +557,15 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
         pcn.coupling(chain),
         lambda s, t: np.linalg.norm(s.x - t.x, axis=-1),
         pairs=[(pcn.PcnState(center + spread), pcn.PcnState(center - spread))],
-        n_steps=_integer(params.get("pilot_steps", 40), "params.pilot_steps"),
-        replicates=_integer(params.get("pilot_replicates", 200), "params.pilot_replicates"),
-        stream=Stream(_integer(params.get("pilot_seed", 55), "params.pilot_seed")),
+        n_steps=pilot_steps,
+        replicates=pilot_reps,
+        stream=Stream(pilot_seed),
     )
     r = math.exp(0.5 * pilot.slope)
     m = tuning.step_multiplier(r)
     schedule = LevelSchedule.arithmetic(m, lambda i: model.dim)
     if law is None:
-        law = _finite_work_survival({}, SurvivalDistribution.geometric(r**m), *_ARITHMETIC_WORK)
+        law = _finite_work_survival(None, SurvivalDistribution.geometric(r**m), *_ARITHMETIC_WORK)
     delta_batch = pcn.delta_batch(chain, schedule, lambda beta: beta[:, coord - 1], center)
     return {
         "run_block": _lane_block(delta_batch, law, schedule.dims_at),
@@ -580,18 +579,14 @@ def _prepare_logistic(config: ExperimentConfig) -> dict:
     }
 
 
-def _prepare_tune(config: ExperimentConfig) -> dict:
+def _prepare_tune(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import tuning
 
     # No sampling: one CSV row per grid point, reusing the draw schema
     # (N = step multiplier, z = tuned/ergodic ratio, work = tuned product).
-    params = _params(config, "rho_grid")
-    _schedule(config)
-    _known_keys(config, "survival", ())
-    grid = params.get("rho_grid")
-    if grid is None:
-        grid = [round(0.50 + 0.05 * k, 2) for k in range(10)]
-    _require(isinstance(grid, list) and grid, "params.rho_grid must be a nonempty list")
+    grid = params.reals("rho_grid", [round(0.50 + 0.05 * k, 2) for k in range(10)])
+    _close(params, sched, spec)
+    params.check(len(grid) > 0, "rho_grid", "must be a nonempty list")
     w = tuning.OPTIMAL_W
     rows = []
     for rho in grid:
@@ -621,7 +616,7 @@ def _prepare_tune(config: ExperimentConfig) -> dict:
     }
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], dict]] = {
+EXPERIMENTS: dict[str, Callable[[_Section, _Section, _Section], dict]] = {
     "contracting-normals": _prepare_contracting,
     "circle": _prepare_circle,
     "linear-gaussian": _prepare_linear_gaussian,
@@ -638,17 +633,21 @@ def _prepare_cached(plan_json: str) -> dict:
     prepare = EXPERIMENTS.get(config.experiment)
     if prepare is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
+    names = ("params", "schedule", "survival")
+    sections = [_Section(getattr(config, name), name, config.experiment) for name in names]
     # A plan is built from the config alone (pilot fits included), so a
-    # value it rejects, a missing key or a wrong type is a config error;
-    # failures while sampling stay runtime errors.
+    # value it rejects or a wrong type is a config error; failures while
+    # sampling stay runtime errors.
     try:
-        return prepare(config)
+        plan = prepare(*sections)
     except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"{config.experiment} config needs {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{config.experiment}: {exc}") from exc
+    # Each plan closes its sections before it builds; closing them again
+    # makes any key that no branch read an error, whichever branch ran.
+    _close(*sections)
+    return plan
 
 
 def _config_key(config: ExperimentConfig) -> str:

@@ -317,7 +317,8 @@ class TestEllipticIsPlan:
         from ubmc import independence_sampler as isamp
         from ubmc.harness import _elliptic_is_model
 
-        _, model = _elliptic_is_model(ExperimentConfig.from_json(self.CONFIG).params)
+        params = ExperimentConfig.from_json(self.CONFIG).params
+        _, model = _elliptic_is_model(harness._Section(params, "params", "indep-sampler"))
         rng = Stream(2024).child(2).generator()
         worst = 1.0
         for _ in range(512):
@@ -528,6 +529,24 @@ def _baseline_from_config(config_dict):
 
     z, work = _side_unbiased({"config": config_dict})
     return {"squared_errors": (z - 0.0) ** 2, "work": float(np.mean(work))}
+
+
+# The elliptic model's default log-growth q of 2 is too small for its
+# gamma of 3.2; the shipped configs run q = 2.6.
+ELLIPTIC_SCHEDULE = {"kind": "log-growth", "q": 2.6}
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/configs/*.json")),
+    ids=lambda path: str(path.relative_to(ROOT)),
+)
+def test_shipped_config_prepares(path):
+    # Every key of every config we ship is one its plan reads.
+    plan = harness._prepare_cached(harness._config_key(ExperimentConfig.from_json(path)))
+    assert callable(plan["run_block"])
 
 
 class TestCli:
@@ -765,6 +784,28 @@ class TestCli:
                 {"params": {"rho": 0.8, "x0": True}, "survival": {"kind": "geometric", "rate": 0.5}},
                 "params.x0 must be a real number",
             ),
+            # List-valued reals: each element is a real number, never a bool or a string.
+            (
+                "indep-sampler", {"params": {"model": "linear2d", "half_widths": [True, 0.5]}},
+                "params.half_widths must be a real number",
+            ),
+            ("indep-sampler", {"params": {"model": "linear2d", "y": ["0.3", False]}}, "params.y must be a real number"),
+            (
+                "indep-sampler", {"params": {"model": "linear2d", "matrix": [[True, 0.3], ["-0.2", 0.5]]}},
+                "params.matrix must be a real number",
+            ),
+            (
+                "indep-sampler",
+                {"params": {"y": ["0.1", "0.2", True], "alpha_star": 0.001}, "schedule": ELLIPTIC_SCHEDULE},
+                "params.y must be a real number",
+            ),
+            (
+                "circle", {"survival": {"kind": "tabulated", "values": [1, True, "0.5"]}},
+                "survival.values must be a real number",
+            ),
+            # A missing required key names itself.
+            ("contracting-normals", {"params": {}}, "configuration error: params.rho is required"),
+            ("circle", {"survival": {"kind": "geometric"}}, "configuration error: survival.rate is required"),
         ],
         ids=[
             "logistic-coordinate-0", "logistic-coordinate-9", "pcn-tau-0", "pcn-tau-negative",
@@ -773,6 +814,8 @@ class TestCli:
             "indep-sampler-string-dim", "indep-sampler-fractional-steps",
             "pcn-bool-tau", "pcn-string-rho", "pcn-bool-theta", "circle-string-x0",
             "linear2d-bool-theta", "contracting-bool-x0",
+            "linear2d-bool-half-width", "linear2d-string-y", "linear2d-bool-matrix", "elliptic-string-y",
+            "circle-bool-survival-value", "contracting-missing-rho", "geometric-missing-rate",
         ],
     )
     def test_bad_value_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, experiment, change, message):
@@ -786,6 +829,49 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err, err
+
+    def run_unsampled(self, tmp_path, capsys, monkeypatch, config) -> tuple[int, str]:
+        """The CLI's exit code and stderr for ``config``, failing if any block runs."""
+        def no_sampling(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(harness, "_run_block_task", no_sampling)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict({"replicates": 50}, **config)))
+        code = cli_main([config["experiment"], "--config", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_data_unread_once_y_and_alpha_star_are_given_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Given observations and floor: no synthetic data and no pilot, so data seeds nothing.
+        params = {"y": [0.1, 0.2, 0.3], "alpha_star": 0.001, "data": {"seed": 5}}
+        config = {"experiment": "indep-sampler", "params": params, "schedule": ELLIPTIC_SCHEDULE}
+        code, err = self.run_unsampled(tmp_path, capsys, monkeypatch, config)
+        assert code == 2 and "unknown indep-sampler params: ['data']" in err, err
+
+    def test_data_noise_unread_once_y_is_given_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Given observations: only the pilot reads data, and only its seed.
+        params = {"y": [0.1, 0.2, 0.3], "data": {"noise": 0.5}}
+        config = {"experiment": "indep-sampler", "params": params, "schedule": ELLIPTIC_SCHEDULE}
+        code, err = self.run_unsampled(tmp_path, capsys, monkeypatch, config)
+        assert code == 2 and "unknown indep-sampler params.data: ['noise']" in err, err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"y": [0.1, 0.2, 0.3, 0.4, 0.5], "alpha_star": 0.001}, "params.y needs one value per observation point"),
+            ({"model": "linear2d", "y": [0.3, -0.1, 0.2]}, "params.matrix must be len(y) x len(half_widths) = (3, 2)"),
+            ({"model": "linear2d", "matrix": [[0.8, 0.3]]}, "= (2, 2), got (1, 2)"),
+            ({"model": "linear2d", "half_widths": [0.5, 1.0]}, "box half-widths must be nonincreasing"),
+            ({"model": "linear2d", "half_widths": [1.0, -0.5]}, "box half-widths must be positive"),
+        ],
+        ids=["elliptic-five-y", "linear2d-three-y", "linear2d-one-row", "rising-widths", "negative-width"],
+    )
+    def test_observation_shape_and_box_checked_before_sampling(self, tmp_path, capsys, monkeypatch, params, message):
+        # Each failed while sampling with exit 3 (or broadcast one matrix row and tripped the floor).
+        schedule = {} if params.get("model") == "linear2d" else ELLIPTIC_SCHEDULE
+        config = {"experiment": "indep-sampler", "params": params, "schedule": schedule}
+        code, err = self.run_unsampled(tmp_path, capsys, monkeypatch, config)
+        assert code == 2 and message in err, err
 
     def test_integral_float_count_runs(self):
         # Some JSON writers emit 10000.0 for a count: an integral float reads as the int.

@@ -438,7 +438,7 @@ class TestMakeSchedule:
         """``configs/indep-sampler.json``'s schedule and law, with the
         harness's defaults for every key the config leaves out."""
         config = json.loads((Path(__file__).parents[1] / "configs" / "indep-sampler.json").read_text())
-        elliptic, model = harness._elliptic_is_model(config["params"])
+        elliptic, model = harness._elliptic_is_model(harness._Section(config["params"], "params", "indep-sampler"))
         q, beta, kappa = config["schedule"]["q"], elliptic.gamma - 0.5, 2.0 * (elliptic.gamma - 1.0)
         theta = elliptic.work_exponent
         t = 0.5 * ((1.0 + theta * q) + (min(beta, kappa) * q - 2.0))
