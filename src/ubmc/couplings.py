@@ -138,10 +138,7 @@ def _delta(kernel, coupling, schedule, first, counts, x0, f, rng):
     # inner loops are the hot path of every generic chain.
     return _level_difference(
         schedule, first, counts, x0, f, rng,
-        lambda j: kernel.step,
-        lambda j_lo, j_hi: coupling.step,
-        lambda x, j: x,
-        lambda j: kernel.work_per_step,
+        lambda j: kernel, lambda j_lo, j_hi: coupling.step, lambda x, j: x,
     )
 
 
@@ -189,30 +186,32 @@ def _run_batches(schedule: LevelSchedule, run_delta: Callable) -> Callable:
     return delta_batch
 
 
-def _level_difference(schedule, first, counts, x0, f, rng, lone, joint, embed, cost):
+def _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, embed):
     """The lone and joint phases of one run of levels, shared by every chain.
 
     The run is levels ``first, first + 1, ...``, ``counts[k]`` pairs of
     chains at level ``first + k``, all sharing ``j_i``, ``j_{i-1}`` and
-    ``a_i - a_{i-1}`` (one level is always a run).  ``lone(j)`` is the
-    step ``(x, rng) -> x`` at dimension ``j``, ``joint(j_lo, j_hi)`` the
-    step ``((top, bottom), rng) -> (top, bottom)``, ``embed(x, j)`` maps a
-    state into dimension ``j`` and ``cost(j)`` is the work of one step
-    there.  ``x0`` holds one start per pair, deeper levels first (a
+    ``a_i - a_{i-1}`` (one level is always a run).  ``kernel(j)`` is the
+    chain's :class:`MarkovKernel` at dimension ``j``, whose step the lone
+    phase takes and whose ``work_per_step`` is the cost of one step there;
+    ``joint(j_lo, j_hi)`` is the step ``((top, bottom), rng) -> (top,
+    bottom)`` and ``embed(x, j)`` maps a state into dimension ``j``.
+    ``x0`` holds one start per pair, deeper levels first (a
     single level may take one unbatched state), so the pairs still running
     are always a prefix.  Start-aligned, every top chain takes the shared
     lone steps from ``embed(x0, j_i)``, then every pair of level >= 1 steps
     jointly, its bottom chain from ``embed(x0, j_{i-1})``; level ``i``'s
     deltas are taken when ``a_i`` steps are done, ``f`` seeing both chains
     at ``j_i``, and its pairs are cut off.  Each step takes its lane count
-    from the state it is handed.  Returns ``(deltas, a_i * cost(j_i))``
-    per level, in level order.
+    from the state it is handed.  Returns ``(deltas, a_i *
+    kernel(j_i).work_per_step)`` per level, in level order.
     """
     j_hi = schedule.dims_at(first)
     a_lone = schedule.steps_at(first) - (schedule.steps_at(first - 1) if first > 0 else 0)
     # ends[k]: pairs of levels >= first + k; level first + k owns [ends[k + 1], ends[k]).
     ends = [sum(counts[k:]) for k in range(len(counts) + 1)]
-    step = lone(j_hi)
+    lone = kernel(j_hi)
+    step = lone.step
     top = embed(x0, j_hi)
     for _ in range(a_lone):
         top = step(top, rng)
@@ -234,7 +233,7 @@ def _level_difference(schedule, first, counts, x0, f, rng, lone, joint, embed, c
         else:
             bottom, bottom_end = _split(bottom, ends[k + 1])
             deltas = f(embed(top_end, j_hi)) - f(embed(bottom_end, j_hi))
-        levels.append((deltas, schedule.steps_at(level) * cost(j_hi)))
+        levels.append((deltas, schedule.steps_at(level) * lone.work_per_step))
     return levels
 
 

@@ -22,6 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .couplings import LevelSchedule
 from .estimator import SurvivalDistribution
 
 __all__ = [
@@ -97,20 +98,9 @@ def _posterior_arrays(model: GaussianLinearModel, j: int):
     return mean, 1.0 / precision
 
 
-def _dims_pair(dims, level: int) -> tuple[int, int]:
-    get = dims if callable(dims) else dims.__getitem__
-    j_hi = int(get(level))
-    j_lo = int(get(level - 1)) if level > 0 else 0
-    if level > 0 and j_hi <= j_lo:
-        raise ValueError("dimension sequence must be strictly increasing")
-    if j_hi < 1:
-        raise ValueError("dimensions must be positive")
-    return j_lo, j_hi
-
-
 def truncation_delta(
     model: GaussianLinearModel,
-    dims,
+    schedule: LevelSchedule,
     level: int,
     f: Callable[[np.ndarray], np.ndarray],
     rng: np.random.Generator,
@@ -118,13 +108,14 @@ def truncation_delta(
 ) -> tuple:
     """Level difference of ``f`` under the plain truncation coupling.
 
-    One draw of the first ``j_level`` posterior coordinates is shared by
-    both truncations, so only coordinates in ``(j_{level-1}, j_level]``
-    differ; the bottom state is zero-padded to the top dimension before
-    ``f`` is applied.  Returns ``(delta, work)`` with work counted as the
-    number of Gaussian draws; one row per lane for ``lanes = (count,)``.
+    One draw of the first ``j_level`` posterior coordinates (the
+    schedule's dimensions) is shared by both truncations, so only
+    coordinates in ``(j_{level-1}, j_level]`` differ; the bottom state is
+    zero-padded to the top dimension before ``f`` is applied.  Returns
+    ``(delta, work)`` with work counted as the number of Gaussian draws;
+    one row per lane for ``lanes = (count,)``.
     """
-    j_lo, j_hi = _dims_pair(dims, level)
+    j_lo, j_hi = schedule.dims_at(level - 1) if level else 0, schedule.dims_at(level)
     mean, var = _posterior_arrays(model, j_hi)
     top = mean + np.sqrt(var) * rng.standard_normal((*lanes, j_hi))
     if level == 0:
@@ -136,7 +127,7 @@ def truncation_delta(
 
 def prior_tail_delta(
     model: GaussianLinearModel,
-    dims,
+    schedule: LevelSchedule,
     level: int,
     coefficients: Mapping[int, float],
     rng: np.random.Generator,
@@ -162,7 +153,7 @@ def prior_tail_delta(
             "prior-tail differences are only defined for linear functions; "
             "pass the coefficient map {coordinate: weight}"
         )
-    j_lo, j_hi = _dims_pair(dims, level)
+    j_lo, j_hi = schedule.dims_at(level - 1) if level else 0, schedule.dims_at(level)
     terms = sorted((l, w) for l, w in coefficients.items() if l > j_lo and w != 0.0)
     new = [(l, w) for l, w in terms if l <= j_hi]
     # Prior tail above j_0: only coefficients actually present matter.
@@ -180,13 +171,13 @@ def prior_tail_delta(
     return delta, float(zeta.shape[-1])
 
 
-def delta_batch(level_delta: Callable, model: GaussianLinearModel, dims, f) -> Callable:
+def delta_batch(level_delta: Callable, model: GaussianLinearModel, schedule: LevelSchedule, f) -> Callable:
     """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block` for
     ``level_delta``, :func:`truncation_delta` (``f`` row-wise) or
     :func:`prior_tail_delta` (``f`` the coefficient map): one call per
     level on ``level_rng(i)``, with a row for each of its lanes."""
     return lambda counts, level_rng: [
-        level_delta(model, dims, i, f, level_rng(i), (count,)) for i, count in enumerate(counts)
+        level_delta(model, schedule, i, f, level_rng(i), (count,)) for i, count in enumerate(counts)
     ]
 
 
@@ -219,8 +210,12 @@ def make_schedule(
     s: float = 1.0,
     q: float | None = None,
     eps: float,
-) -> tuple[Callable[[int], int], SurvivalDistribution]:
-    """Dimension sequence and truncation law with finite variance and work.
+) -> tuple[LevelSchedule, SurvivalDistribution]:
+    """Level schedule and truncation law with finite variance and work.
+
+    Every level takes one exact draw (``a_i = 1``), so the schedule's
+    dimensions ``j_i`` rise strictly; its work is counted in draws by the
+    level differences, not from ``a_i``.
 
     ``variant`` selects the coupling the schedule is designed for:
 
@@ -269,7 +264,7 @@ def make_schedule(
         if not 0.0 < eps <= eps_ub:
             raise ValueError(f"requires 0 < eps <= {eps_ub}")
         rate = 2.0 ** ((2.0 - eps) * decay / 2.0)
-        return (lambda i: 2**i), SurvivalDistribution.geometric(rate)
+        return LevelSchedule(lambda i: 1, lambda i: 2**i), SurvivalDistribution.geometric(rate)
 
     if q is None:
         raise ValueError("polynomial geometry needs the growth exponent q")
@@ -285,4 +280,4 @@ def make_schedule(
         )
     exponent = -(s * (q - 1.0 - 2.0 * a * q) + 2.0 + eps)
     dims = lambda i: max(math.ceil(max(i, 1) ** q), i + 1)
-    return dims, SurvivalDistribution.polynomial(exponent)
+    return LevelSchedule(lambda i: 1, dims), SurvivalDistribution.polynomial(exponent)

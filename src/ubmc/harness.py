@@ -101,6 +101,7 @@ def _survival_from_config(
     elif kind == "tabulated":
         args = spec.reals("values"), spec.real("tail_ratio", None)
     else:
+        spec.check(kind is not None, "kind", "is required")
         raise ConfigError(f"unknown survival spec {spec.values!r}")
     spec.close()
     try:
@@ -314,7 +315,7 @@ def _prepare_linear_gaussian(params: _Section, sched: _Section, spec: _Section) 
     q = sched.real("q", None) if geometry == "polynomial" else None
     _close(params, sched)
     params.check(coord >= 1, "coordinate", "must be >= 1")
-    dims, survival = gaussian_linear.make_schedule(variant, geometry, a=a, p=p, s=s, q=q, eps=eps)
+    schedule, survival = gaussian_linear.make_schedule(variant, geometry, a=a, p=p, s=s, q=q, eps=eps)
     # Level i costs t_i = j_i draws (holder) or j_i - j_{i-1} (linear-tail):
     # t_i grows like 2^i on dims 2^i, and like i^g, g = max(q, 1), or
     # i^(g - 1) on dims max(ceil(i^q), i + 1).
@@ -329,7 +330,9 @@ def _prepare_linear_gaussian(params: _Section, sched: _Section, spec: _Section) 
         level_delta, f = gaussian_linear.prior_tail_delta, {coord: 1.0}
     target, _ = gaussian_linear.posterior_spectral(model, coord)
     return {
-        "run_block": _lane_block(gaussian_linear.delta_batch(level_delta, model, dims, f), survival, dims),
+        "run_block": _lane_block(
+            gaussian_linear.delta_batch(level_delta, model, schedule, f), survival, schedule.dims_at
+        ),
         "meta": {"target_mean": target, "coordinate": coord},
     }
 
@@ -385,7 +388,7 @@ def _prepare_indep_sampler(params: _Section, sched: _Section, spec: _Section) ->
     # sections before its pilot; a default that is the model's reads as None.
     sched_kind = sched.get("kind", "log-growth" if kind == "elliptic" else "saturating")
     if sched_kind == "log-growth":
-        q, b_eff, k_eff = sched.real("q", 2.0), sched.real("beta", None), sched.real("kappa", None)
+        q, b_eff, k_eff = sched.real("q", 2.6), sched.real("beta", None), sched.real("kappa", None)
         t = sched.real("t", None)
     elif sched_kind == "saturating":
         m, dmax, rate = sched.integer("m", 2), sched.integer("max_dim", None), sched.real("rate", 0.6)
@@ -421,20 +424,13 @@ def _prepare_indep_sampler(params: _Section, sched: _Section, spec: _Section) ->
         raise ConfigError(f"unknown indep-sampler model {kind!r}")
 
     if sched_kind == "log-growth":
-        # The cost exponent is the model's: work and the finite-work check use it.
-        theta = is_model.work_exponent
-        b_eff = beta if b_eff is None else b_eff
-        k_eff = kappa if k_eff is None else k_eff
-        if t is None:
-            t = 0.5 * ((1.0 + theta * q) + (min(b_eff, k_eff) * q - 2.0))
         top_dim = math.inf  # the dimensions grow without bound
         schedule, survival = independence_sampler.make_schedule(
-            q=q, beta=b_eff, kappa=k_eff, theta=theta,
-            alpha_star=is_model.alpha_star, t=t,
+            is_model, q, beta if b_eff is None else b_eff, kappa if k_eff is None else k_eff, t
         )
         # t_i = a_i j_i^theta with j_i ~ i^max(q, 1) and a_i ~ log i; the log
         # factor does not move the strict bound on a polynomial exponent.
-        power = max(q, 1.0) * theta
+        power = max(q, 1.0) * is_model.work_exponent
     elif sched_kind == "saturating":
         # Dimensions climb one per level up to the model's state size; the
         # remaining levels refine only the time direction.
@@ -455,20 +451,20 @@ def _prepare_indep_sampler(params: _Section, sched: _Section, spec: _Section) ->
         # Check every term now: the lists are otherwise read while sampling.
         schedule.steps_at(levels - 1)
         top_dim = schedule.dims_at(levels - 1)
-        survival = None  # the config must supply the law
-        power = 0.0  # finite support: the law must end within the L levels
+        # The config must supply the law: it must end within the L levels.
+        need = (
+            f"a sequence schedule of L = {levels} levels needs a tabulated survival "
+            f"law with at most {levels} values and no tail_ratio"
+        )
+        spec.check("kind" in spec.values, "kind", f"is required: {need}")
+        survival, power = None, 0.0
     if kind == "linear2d":  # one state coordinate per half-width
         message = f"schedule dims reach {top_dim}, past {len(widths)} half_widths"
         _require(top_dim <= len(widths), message)
     survival = _finite_work_survival(spec, survival, 1.0, power, f"{sched_kind} indep-sampler levels")
     if sched_kind == "sequence":
-        _require(
-            survival.kind == "tabulated"
-            and survival.tail_ratio is None
-            and survival.table.size <= levels,
-            f"a sequence schedule of L = {levels} levels needs a tabulated survival "
-            f"law with at most {levels} values and no tail_ratio",
-        )
+        tabulated = survival.kind == "tabulated" and survival.tail_ratio is None
+        _require(tabulated and survival.table.size <= levels, need)
 
     # Observables act row-wise on (lanes, j) states.
     f = {"sum": lambda u: np.sum(u, axis=-1), "coord1": lambda u: u[..., 0]}.get(fname)
@@ -510,7 +506,7 @@ def _prepare_pcn(params: _Section, sched: _Section, spec: _Section) -> dict:
         f = lambda x: x[..., 0]
     else:
         raise ConfigError(f"unknown observable {fname!r}")
-    schedule, survival = pcn.make_schedule(model, variant, m=m, r=r, theta=theta, eps=eps)
+    schedule, survival = pcn.make_schedule(model, variant, m=m, r=r, eps=eps)
     # Level i costs t_i = m (i + 1) j_i^theta, and j_i grows like g^i.
     cost_growth = pcn.dimension_growth(model, variant, m, r) ** model.work_exponent
     survival = _finite_work_survival(spec, survival, cost_growth, 1.0, "pcn levels")

@@ -21,7 +21,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .couplings import LevelSchedule, _level_difference, _positive_nonincreasing, _run_batches, _tile, pad_to
+from .couplings import (
+    LevelSchedule, MarkovKernel, _level_difference, _positive_nonincreasing, _run_batches, _tile, pad_to,
+)
 from .estimator import SurvivalDistribution
 
 __all__ = [
@@ -230,8 +232,11 @@ def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, 
 
 
 def _delta(model, schedule, first, counts, f, x0, rng):
-    def lone(j):
-        return lambda x, rng: split_step(model, j, x, draw_randomness(model, j, rng, x.shape[:-1]))[0]
+    def kernel(j):
+        def step(x, rng):
+            return split_step(model, j, x, draw_randomness(model, j, rng, x.shape[:-1]))[0]
+
+        return MarkovKernel(step, float(j) ** model.work_exponent)
 
     def joint(j_lo, j_hi):
         def step(pair, rng):
@@ -242,28 +247,25 @@ def _delta(model, schedule, first, counts, f, x0, rng):
 
         return step
 
-    cost = lambda j: float(j) ** model.work_exponent
-    return _level_difference(schedule, first, counts, x0, f, rng, lone, joint, pad_to, cost)
+    return _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, pad_to)
 
 
 def make_schedule(
-    q: float,
-    beta: float,
-    kappa: float,
-    theta: float,
-    alpha_star: float,
-    t: float,
+    model: UniformPriorModel, q: float, beta: float, kappa: float, t: float | None = None
 ) -> tuple[LevelSchedule, SurvivalDistribution]:
     """Schedule with dimensions ``i^q``, logarithmic steps, polynomial law.
 
-    ``beta`` is the forward-approximation decay, ``kappa`` the decay of
-    the observable's dependence on high modes, ``theta`` the per-step cost
-    exponent.  With ``r = min(beta, kappa)`` the admissible region is
-    ``q > 3 / (r - theta)`` and ``t`` in ``(1 + theta q, r q - 2)``; the
-    step counts ``a_i = ceil((q beta / c*) log(i + 2))`` with
+    ``beta`` is the forward-approximation decay and ``kappa`` the decay of
+    the observable's dependence on high modes; the per-step cost exponent
+    ``theta`` and the acceptance floor ``alpha_star`` are the model's.
+    With ``r = min(beta, kappa)`` the admissible region is
+    ``q > 3 / (r - theta)`` and ``t`` in ``(1 + theta q, r q - 2)``, its
+    midpoint when ``t`` is not given; the step counts
+    ``a_i = ceil((q beta / c*) log(i + 2))`` with
     ``c* = -log(1 - alpha_star)`` balance the synchronization-failure and
     discretization contributions to the level differences.
     """
+    theta, alpha_star = model.work_exponent, model.alpha_star
     r = min(beta, kappa)
     if r <= 1.0:
         raise ValueError("requires min(beta, kappa) > 1")
@@ -272,6 +274,7 @@ def make_schedule(
     if not q > 3.0 / (r - theta):
         raise ValueError(f"requires q > 3 / (r - theta) = {3.0 / (r - theta)}")
     t_lo, t_hi = 1.0 + theta * q, r * q - 2.0
+    t = (t_lo + t_hi) / 2.0 if t is None else t
     if not t_lo < t < t_hi:
         raise ValueError(f"requires t in (1 + theta q, r q - 2) = ({t_lo}, {t_hi})")
     if not 0.0 < alpha_star < 1.0:

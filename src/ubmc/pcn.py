@@ -259,9 +259,6 @@ def _delta(model, schedule, first, counts, f, x0, rng):
     if model.recentred:
         raise ValueError("truncation levels require the diagonal reference")
 
-    def lone(j):
-        return lambda x, rng: sampler_step(model, j, x, rng)
-
     def joint(j_lo, j_hi):
         def step(pair, rng):
             top, bottom = pair
@@ -274,11 +271,8 @@ def _delta(model, schedule, first, counts, f, x0, rng):
     def embed(x, j):
         return PcnState(pad_to(x.x if isinstance(x, PcnState) else x, j))
 
-    def cost(j):
-        return float(j) ** model.work_exponent
-
     return _level_difference(
-        schedule, first, counts, x0, lambda s: f(s.x), rng, lone, joint, embed, cost
+        schedule, first, counts, x0, lambda s: f(s.x), rng, lambda j: kernel(model, j), joint, embed
     )
 
 
@@ -353,19 +347,15 @@ def dimension_growth(model: PcnModel, variant: str, m: int, r: float) -> float:
 
 
 def make_schedule(
-    model: PcnModel,
-    variant: str,
-    m: int,
-    r: float,
-    theta: float,
-    eps: float,
+    model: PcnModel, variant: str, m: int, r: float, eps: float
 ) -> tuple[LevelSchedule, SurvivalDistribution]:
     """Schedule with arithmetic steps and geometrically growing dimensions.
 
     ``r`` is the fixed-dimension contraction rate of the basic coupling
-    (estimated by a pilot; no closed form is available) and ``theta`` the
-    per-step cost exponent.  ``variant`` selects the function class:
-    ``"bounded"`` (capped-distance Holder observables) pairs the level
+    (estimated by a pilot; no closed form is available); the per-step
+    cost exponent ``theta`` is the model's ``work_exponent``, the one
+    :func:`kernel` counts work with.  ``variant`` selects the function
+    class: ``"bounded"`` (capped-distance Holder observables) pairs the level
     dimensions ``j_i = ceil(r^(2 m i / (1 - 2a)))`` with regularity
     ``a > theta + 1/2``; ``"unbounded"`` (energy-weighted 1/2-Holder
     observables) needs ``a > 2 theta + 1/2`` and dimensions growing twice
@@ -377,7 +367,7 @@ def make_schedule(
     """
     if model.recentred or model.regularity is None:
         raise ValueError("schedules require a diagonal model with declared regularity")
-    a = model.regularity
+    a, theta = model.regularity, model.work_exponent
     if m < 1:
         raise ValueError("m must be a positive integer")
     if not 0.0 < r < 1.0:

@@ -168,16 +168,16 @@ def test_criterion_07_linear_gaussian():
     target, _ = posterior_spectral(model, coord)
     details, ok = [], True
 
-    dims, survival = gl_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
+    schedule, survival = gl_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
     f = lambda u: u[:, coord - 1] if u.shape[1] >= coord else np.zeros(len(u))
-    batch = estimate_batch(gl_delta_batch(truncation_delta, model, dims, f), survival, 100_000, seed=71)
+    batch = estimate_batch(gl_delta_batch(truncation_delta, model, schedule, f), survival, 100_000, seed=71)
     vals = batch.z
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     ok &= abs(batch.mean - target) <= 4 * se
     details.append(f"truncation pipeline mean {batch.mean:.5f} vs m_3 {target:.5f} (4SE {4*se:.5f})")
 
-    dims2, survival2 = gl_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
-    lanes2 = gl_delta_batch(prior_tail_delta, model, dims2, {coord: 1.0})
+    schedule2, survival2 = gl_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
+    lanes2 = gl_delta_batch(prior_tail_delta, model, schedule2, {coord: 1.0})
     batch2 = estimate_batch(lanes2, survival2, 100_000, seed=72)
     vals2 = batch2.z
     se2 = vals2.std(ddof=1) / math.sqrt(vals2.size)
@@ -288,11 +288,7 @@ def test_criterion_09_independence_sampler():
     beta = elliptic.gamma - 0.5
     kappa = 2.0 * (elliptic.gamma - 1.0)
     r = min(beta, kappa)
-    schedule, _ = is_schedule(
-        q=2.6, beta=beta, kappa=kappa, theta=elliptic.work_exponent,
-        alpha_star=is_model.alpha_star,
-        t=0.5 * ((1 + elliptic.work_exponent * 2.6) + (r * 2.6 - 2)),
-    )
+    schedule, _ = is_schedule(is_model, q=2.6, beta=beta, kappa=kappa)  # t: the interval's midpoint
     f = lambda u: np.sum(u, axis=-1)
     levels = is_delta_batch(is_model, schedule, f, np.zeros(1))(
         [250] * 7, lambda level: Stream(93 + level).generator()

@@ -24,7 +24,7 @@ from ubmc.pcn import PcnModel
 DELETED = {
     "strictly_increasing", "_checked_prefix", "_arithmetic_survival", "DistanceLike",
     "minorized_step", "subgeometric_schedule", "PcnDistance", "pcn_distance",
-    "pcn_acceptance", "circle_arc", "elliptic_observation_gap",
+    "pcn_acceptance", "circle_arc", "elliptic_observation_gap", "_dims_pair",
 }
 
 

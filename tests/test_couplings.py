@@ -83,21 +83,22 @@ class TestLevelSchedule:
             )
             exponent = pcn._dims_exponent(model, variant, 2)
             raw = lambda k: math.ceil(r ** (exponent * k))
-            sched, _ = pcn.make_schedule(model, variant, m=2, r=r, theta=1.0, eps=0.2)
+            sched, _ = pcn.make_schedule(model, variant, m=2, r=r, eps=0.2)
             dims = sched.dims_at
         else:
             (q,) = args
             raw = lambda k: math.ceil(max(k, 1) ** q)
             if kind == "indep-sampler":
                 beta, kappa, theta, t = (2.7, 4.4, 1.35, 4.8) if q < 3 else (2.0, 2.0, 1.0, 5.5)
-                sched, _ = independence_sampler.make_schedule(
-                    q=q, beta=beta, kappa=kappa, theta=theta, alpha_star=0.5, t=t
+                model = independence_sampler.UniformPriorModel(
+                    half_widths=lambda k: 1.0, forward=None, y=[0.0], alpha_star=0.5, work_exponent=theta
                 )
-                dims = sched.dims_at
+                sched, _ = independence_sampler.make_schedule(model, q=q, beta=beta, kappa=kappa, t=t)
             else:
-                dims, _ = gaussian_linear.make_schedule(
+                sched, _ = gaussian_linear.make_schedule(
                     "holder", "polynomial", a=5.0, s=1.0, q=q, eps=1.4 if q < 1 else 0.5
                 )
+            dims = sched.dims_at
         bumped = []
         for k in range(2000):
             try:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ubmc import SurvivalDistribution, estimate_batch, second_moment_formula
+from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch, second_moment_formula
 from ubmc.gaussian_linear import (
     GaussianLinearModel,
     delta_batch,
@@ -19,6 +19,12 @@ from ubmc.gaussian_linear import (
 from ubmc.rng import Stream
 
 from conftest import ScriptedNormals, four_se
+
+
+def one_draw_levels(dims) -> LevelSchedule:
+    """Levels of one exact draw each at dimensions ``dims``, as
+    :func:`make_schedule` builds them."""
+    return LevelSchedule(lambda i: 1, dims)
 
 
 class TestPosteriorSpectral:
@@ -60,7 +66,7 @@ class TestTruncationDelta:
         weight = 2.0
         f = lambda u: weight * u[1] if u.size >= 2 else 0.0
         rng = ScriptedNormals([0.4, 0.7])
-        delta, work = truncation_delta(model, [1, 2], 1, f, rng)
+        delta, work = truncation_delta(model, one_draw_levels([1, 2]), 1, f, rng)
         mean2, var2 = posterior_spectral(model, 2)
         assert delta == pytest.approx(weight * (mean2 + math.sqrt(var2) * 0.7))
         assert work == 2.0
@@ -68,7 +74,7 @@ class TestTruncationDelta:
     def test_degenerate_dims_rejected(self):
         model = GaussianLinearModel(p=0.0, a=1.0)
         with pytest.raises(ValueError):
-            truncation_delta(model, [2, 2], 1, lambda u: 0.0, ScriptedNormals([0] * 4))
+            truncation_delta(model, one_draw_levels([2, 2]), 1, lambda u: 0.0, ScriptedNormals([0] * 4))
 
     def test_resolved_coordinate_gives_zero(self):
         # f depends only on coordinate 1, present at every level.
@@ -76,7 +82,7 @@ class TestTruncationDelta:
         f = lambda u: u[0]
         rng = Stream(3).generator()
         for level in (1, 2, 3):
-            delta, _ = truncation_delta(model, lambda i: 2**i, level, f, rng)
+            delta, _ = truncation_delta(model, one_draw_levels(lambda i: 2**i), level, f, rng)
             assert delta == 0.0
 
 
@@ -84,7 +90,7 @@ class TestPriorTailDelta:
     def test_zero_when_support_resolved(self):
         model = GaussianLinearModel(p=0.0, a=1.0)
         delta, _ = prior_tail_delta(
-            model, [2, 4], 1, {1: 1.0, 2: 3.0}, Stream(0).generator()
+            model, one_draw_levels([2, 4]), 1, {1: 1.0, 2: 3.0}, Stream(0).generator()
         )
         assert delta == 0.0
 
@@ -93,7 +99,7 @@ class TestPriorTailDelta:
         # delta = y_2 / 5 + (1/sqrt(5) - 1/2) zeta_2.
         model = GaussianLinearModel(p=0.0, a=1.0)
         zeta = 0.9
-        delta, _ = prior_tail_delta(model, [1, 2], 1, {2: 1.0}, ScriptedNormals([zeta]))
+        delta, _ = prior_tail_delta(model, one_draw_levels([1, 2]), 1, {2: 1.0}, ScriptedNormals([zeta]))
         expected = model.observed(2) / 5.0 + (1 / math.sqrt(5) - 0.5) * zeta
         assert delta == pytest.approx(expected)
 
@@ -101,7 +107,7 @@ class TestPriorTailDelta:
         model = GaussianLinearModel(p=0.0, a=1.0)
         zetas = [0.3, -0.2, 0.5]
         delta, work = prior_tail_delta(
-            model, [2, 4], 0, {1: 1.0, 4: 2.0}, ScriptedNormals(zetas)
+            model, one_draw_levels([2, 4]), 0, {1: 1.0, 4: 2.0}, ScriptedNormals(zetas)
         )
         m1, c1 = posterior_spectral(model, 1)
         expected = (
@@ -114,7 +120,7 @@ class TestPriorTailDelta:
     def test_nonlinear_function_rejected(self):
         model = GaussianLinearModel(p=0.0, a=1.0)
         with pytest.raises(TypeError):
-            prior_tail_delta(model, [1, 2], 1, lambda u: u @ u, Stream(0).generator())
+            prior_tail_delta(model, one_draw_levels([1, 2]), 1, lambda u: u @ u, Stream(0).generator())
 
 
 class TestGapRates:
@@ -182,15 +188,15 @@ class TestUnbiasedness:
         coord = 3
         target, _ = posterior_spectral(model, coord)
 
-        dims, survival = make_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
+        schedule, survival = make_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
         f = lambda u: u[:, coord - 1] if u.shape[1] >= coord else np.zeros(len(u))
-        batch = estimate_batch(delta_batch(truncation_delta, model, dims, f), survival, 20_000, seed=5)
+        batch = estimate_batch(delta_batch(truncation_delta, model, schedule, f), survival, 20_000, seed=5)
         values = batch.z
         assert abs(batch.mean - target) <= four_se(values)
 
-        dims2, survival2 = make_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
+        schedule2, survival2 = make_schedule("linear-tail", "dyadic", a=1.5, p=0.25, eps=0.8)
         batch2 = estimate_batch(
-            delta_batch(prior_tail_delta, model, dims2, {coord: 1.0}), survival2, 20_000, seed=6
+            delta_batch(prior_tail_delta, model, schedule2, {coord: 1.0}), survival2, 20_000, seed=6
         )
         values2 = batch2.z
         assert abs(batch2.mean - target) <= four_se(values2)
@@ -200,13 +206,13 @@ class TestUnbiasedness:
         # exactly Var(delta) + m_k^2 there and zero elsewhere.
         model = GaussianLinearModel(p=0.25, a=1.5)
         coord, level_star = 3, 2  # coordinate 3 enters at level 2 (dims 2^i)
-        dims, survival = make_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
+        schedule, survival = make_schedule("holder", "dyadic", a=1.5, s=1.0, eps=0.5)
         mean_k, var_k = posterior_spectral(model, coord)
         nus = np.zeros(6)
         nus[level_star] = var_k + mean_k**2
         formula = second_moment_formula(nus, survival)
         f = lambda u: u[:, coord - 1] if u.shape[1] >= coord else np.zeros(len(u))
-        batch = estimate_batch(delta_batch(truncation_delta, model, dims, f), survival, 50_000, seed=8)
+        batch = estimate_batch(delta_batch(truncation_delta, model, schedule, f), survival, 50_000, seed=8)
         zsq = batch.z ** 2
         se = zsq.std(ddof=1) / math.sqrt(zsq.size)
         assert abs(zsq.mean() - formula) <= 3.0 * se
@@ -214,8 +220,9 @@ class TestUnbiasedness:
 
 class TestMakeSchedule:
     def test_holder_dyadic_example(self):
-        dims, survival = make_schedule("holder", "dyadic", a=2.0, s=1.0, eps=0.5)
-        assert [dims(i) for i in range(4)] == [1, 2, 4, 8]
+        schedule, survival = make_schedule("holder", "dyadic", a=2.0, s=1.0, eps=0.5)
+        assert [schedule.dims_at(i) for i in range(4)] == [1, 2, 4, 8]
+        assert [schedule.steps_at(i) for i in range(4)] == [1, 1, 1, 1]  # one exact draw per level
         assert survival.rate == pytest.approx(2.0 ** (1.5 * -3.0 / 2.0))
 
     def test_holder_regularity_guard(self):
@@ -223,7 +230,7 @@ class TestMakeSchedule:
             make_schedule("holder", "dyadic", a=0.6, s=1.0, eps=0.5)
 
     def test_linear_tail_dyadic_example(self):
-        dims, survival = make_schedule("linear-tail", "dyadic", a=0.75, p=0.0, eps=1.0)
+        _, survival = make_schedule("linear-tail", "dyadic", a=0.75, p=0.0, eps=1.0)
         assert survival.rate == pytest.approx(0.5)
 
     def test_eps_interval_enforced(self):
@@ -233,11 +240,11 @@ class TestMakeSchedule:
             make_schedule("holder", "dyadic", a=2.0, s=1.0, eps=0.0)
 
     def test_polynomial_geometry(self):
-        dims, survival = make_schedule(
+        schedule, survival = make_schedule(
             "holder", "polynomial", a=2.0, s=1.0, q=2.0, eps=1.0
         )
         assert survival.kind == "polynomial"
-        seq = [dims(i) for i in range(5)]
+        seq = [schedule.dims_at(i) for i in range(5)]
         assert all(b > a for a, b in zip(seq, seq[1:]))
         # survival exponent -(s (q - 1 - 2 a q) + 2 + eps)
         assert survival.exponent == pytest.approx(-(1 * (2 - 1 - 8) + 2 + 1.0))
@@ -252,6 +259,6 @@ class TestMakeSchedule:
         # passes the q = 0.5 bound but gives exponent 1.7.
         with pytest.raises(ValueError, match="eps"):
             make_schedule("holder", "polynomial", a=5.0, s=1.0, q=0.5, eps=1.8)
-        dims, survival = make_schedule("holder", "polynomial", a=5.0, s=1.0, q=0.5, eps=1.4)
-        assert [dims(i) for i in range(4)] == [1, 2, 3, 4]
+        schedule, survival = make_schedule("holder", "polynomial", a=5.0, s=1.0, q=0.5, eps=1.4)
+        assert [schedule.dims_at(i) for i in range(4)] == [1, 2, 3, 4]
         assert survival.exponent > 2.0

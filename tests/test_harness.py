@@ -230,7 +230,7 @@ class TestLanePathLaw:
             0.7, lambda x: float(np.linalg.norm(x)), lambda l: float(l) ** -4.0,
             regularity=2.0,
         )
-        schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.6, theta=1.0, eps=0.25)
+        schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.6, eps=0.25)
         f, x0 = lambda x: min(1.0, float(np.linalg.norm(x))), np.zeros(schedule.dims_at(0))
         gen = lambda level, rng: pcn._delta(model, schedule, level, [1], f, x0, rng)[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
@@ -590,6 +590,13 @@ class TestCli:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli_main(["circle", "--config", str(tmp_path / "none.json")]) == 2
 
+    def test_default_indep_sampler_runs(self, tmp_path, capsys):
+        # Every indep-sampler default, the elliptic log-growth q and its t included.
+        path = tmp_path / "default.json"
+        path.write_text(json.dumps({"experiment": "indep-sampler"}))
+        assert cli_main(["indep-sampler", "--config", str(path), "--replicates", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["replicates"] == 64
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -806,6 +813,12 @@ class TestCli:
             # A missing required key names itself.
             ("contracting-normals", {"params": {}}, "configuration error: params.rho is required"),
             ("circle", {"survival": {"kind": "geometric"}}, "configuration error: survival.rate is required"),
+            ("circle", {"survival": {"rate": 0.5}}, "configuration error: survival.kind is required"),
+            (
+                "indep-sampler",
+                {"params": {"model": "linear2d"}, "schedule": {"kind": "sequence", "steps": [1, 2], "dims": [1, 2]}},
+                "survival.kind is required: a sequence schedule of L = 2 levels needs a tabulated survival law",
+            ),
         ],
         ids=[
             "logistic-coordinate-0", "logistic-coordinate-9", "pcn-tau-0", "pcn-tau-negative",
@@ -816,6 +829,7 @@ class TestCli:
             "linear2d-bool-theta", "contracting-bool-x0",
             "linear2d-bool-half-width", "linear2d-string-y", "linear2d-bool-matrix", "elliptic-string-y",
             "circle-bool-survival-value", "contracting-missing-rho", "geometric-missing-rate",
+            "survival-missing-kind", "sequence-missing-survival",
         ],
     )
     def test_bad_value_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, experiment, change, message):
@@ -1058,8 +1072,8 @@ class TestCli:
             experiment="pcn", params={"a": 3.0}, schedule={"theta": 2.0}, replicates=2000, seed=3
         )
         _, records = _run_blocks(config)
-        model = pcn.PcnModel.diagonal(0.7, None, lambda l: float(l) ** -6.0, regularity=3.0)
-        schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.85, theta=2.0, eps=0.25)
+        model = pcn.PcnModel.diagonal(0.7, None, lambda l: float(l) ** -6.0, regularity=3.0, work_exponent=2.0)
+        schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.85, eps=0.25)
         for n in np.unique(records["N"]):
             work = sum(schedule.steps_at(k) * float(schedule.dims_at(k)) ** 2 for k in range(n + 1))
             np.testing.assert_allclose(records["work"][records["N"] == n], work, rtol=1e-12)

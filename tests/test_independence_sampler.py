@@ -409,12 +409,13 @@ class TestLaneDelta:
 
 
 class TestMakeSchedule:
+    # theta = 1 (the default work_exponent) and alpha_star = 1/2.
+    HALF_FLOOR = misfit_lookup_model({}, alpha_star=0.5)
+
     def test_t_interval(self):
         with pytest.raises(ValueError, match="t in"):
-            make_schedule(q=4, beta=2, kappa=2, theta=1, alpha_star=0.5, t=6.0)
-        schedule, survival = make_schedule(
-            q=4, beta=2, kappa=2, theta=1, alpha_star=0.5, t=5.5
-        )
+            make_schedule(self.HALF_FLOOR, q=4, beta=2, kappa=2, t=6.0)
+        schedule, survival = make_schedule(self.HALF_FLOOR, q=4, beta=2, kappa=2, t=5.5)
         assert survival.exponent == pytest.approx(5.5)
         dims = [schedule.dims_at(i) for i in range(5)]
         assert all(b > a for a, b in zip(dims, dims[1:]))
@@ -423,15 +424,22 @@ class TestMakeSchedule:
 
     def test_q_constraint(self):
         with pytest.raises(ValueError, match="q >"):
-            make_schedule(q=2.9, beta=2, kappa=2, theta=1, alpha_star=0.5, t=5.5)
+            make_schedule(self.HALF_FLOOR, q=2.9, beta=2, kappa=2, t=5.5)
 
     def test_step_rate_uses_log_floor(self):
         # c* = -log(1 - alpha_star); for alpha_star = 1/2 this is log 2.
-        schedule, _ = make_schedule(
-            q=4, beta=2, kappa=2, theta=1, alpha_star=0.5, t=5.5
-        )
+        schedule, _ = make_schedule(self.HALF_FLOOR, q=4, beta=2, kappa=2, t=5.5)
         rate = 4 * 2 / math.log(2.0)
         assert schedule.steps_at(0) == max(1, math.ceil(rate * math.log(2.0)))
+
+    def test_t_defaults_to_the_interval_midpoint_at_the_models_theta(self):
+        # q = 2.6 and r = min(2.7, 4.4): t lies in (1 + 2.6 theta, 5.02).
+        for theta in (1.0, 1.35):
+            model = misfit_lookup_model({}, alpha_star=0.5)
+            model.work_exponent = theta
+            _, law = make_schedule(model, q=2.6, beta=2.7, kappa=4.4)
+            t_lo, t_hi = 1.0 + theta * 2.6, 2.7 * 2.6 - 2.0
+            assert law.kind == "polynomial" and law.exponent == (t_lo + t_hi) / 2
 
     @pytest.fixture(scope="class")
     def shipped(self):
@@ -440,10 +448,8 @@ class TestMakeSchedule:
         config = json.loads((Path(__file__).parents[1] / "configs" / "indep-sampler.json").read_text())
         elliptic, model = harness._elliptic_is_model(harness._Section(config["params"], "params", "indep-sampler"))
         q, beta, kappa = config["schedule"]["q"], elliptic.gamma - 0.5, 2.0 * (elliptic.gamma - 1.0)
-        theta = elliptic.work_exponent
-        t = 0.5 * ((1.0 + theta * q) + (min(beta, kappa) * q - 2.0))
-        schedule, law = make_schedule(q, beta, kappa, theta, model.alpha_star, t)
-        return schedule, law, q * beta / -math.log1p(-model.alpha_star), theta
+        schedule, law = make_schedule(model, q, beta, kappa)
+        return schedule, law, q * beta / -math.log1p(-model.alpha_star), elliptic.work_exponent
 
     def test_shipped_steps_are_logarithmic(self, shipped):
         # a_i = ceil(rate log(i + 2)) plateaus from level 11 on; raising

@@ -332,7 +332,7 @@ class TestUnbiasedDelta:
         )
         r = pilot.rate
         assert r < 1.0
-        sched, _ = pcn.make_schedule(model, "bounded", m=2, r=r, theta=1.0, eps=0.2)
+        sched, _ = pcn.make_schedule(model, "bounded", m=2, r=r, eps=0.2)
         f = lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1))
         levels = pcn.delta_batch(model, sched, f, np.zeros(1))(
             [400] * 7, lambda i: Stream(100 + i).generator()
@@ -358,18 +358,18 @@ class TestUnbiasedDelta:
 class TestMakeSchedule:
     def test_dimension_sequence_example(self):
         model = flat_model(a=2.0)
-        sched, survival = pcn.make_schedule(model, "bounded", m=2, r=0.5, theta=1.0, eps=0.5)
+        sched, survival = pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=0.5)
         assert [sched.dims_at(i) for i in range(4)] == [1, 3, 7, 16]
         assert [sched.steps_at(i) for i in range(4)] == [2, 4, 6, 8]
         assert survival.rate == pytest.approx(0.5 ** (2 - 0.5))
 
     def test_regularity_split_between_variants(self):
         model = flat_model(a=2.0)
-        pcn.make_schedule(model, "bounded", m=2, r=0.5, theta=1.0, eps=0.5)
+        pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=0.5)
         with pytest.raises(ValueError, match="2 theta"):
-            pcn.make_schedule(model, "unbounded", m=2, r=0.5, theta=1.0, eps=0.1)
+            pcn.make_schedule(model, "unbounded", m=2, r=0.5, eps=0.1)
         rich = flat_model(a=3.0)
-        sched, _ = pcn.make_schedule(rich, "unbounded", m=2, r=0.5, theta=1.0, eps=0.2)
+        sched, _ = pcn.make_schedule(rich, "unbounded", m=2, r=0.5, eps=0.2)
         dims = [sched.dims_at(i) for i in range(4)]
         assert all(b > a for a, b in zip(dims, dims[1:]))
 
@@ -377,9 +377,19 @@ class TestMakeSchedule:
         model = flat_model(a=2.0)
         ub = 2 - 2 * 1.0 * 2 / (2 * 2.0 - 1)
         with pytest.raises(ValueError, match="eps"):
-            pcn.make_schedule(model, "bounded", m=2, r=0.5, theta=1.0, eps=ub)
+            pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=ub)
         with pytest.raises(ValueError, match="eps"):
-            pcn.make_schedule(model, "bounded", m=2, r=0.5, theta=1.0, eps=2 + 4 / 3)
+            pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=2 + 4 / 3)
+
+    def test_theta_is_the_models_work_exponent(self):
+        # At a = 3, m = 2 the bounded eps limit is 2 - 4 theta / 5: 1.2 at
+        # theta = 1, 0.4 at theta = 2, so eps = 0.8 passes only at theta = 1.
+        model = flat_model(a=3.0)
+        pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=0.8)
+        model.work_exponent = 2.0
+        with pytest.raises(ValueError, match="eps"):
+            pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=0.8)
+        pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=0.3)
 
 
 class TestStationarity:
@@ -429,12 +439,9 @@ class TestStationarity:
         model = pcn.PcnModel.diagonal(
             params["rho"], lambda x: np.linalg.norm(x, axis=-1),
             lambda l: float(l) ** (-2.0 * params["a"]),
-            regularity=params["a"],
+            regularity=params["a"], work_exponent=sched["theta"],
         )
-        schedule, law = pcn.make_schedule(
-            model, sched["variant"], m=sched["m"], r=sched["r"],
-            theta=sched["theta"], eps=sched["eps"],
-        )
+        schedule, law = pcn.make_schedule(model, sched["variant"], m=sched["m"], r=sched["r"], eps=sched["eps"])
         delta_batch = pcn.delta_batch(
             model, schedule, lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1)),
             np.zeros(schedule.dims_at(0)),

@@ -21,6 +21,7 @@ from ubmc.harness import ExperimentConfig, run_experiment
 ROOT = Path(__file__).resolve().parents[1]
 
 LINEAR2D = {"experiment": "indep-sampler", "params": {"model": "linear2d"}}
+HOLDER = {"experiment": "linear-gaussian", "params": {"a": 1.5, "coordinate": 3}}
 
 PINNED = {
     "elliptic-is": (
@@ -52,6 +53,28 @@ PINNED = {
         "configs/contracting-normals.json",
         "27e722581a318b52278dbc9d06d714dcc8250912f6239348f056fb32fda8f323",
         "485af827c0232e35d45978a718e44c33f493ef444a016e195cbbd9bf784394db",
+    ),
+    # Recorded before linear-gaussian moved onto LevelSchedule and the
+    # level difference took its work per step from the chain's kernel.
+    "circle": (
+        "configs/circle.json",
+        "084ad2265f022ac707400cb8a3bc2c93fbb29f9e4f6314d4b25fb39bc60ac4fd",
+        "1294f2eee77141866ef741825ff41707fb334f6215bf856119bae573bb2e7eaf",
+    ),
+    "pcn": (
+        "configs/pcn.json",
+        "82326e2efd4d43022315d46e18e72cf8026eff94a9f1c7dc76a9d89101208d29",
+        "06febbef7fd0623e23b03b6e4417fd5f8acada5a97e0c9c3f211c20601a582e6",
+    ),
+    "linear-tail": (
+        "configs/linear-gaussian.json",
+        "fc3401151130b48674ef750320ebac39d05933764e4523b6c1b7cd46230ee080",
+        "32104cbdc3918bb2337fe29d65cadaffd2686b45c05aca9940f2d0bfc3a4f5ad",
+    ),
+    "holder": (
+        HOLDER,
+        "2eeb75f8b8642621126e30cedcda212412f7181b9a3b6710ca6480e273c2d25e",
+        "2234544b7cb96cb624356f04a8410928fa4cdd4e6cf1fd47fedb781f6fb090c5",
     ),
 }
 
