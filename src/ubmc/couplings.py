@@ -7,7 +7,8 @@ a "top" chain for ``a_i`` steps and a "bottom" chain for ``a_{i-1}`` steps,
 evolving the pair jointly over the final ``a_{i-1}`` steps so that a
 contracting coupling drives ``f(top) - f(bottom)`` to zero geometrically.
 Levels that share both dimensions and the lone-phase length form a run,
-and one driver steps every pair of a run as one lane array.
+and one driver steps every pair of a run, of one block or of several, as
+one lane array.
 
 Also provided: a least-squares contraction-rate estimator and the level
 schedule.
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import Stream
+from .rng import Stream, lane_rng
 
 __all__ = [
     "MarkovKernel",
@@ -129,7 +130,7 @@ def contraction_delta_batch(
     """
     # _delta is looked up at call time, as the benchmark's trace probe needs.
     return _run_batches(schedule, lambda first, counts, rng: _delta(
-        kernel, coupling, schedule, first, counts, _tile(x0, sum(counts)), f, rng,
+        kernel, coupling, schedule, first, counts, _tile(x0, sum(map(sum, counts))), f, rng,
     ))
 
 
@@ -173,74 +174,109 @@ def level_runs(schedule: LevelSchedule, top: int) -> list[range]:
 
 
 def _run_batches(schedule: LevelSchedule, run_delta: Callable) -> Callable:
-    """A ``delta_batch`` that calls ``run_delta(first, counts, rng)`` once
-    per run of :func:`level_runs`, with the run's slice of ``counts`` and
-    ``level_rng(first)``, and joins the runs' per-level results."""
+    """A ``delta_batch`` that calls ``run_delta(first, counts, rngs)`` once
+    per run of :func:`level_runs`: ``counts`` lists the run's per-level
+    counts of each block that reaches it, and ``rngs`` those blocks'
+    ``level_rng(first)``.  It joins the runs' per-level results."""
 
-    def delta_batch(counts: list, level_rng: Callable[[int], np.random.Generator]) -> list:
+    def delta_batch(counts, level_rng: Callable) -> list:
+        rows = _block_rows(counts)
         levels = []
-        for run in level_runs(schedule, len(counts) - 1):
-            levels += run_delta(run.start, counts[run.start : run.stop], level_rng(run.start))
+        for run in level_runs(schedule, len(rows[0]) - 1):
+            rngs = level_rng(run.start)
+            rngs = rngs if isinstance(rngs, list) else [rngs]
+            live = [row[run.start : run.stop] for row in rows if row[run.start]]
+            levels += run_delta(run.start, live, rngs)
         return levels
 
     return delta_batch
 
 
+def _block_rows(counts) -> list:
+    """One list of per-level counts per block; one block may give its list alone."""
+    return [list(counts)] if isinstance(counts[0], (int, np.integer)) else [list(row) for row in counts]
+
+
 def _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, embed):
     """The lone and joint phases of one run of levels, shared by every chain.
 
-    The run is levels ``first, first + 1, ...``, ``counts[k]`` pairs of
-    chains at level ``first + k``, all sharing ``j_i``, ``j_{i-1}`` and
-    ``a_i - a_{i-1}`` (one level is always a run).  ``kernel(j)`` is the
-    chain's :class:`MarkovKernel` at dimension ``j``, whose step the lone
-    phase takes and whose ``work_per_step`` is the cost of one step there;
+    The run is levels ``first, first + 1, ...``, ``counts[b][k]`` pairs of
+    chains of block ``b`` at level ``first + k`` (one block may give its
+    row alone), all sharing ``j_i``, ``j_{i-1}`` and ``a_i - a_{i-1}``
+    (one level is always a run); ``rng`` lists the blocks' generators (one
+    block may give its own alone).  ``kernel(j)`` is the chain's
+    :class:`MarkovKernel` at dimension ``j``, whose step the lone phase
+    takes and whose ``work_per_step`` is the cost of one step there;
     ``joint(j_lo, j_hi)`` is the step ``((top, bottom), rng) -> (top,
     bottom)`` and ``embed(x, j)`` maps a state into dimension ``j``.
-    ``x0`` holds one start per pair, deeper levels first (a
-    single level may take one unbatched state), so the pairs still running
-    are always a prefix.  Start-aligned, every top chain takes the shared
-    lone steps from ``embed(x0, j_i)``, then every pair of level >= 1 steps
-    jointly, its bottom chain from ``embed(x0, j_{i-1})``; level ``i``'s
-    deltas are taken when ``a_i`` steps are done, ``f`` seeing both chains
-    at ``j_i``, and its pairs are cut off.  Each step takes its lane count
-    from the state it is handed.  Returns ``(deltas, a_i *
-    kernel(j_i).work_per_step)`` per level, in level order.
+    ``x0`` holds one start per pair, block after block and in each block
+    deeper levels first (a single level may take one unbatched state), so
+    each block's pairs still running are a prefix of its rows.
+    Start-aligned, every top chain takes the shared lone steps from
+    ``embed(x0, j_i)``, then every pair of level >= 1 steps jointly, its
+    bottom chain from ``embed(x0, j_{i-1})``; level ``i``'s deltas are
+    taken when ``a_i`` steps are done, ``f`` seeing both chains at
+    ``j_i``, and its pairs are cut off.  Each step takes its lane count
+    from the state it is handed and draws through
+    :func:`~ubmc.rng.lane_rng`, each block's rows on that block's
+    generator.  Returns ``(deltas, a_i * kernel(j_i).work_per_step)`` per
+    level, in level order, the deltas block after block.
     """
+    rows = _block_rows(counts)
+    rngs = rng if isinstance(rng, list) else [rng]
     j_hi = schedule.dims_at(first)
     a_lone = schedule.steps_at(first) - (schedule.steps_at(first - 1) if first > 0 else 0)
-    # ends[k]: pairs of levels >= first + k; level first + k owns [ends[k + 1], ends[k]).
-    ends = [sum(counts[k:]) for k in range(len(counts) + 1)]
+    # ends[k][b]: block b's pairs of levels >= first + k; level first + k
+    # owns the last ends[k][b] - ends[k + 1][b] of them.
+    ends = [[sum(row[k:]) for row in rows] for k in range(len(rows[0]) + 1)]
     lone = kernel(j_hi)
     step = lone.step
+    draws = lane_rng(rngs, ends[0])
     top = embed(x0, j_hi)
     for _ in range(a_lone):
-        top = step(top, rng)
+        top = step(top, draws)
     levels, done, bottom = [], 0, None
-    for k, level in enumerate(range(first, first + len(counts))):
+    for k, level in enumerate(range(first, first + len(rows[0]))):
         if level > 0:
             if bottom is None:
                 j_lo = schedule.dims_at(level - 1)
                 step = joint(j_lo, j_hi)
                 # k is 1 when level 0 ended first: its pairs have no bottom chain.
-                bottom = embed(x0[: ends[k]] if k else x0, j_lo)
+                bottom = embed(x0[: sum(ends[k])] if k else x0, j_lo)
             a_lo = schedule.steps_at(level - 1)
+            draws = lane_rng(rngs, ends[k])
             for _ in range(a_lo - done):
-                top, bottom = step((top, bottom), rng)
+                top, bottom = step((top, bottom), draws)
             done = a_lo
-        top, top_end = _split(top, ends[k + 1])
+        running = _running(ends[k], ends[k + 1])
+        top, top_end = _split(top, running)
         if level == 0:
             deltas = f(top_end)
         else:
-            bottom, bottom_end = _split(bottom, ends[k + 1])
+            bottom, bottom_end = _split(bottom, running)
             deltas = f(embed(top_end, j_hi)) - f(embed(bottom_end, j_hi))
         levels.append((deltas, schedule.steps_at(level) * lone.work_per_step))
     return levels
 
 
-def _split(state, cut: int) -> tuple:
-    """``(state[:cut], state[cut:])``: the pairs still running and those of
-    the level that ends; a level that ends the run keeps ``state`` whole."""
-    return (state[:cut], state[cut:]) if cut else (None, state)
+def _running(before: list, after: list):
+    """The rows that keep running of a lane array of ``before[b]`` rows of
+    each block ``b``, when each block keeps its first ``after[b]``: their
+    count, a prefix, when one block has rows, else a mask."""
+    if sum(n > 0 for n in before) <= 1:
+        return sum(after)
+    before = np.asarray(before)
+    block_start = np.repeat(np.cumsum(before) - before, before)
+    return np.arange(block_start.size) - block_start < np.repeat(after, before)
+
+
+def _split(state, running) -> tuple:
+    """``(state[running], the rest)``: the pairs still running and those of
+    the level that ends, for a prefix count or a mask ``running``; ``None``
+    runs on when no pair does."""
+    if isinstance(running, np.ndarray):
+        return (state[running] if running.any() else None), state[~running]
+    return (state[:running], state[running:]) if running else (None, state)
 
 
 def pad_to(state, n: int) -> np.ndarray:

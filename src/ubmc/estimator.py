@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .rng import Stream
+from .rng import Stream, lane_rng
 
 __all__ = [
     "SurvivalDistribution",
@@ -308,19 +308,24 @@ def estimate_once(
 def estimate_block(
     delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
     survival: SurvivalDistribution,
-    stream: Stream,
-    count: int,
+    stream: Stream | Sequence[Stream],
+    count: int | Sequence[int],
 ) -> dict:
-    """``count`` independent draws of ``Z``, run as lanes sharing one stream.
+    """``count`` independent draws of ``Z``, run as lanes sharing one stream;
+    or a super-block: the blocks ``stream[b]`` of ``count[b]`` lanes each,
+    stepped as one lane array.
 
-    Every lane draws ``N`` from child 0 of ``stream``.  One call
-    ``delta_batch(counts, level_rng)`` then gives every level's
-    differences: ``counts[i]`` is the number of lanes with ``N >= i``, for
-    ``i`` up to the largest ``N``, and ``level_rng(i)`` is a generator on
-    child ``1 + i``.  It returns one ``(deltas, works)`` per level, the
-    deltas of the lanes with ``N >= i`` in lane order.  A chain's
-    ``delta_batch`` steps each run of levels (see
-    :func:`~ubmc.couplings.level_runs`) as one lane array on
+    Every lane of a block draws ``N`` from child 0 of the block's stream.
+    One call ``delta_batch(counts, level_rng)`` then gives every level's
+    differences.  For one block, ``counts[i]`` is the number of lanes with
+    ``N >= i``, for ``i`` up to the largest ``N``, and ``level_rng(i)`` is
+    a generator on child ``1 + i``; for a super-block, ``counts[b][i]``
+    counts block ``b``'s lanes (zero past its largest ``N``), and
+    ``level_rng(i)`` lists the child-``1 + i`` generators of the blocks
+    with a lane at level ``i``, in block order.  It returns one ``(deltas,
+    works)`` per level, the deltas of the lanes with ``N >= i`` in lane
+    order, block after block.  A chain's ``delta_batch`` steps each run of
+    levels (see :func:`~ubmc.couplings.level_runs`) as one lane array on
     ``level_rng(<first level of the run>)``.
 
     Why the levels stay independent when a run shares one stream: every
@@ -329,26 +334,44 @@ def estimate_block(
     chains are independent of each other and of ``N``, each with the law
     of a level difference run on a stream of its own, as the lanes of one
     level already are; ``Z`` is Rhee and Glynn's independent-sum
-    estimator.  The block is a pure function of ``(stream, count)``.
-    Returns the arrays ``N``, ``z`` and ``work``; ``z`` takes the shape of
-    the level-0 deltas, which every lane reaches, so vector-valued
-    targets give one row per lane.
+    estimator.  Blocks of a super-block share a lane array, never a
+    generator: each block's rows draw from its own streams, in the order
+    the block alone would draw them (:func:`~ubmc.rng.lane_rng`), so
+    each block's draws are bit for bit those of the block run alone, and
+    blocks stay independent of each other.  The block is a pure function
+    of ``(stream, count)``.  Returns the arrays ``N``, ``z`` and ``work``,
+    block after block; ``z`` takes the shape of the level-0 deltas, which
+    every lane reaches, so vector-valued targets give one row per lane.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    one = not isinstance(stream, (list, tuple))
+    streams, sizes = ([stream], [count]) if one else (list(stream), list(count))
+    if min(sizes, default=0) < 1 or len(streams) != len(sizes):
+        raise ValueError("count must be >= 1, one per stream")
     if not survival.proper:
         raise EstimatorError("cannot draw from an improper survival distribution")
-    ns = survival.sample_many(count, stream.child(_KEY_TRUNCATION).generator())
-    counts = np.cumsum(np.bincount(ns)[::-1])[::-1].tolist()
-    levels = delta_batch(counts, lambda i: stream.child(_KEY_LEVEL_BASE + i).generator())
-    work = np.zeros(count)
+    truncation = [s.child(_KEY_TRUNCATION).generator() for s in streams]
+    ns = survival.sample_many(sum(sizes), lane_rng(truncation, sizes))
+    # counts[b][i]: block b's lanes with N >= i.
+    depth = int(ns.max()) + 1
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(block * depth + ns, minlength=len(sizes) * depth).reshape(-1, depth)
+    counts = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1].tolist()
+    if one:
+        levels = delta_batch(counts[0], lambda i: stream.child(_KEY_LEVEL_BASE + i).generator())
+    else:
+        levels = delta_batch(counts, lambda i: [
+            s.child(_KEY_LEVEL_BASE + i).generator() for s, row in zip(streams, counts) if row[i]
+        ])
+    work = np.zeros(ns.size)
+    reached = slice(None)  # every lane reaches level 0
     for i, (deltas, works) in enumerate(levels):
         finite = np.isfinite(deltas)
         if not finite.all():
             raise NonFiniteDeltaError(i, deltas[~finite][0])
         if i == 0:
             z = np.zeros(np.shape(deltas))
-        reached = ns >= i
+        else:  # the lanes with N >= i, in order, narrowed level by level
+            reached = np.flatnonzero(ns >= i) if i == 1 else reached[ns[reached] >= i]
         z[reached] += deltas / survival.survival(i)
         work[reached] += works
     return {"N": ns, "z": z, "work": work}

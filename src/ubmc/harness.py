@@ -3,9 +3,15 @@
 Replicates are processed in fixed-size blocks; block ``b`` of an
 experiment consumes the stream ``(seed, b)`` regardless of how blocks are
 distributed over workers, and records are concatenated in block order, so
-the emitted files are byte-identical across parallelism degrees.  Work is
-measured in model-declared units (kernel steps times dimension cost), not
-wall-clock.
+the emitted files are byte-identical across parallelism degrees.  A
+worker task is a super-block: ``SUPER_BLOCK`` consecutive blocks, a fixed
+number that never depends on the worker count, whose chains step as one
+lane array while each block still draws from its own streams, so a block
+gives the same bits in a super-block as alone.  The plans whose lane rows
+go through BLAS products (``ONE_BLOCK_EXPERIMENTS``) run one block per
+task instead: OpenBLAS may round a row differently next to other rows.
+Work is measured in model-declared units (kernel steps times dimension
+cost), not wall-clock.
 """
 
 from __future__ import annotations
@@ -226,7 +232,8 @@ def _close(*sections: _Section):
 #
 # prepare_*(params, schedule, survival) reads the config's sections into
 # locals, closes them, then validates and returns a "plan": a dict with
-#   run_block(stream, count, offset) -> dict of per-draw arrays
+#   run_block(stream, count, offset) -> dict of per-draw arrays, for one
+#     block or, given lists of streams and counts, for a super-block
 #   meta: summary extras
 #   replicates_override (optional): fixed row count
 # Plans are cached per process keyed by the config JSON, so worker
@@ -236,9 +243,19 @@ def _close(*sections: _Section):
 # Level i of a_i = m (i + 1) steps in a fixed dimension costs t_i ~ i.
 _ARITHMETIC_WORK = (1.0, 1.0, "arithmetic levels")
 
+# Blocks per worker task.  Fixed, never derived from --parallel: results
+# depend only on (seed, block), and a task's blocks step as one lane array.
+SUPER_BLOCK = 8
+
+# Experiments that run one block per task: their lane rows go through BLAS
+# products (logistic's log-density row sums, the independence sampler's
+# forward maps), and OpenBLAS may round a row differently depending on the
+# rows beside it, so a super-block could move a draw's last bit.
+ONE_BLOCK_EXPERIMENTS = ("logistic", "indep-sampler")
+
 
 def _lane_block(delta_batch, survival, dim_of_level):
-    def run_block(stream: Stream, count: int, offset: int):
+    def run_block(stream, count, offset: int):
         out = estimate_block(delta_batch, survival, stream, count)
         dims = [dim_of_level(i) for i in range(int(out["N"].max()) + 1)]
         out["level_max_dim"] = np.array(dims, dtype=np.int64)[out["N"]]
@@ -267,11 +284,11 @@ def _prepare_contracting(params: _Section, sched: _Section, spec: _Section) -> d
     default = tuning.contracting_optimal_survival(rho, m) if optimal else None
     survival = _finite_work_survival(None if optimal else spec, default, *_ARITHMETIC_WORK)
 
-    def run_block(stream: Stream, count: int, offset: int):
+    def run_block(stream, count, offset: int):
         out = models.contracting_unbiased_block(
             rho, schedule, survival, stream, count, x0=x0
         )
-        out["level_max_dim"] = np.ones(count, dtype=np.int64)
+        out["level_max_dim"] = np.ones(out["N"].size, dtype=np.int64)
         return out
 
     return {
@@ -592,8 +609,8 @@ def _prepare_tune(params: _Section, sched: _Section, spec: _Section) -> dict:
         rows.append((rho, m, product, ergodic, product / ergodic))
     arr = np.asarray(rows, dtype=float)
 
-    def run_block(stream: Stream, count: int, offset: int):
-        sl = arr[offset : offset + count]
+    def run_block(stream, count, offset: int):
+        sl = arr[offset : offset + int(np.sum(count))]
         return {
             "N": sl[:, 1].astype(np.int64),
             "z": sl[:, 4],
@@ -658,9 +675,13 @@ def _config_key(config: ExperimentConfig) -> str:
     return json.dumps(plan_fields, sort_keys=True)
 
 
-def _run_block_task(config_json: str, block: int, count: int, seed: int):
+def _run_block_task(config_json: str, first: int, counts: tuple, seed: int):
+    """Blocks ``first, first + 1, ...`` of ``counts[k]`` replicates each, as
+    one super-block; returns ``(first, records)``, the records block after
+    block."""
     plan = _prepare_cached(config_json)
-    return block, plan["run_block"](Stream(seed).child(block), count, block * BLOCK_SIZE)
+    streams = [Stream(seed).child(first + k) for k in range(len(counts))]
+    return first, plan["run_block"](streams, list(counts), first * BLOCK_SIZE)
 
 
 def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
@@ -678,18 +699,20 @@ def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
     key = _config_key(config)
     plan = _prepare_cached(key)
     replicates = plan.get("replicates_override", config.replicates)
-    blocks = [
-        (b, min(BLOCK_SIZE, replicates - b * BLOCK_SIZE))
-        for b in range((replicates + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    counts = [min(BLOCK_SIZE, replicates - lo) for lo in range(0, replicates, BLOCK_SIZE)]
+    per_task = 1 if config.experiment in ONE_BLOCK_EXPERIMENTS else SUPER_BLOCK
+    tasks = [
+        (key, b, tuple(counts[b : b + per_task]), config.seed) for b in range(0, len(counts), per_task)
     ]
-    tasks = [(key, b, count, config.seed) for b, count in blocks]
-    if config.parallel == 1 or len(blocks) == 1:
+    # Never more workers than tasks: a fork start launches every worker at once.
+    workers = min(config.parallel, len(tasks))
+    if workers == 1:
         results = [_run_block_task(*t) for t in tasks]
     else:
         # Imported here: multiprocessing costs every serial run ~20 ms of startup.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block_task, *zip(*tasks)))
     results.sort(key=lambda item: item[0])
     records = {

@@ -18,7 +18,7 @@ import numpy as np
 
 from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, contraction_delta_batch, pad_to
 from .estimator import BLOCK_SIZE, SurvivalDistribution, estimate_block
-from .rng import Stream
+from .rng import LaneGenerator, Stream
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,7 +147,9 @@ def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple:
     width = np.minimum(np.minimum(gap, TWO_PI - gap), TWO_PI - 4.0)
     start = np.where(gap <= math.pi, x1 + 2.0, x1 - 2.0 - width)
     y2 = np.array(y1, dtype=float)
-    y2[apart] = (start[apart] + rng.random(np.count_nonzero(apart)) * width[apart]) % TWO_PI
+    # A super-block's residual uniforms come from each block's apart lanes.
+    residual = rng.where(apart) if isinstance(rng, LaneGenerator) else rng
+    y2[apart] = (start[apart] + residual.random(np.count_nonzero(apart)) * width[apart]) % TWO_PI
     return y1, y2[()]
 
 

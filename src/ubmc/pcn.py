@@ -251,7 +251,7 @@ def delta_batch(
         return contraction_delta_batch(kernel(model), coupling(model), schedule, lambda s: f(s.x), start)
     # _delta is looked up at call time, as the benchmark's trace probe needs.
     return _run_batches(schedule, lambda first, counts, rng: _delta(
-        model, schedule, first, counts, f, _tile(x0, sum(counts)), rng
+        model, schedule, first, counts, f, _tile(x0, sum(map(sum, counts))), rng
     ))
 
 
