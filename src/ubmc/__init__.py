@@ -14,9 +14,7 @@ from .estimator import (
     UnbiasedDraw,
     estimate_batch,
     estimate_once,
-    expected_work,
     sample_truncation,
-    second_moment_formula,
 )
 from .couplings import (
     ContractionFit,
@@ -43,9 +41,7 @@ __all__ = [
     "estimate_batch",
     "estimate_once",
     "estimate_contraction",
-    "expected_work",
     "sample_truncation",
-    "second_moment_formula",
 ]
 
 __version__ = "0.1.0"

@@ -116,7 +116,7 @@ def contraction_delta_batch(
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], np.ndarray],
     x0,
-) -> Callable[[list, Callable[[int], np.random.Generator]], list]:
+) -> Callable[[list, Callable[[int], list]], list]:
     """Coupled level differences of a fixed-space chain, as the
     ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`.
 
@@ -129,16 +129,16 @@ def contraction_delta_batch(
     ``f`` must act on a leading lane axis.
     """
     # _delta is looked up at call time, as the benchmark's trace probe needs.
-    return _run_batches(schedule, lambda first, counts, rng: _delta(
-        kernel, coupling, schedule, first, counts, _tile(x0, sum(map(sum, counts))), f, rng,
+    return _run_batches(schedule, lambda first, counts, rngs: _delta(
+        kernel, coupling, schedule, first, counts, _tile(x0, sum(map(sum, counts))), f, rngs,
     ))
 
 
-def _delta(kernel, coupling, schedule, first, counts, x0, f, rng):
+def _delta(kernel, coupling, schedule, first, counts, x0, f, rngs):
     # The kernel's own step functions are handed through unwrapped: the
     # inner loops are the hot path of every generic chain.
     return _level_difference(
-        schedule, first, counts, x0, f, rng,
+        schedule, first, counts, x0, f, rngs,
         lambda j: kernel, lambda j_lo, j_hi: coupling.step, lambda x, j: x,
     )
 
@@ -179,32 +179,23 @@ def _run_batches(schedule: LevelSchedule, run_delta: Callable) -> Callable:
     counts of each block that reaches it, and ``rngs`` those blocks'
     ``level_rng(first)``.  It joins the runs' per-level results."""
 
-    def delta_batch(counts, level_rng: Callable) -> list:
-        rows = _block_rows(counts)
+    def delta_batch(counts: list, level_rng: Callable) -> list:
         levels = []
-        for run in level_runs(schedule, len(rows[0]) - 1):
-            rngs = level_rng(run.start)
-            rngs = rngs if isinstance(rngs, list) else [rngs]
-            live = [row[run.start : run.stop] for row in rows if row[run.start]]
-            levels += run_delta(run.start, live, rngs)
+        for run in level_runs(schedule, len(counts[0]) - 1):
+            live = [row[run.start : run.stop] for row in counts if row[run.start]]
+            levels += run_delta(run.start, live, level_rng(run.start))
         return levels
 
     return delta_batch
 
 
-def _block_rows(counts) -> list:
-    """One list of per-level counts per block; one block may give its list alone."""
-    return [list(counts)] if isinstance(counts[0], (int, np.integer)) else [list(row) for row in counts]
-
-
-def _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, embed):
+def _level_difference(schedule, first, counts, x0, f, rngs, kernel, joint, embed):
     """The lone and joint phases of one run of levels, shared by every chain.
 
     The run is levels ``first, first + 1, ...``, ``counts[b][k]`` pairs of
-    chains of block ``b`` at level ``first + k`` (one block may give its
-    row alone), all sharing ``j_i``, ``j_{i-1}`` and ``a_i - a_{i-1}``
-    (one level is always a run); ``rng`` lists the blocks' generators (one
-    block may give its own alone).  ``kernel(j)`` is the chain's
+    chains of block ``b`` at level ``first + k``, all sharing ``j_i``,
+    ``j_{i-1}`` and ``a_i - a_{i-1}`` (one level is always a run);
+    ``rngs`` lists the blocks' generators.  ``kernel(j)`` is the chain's
     :class:`MarkovKernel` at dimension ``j``, whose step the lone phase
     takes and whose ``work_per_step`` is the cost of one step there;
     ``joint(j_lo, j_hi)`` is the step ``((top, bottom), rng) -> (top,
@@ -222,13 +213,11 @@ def _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, embed)
     generator.  Returns ``(deltas, a_i * kernel(j_i).work_per_step)`` per
     level, in level order, the deltas block after block.
     """
-    rows = _block_rows(counts)
-    rngs = rng if isinstance(rng, list) else [rng]
     j_hi = schedule.dims_at(first)
     a_lone = schedule.steps_at(first) - (schedule.steps_at(first - 1) if first > 0 else 0)
     # ends[k][b]: block b's pairs of levels >= first + k; level first + k
     # owns the last ends[k][b] - ends[k + 1][b] of them.
-    ends = [[sum(row[k:]) for row in rows] for k in range(len(rows[0]) + 1)]
+    ends = [[sum(row[k:]) for row in counts] for k in range(len(counts[0]) + 1)]
     lone = kernel(j_hi)
     step = lone.step
     draws = lane_rng(rngs, ends[0])
@@ -236,7 +225,7 @@ def _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, embed)
     for _ in range(a_lone):
         top = step(top, draws)
     levels, done, bottom = [], 0, None
-    for k, level in enumerate(range(first, first + len(rows[0]))):
+    for k, level in enumerate(range(first, first + len(counts[0]))):
         if level > 0:
             if bottom is None:
                 j_lo = schedule.dims_at(level - 1)

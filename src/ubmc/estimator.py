@@ -8,10 +8,9 @@ random truncation level ``N`` with survival probabilities
     Z = sum_{i<=N} delta_i / Fbar_i
 
 gives an unbiased estimator whenever each level difference is generated
-independently.  This module houses the truncation law, the block driver
-that every draw runs through (one draw, a batch, or an experiment's
-block of lanes), and the second-moment / expected-work identities used
-to tune them.
+independently.  This module houses the truncation law and the block
+driver that every draw runs through (one draw, a batch, or an
+experiment's blocks of lanes).
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ __all__ = [
     "estimate_block",
     "estimate_batch",
     "draw_statistics",
-    "second_moment_formula",
-    "expected_work",
 ]
 
 # Iteration guard for truncation sampling: a survival function whose tail
@@ -288,7 +285,7 @@ def sample_truncation(survival: SurvivalDistribution, rng: np.random.Generator) 
 
 
 def estimate_once(
-    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
+    delta_batch: Callable[[list, Callable[[int], list]], list],
     survival: SurvivalDistribution,
     stream: Stream,
 ) -> UnbiasedDraw:
@@ -296,7 +293,7 @@ def estimate_once(
 
     The draw is a one-lane :func:`estimate_block` on ``stream``.
     """
-    out = estimate_block(delta_batch, survival, stream, 1)
+    out = estimate_block(delta_batch, survival, [stream], [1])
     value = out["z"][0]
     return UnbiasedDraw(
         value=value if value.ndim else float(value),
@@ -306,25 +303,24 @@ def estimate_once(
 
 
 def estimate_block(
-    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
+    delta_batch: Callable[[list, Callable[[int], list]], list],
     survival: SurvivalDistribution,
-    stream: Stream | Sequence[Stream],
-    count: int | Sequence[int],
+    streams: Sequence[Stream],
+    counts: Sequence[int],
 ) -> dict:
-    """``count`` independent draws of ``Z``, run as lanes sharing one stream;
-    or a super-block: the blocks ``stream[b]`` of ``count[b]`` lanes each,
-    stepped as one lane array.
+    """Independent draws of ``Z`` for the blocks ``streams[b]`` of
+    ``counts[b]`` lanes each, stepped as one lane array.
 
-    Every lane of a block draws ``N`` from child 0 of the block's stream.
-    One call ``delta_batch(counts, level_rng)`` then gives every level's
-    differences.  For one block, ``counts[i]`` is the number of lanes with
-    ``N >= i``, for ``i`` up to the largest ``N``, and ``level_rng(i)`` is
-    a generator on child ``1 + i``; for a super-block, ``counts[b][i]``
-    counts block ``b``'s lanes (zero past its largest ``N``), and
-    ``level_rng(i)`` lists the child-``1 + i`` generators of the blocks
-    with a lane at level ``i``, in block order.  It returns one ``(deltas,
-    works)`` per level, the deltas of the lanes with ``N >= i`` in lane
-    order, block after block.  A chain's ``delta_batch`` steps each run of
+    Every lane of block ``b`` draws ``N`` from child 0 of ``streams[b]``.
+    One call ``delta_batch(rows, level_rng)`` then gives every level's
+    differences: ``rows[b][i]`` is the number of block ``b``'s lanes with
+    ``N >= i``, for ``i`` up to the largest ``N`` of any block (zero past
+    the block's own), and ``level_rng(i)`` lists the child-``1 + i``
+    generators of the blocks with a lane at level ``i``, in block order.
+    It returns one ``(deltas, works)`` per level, the deltas of the lanes
+    with ``N >= i`` in lane order, block after block; too few levels, or
+    deltas that do not lead with one row per such lane, raise
+    :class:`EstimatorError`.  A chain's ``delta_batch`` steps each run of
     levels (see :func:`~ubmc.couplings.level_runs`) as one lane array on
     ``level_rng(<first level of the run>)``.
 
@@ -334,51 +330,54 @@ def estimate_block(
     chains are independent of each other and of ``N``, each with the law
     of a level difference run on a stream of its own, as the lanes of one
     level already are; ``Z`` is Rhee and Glynn's independent-sum
-    estimator.  Blocks of a super-block share a lane array, never a
-    generator: each block's rows draw from its own streams, in the order
-    the block alone would draw them (:func:`~ubmc.rng.lane_rng`), so
-    each block's draws are bit for bit those of the block run alone, and
-    blocks stay independent of each other.  The block is a pure function
-    of ``(stream, count)``.  Returns the arrays ``N``, ``z`` and ``work``,
-    block after block; ``z`` takes the shape of the level-0 deltas, which
-    every lane reaches, so vector-valued targets give one row per lane.
+    estimator.  Blocks share a lane array, never a generator: each block's
+    rows draw from its own streams, in the order the block alone would
+    draw them (:func:`~ubmc.rng.lane_rng`), so each block's draws are bit
+    for bit those of the block run alone, and blocks stay independent of
+    each other.  The result is a pure function of ``(streams, counts)``.
+    Returns the arrays ``N``, ``z`` and ``work``, block after block; ``z``
+    takes the shape of the level-0 deltas, which every lane reaches, so
+    vector-valued targets give one row per lane.
     """
-    one = not isinstance(stream, (list, tuple))
-    streams, sizes = ([stream], [count]) if one else (list(stream), list(count))
-    if min(sizes, default=0) < 1 or len(streams) != len(sizes):
+    if min(counts, default=0) < 1 or len(streams) != len(counts):
         raise ValueError("count must be >= 1, one per stream")
     if not survival.proper:
         raise EstimatorError("cannot draw from an improper survival distribution")
     truncation = [s.child(_KEY_TRUNCATION).generator() for s in streams]
-    ns = survival.sample_many(sum(sizes), lane_rng(truncation, sizes))
-    # counts[b][i]: block b's lanes with N >= i.
+    ns = survival.sample_many(sum(counts), lane_rng(truncation, counts))
+    # rows[b][i]: block b's lanes with N >= i.
     depth = int(ns.max()) + 1
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    counts = np.bincount(block * depth + ns, minlength=len(sizes) * depth).reshape(-1, depth)
-    counts = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1].tolist()
-    if one:
-        levels = delta_batch(counts[0], lambda i: stream.child(_KEY_LEVEL_BASE + i).generator())
-    else:
-        levels = delta_batch(counts, lambda i: [
-            s.child(_KEY_LEVEL_BASE + i).generator() for s, row in zip(streams, counts) if row[i]
-        ])
+    block = np.repeat(np.arange(len(counts)), counts)
+    rows = np.bincount(block * depth + ns, minlength=len(counts) * depth).reshape(-1, depth)
+    rows = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1].tolist()
+    levels = delta_batch(rows, lambda i: [
+        s.child(_KEY_LEVEL_BASE + i).generator() for s, row in zip(streams, rows) if row[i]
+    ])
+    if len(levels) != depth:
+        raise EstimatorError(f"delta_batch gave {len(levels)} levels; the deepest N needs {depth}")
     work = np.zeros(ns.size)
-    reached = slice(None)  # every lane reaches level 0
+    reached, lanes = slice(None), ns.size  # every lane reaches level 0
     for i, (deltas, works) in enumerate(levels):
+        if i:  # the lanes with N >= i, in order, narrowed level by level
+            reached = np.flatnonzero(ns >= i) if i == 1 else reached[ns[reached] >= i]
+            lanes = reached.size
+        if np.shape(deltas)[:1] != (lanes,):
+            raise EstimatorError(
+                f"level {i}: need one delta row per lane that reached it ({lanes}), "
+                f"got shape {np.shape(deltas)}"
+            )
         finite = np.isfinite(deltas)
         if not finite.all():
             raise NonFiniteDeltaError(i, deltas[~finite][0])
         if i == 0:
             z = np.zeros(np.shape(deltas))
-        else:  # the lanes with N >= i, in order, narrowed level by level
-            reached = np.flatnonzero(ns >= i) if i == 1 else reached[ns[reached] >= i]
         z[reached] += deltas / survival.survival(i)
         work[reached] += works
     return {"N": ns, "z": z, "work": work}
 
 
 def estimate_batch(
-    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
+    delta_batch: Callable[[list, Callable[[int], list]], list],
     survival: SurvivalDistribution,
     replicates: int,
     seed: int,
@@ -389,7 +388,7 @@ def estimate_batch(
     ``Stream(seed)``, so a batch is reproducible draw-for-draw, and its
     statistics are those of :func:`draw_statistics`.
     """
-    out = estimate_block(delta_batch, survival, Stream(seed), replicates)
+    out = estimate_block(delta_batch, survival, [Stream(seed)], [replicates])
     mean, var, total_work = draw_statistics(out["z"], out["work"])
     return BatchResult(
         mean=mean,
@@ -480,44 +479,3 @@ def _fsum(chunks: Callable[[], Iterator[np.ndarray]]) -> float:
             row += np.bincount(field, weights=half, minlength=2048)
     partials.append(sums[sums != 0.0])
     return math.fsum(itertools.chain.from_iterable(partials))
-
-
-def second_moment_formula(
-    nus: Sequence[float],
-    survival: SurvivalDistribution,
-    truncation: int | None = None,
-) -> float:
-    """``E[Z^2] = sum_{i<=truncation} nu_i / Fbar_i``.
-
-    ``nu_i`` are the level second-moment coefficients
-    ``var(delta_i) + (EY - EY_{i-1})^2 - (EY - EY_i)^2``; computing them is
-    the caller's (model's) business.
-    """
-    nus = np.asarray(nus, dtype=float)
-    if truncation is None:
-        truncation = nus.size - 1
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    if truncation >= nus.size:
-        raise ValueError("need nu_i up to the requested truncation")
-    if not np.all(np.isfinite(nus[: truncation + 1])):
-        raise ValueError("nu_i must be finite")
-    total = 0.0
-    for i in range(truncation + 1):
-        fbar = survival.survival(i)
-        if fbar <= 0.0:
-            raise EstimatorError(f"Fbar_{i} = 0 inside the summation range")
-        total += nus[i] / fbar
-    return total
-
-
-def expected_work(
-    ts: Sequence[float] | Callable[[int], float],
-    survival: SurvivalDistribution,
-    truncation: int,
-) -> float:
-    """``E[work] = sum_{i<=truncation} t_i Fbar_i``."""
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    get = ts if callable(ts) else ts.__getitem__
-    return math.fsum(get(i) * survival.survival(i) for i in range(truncation + 1))

@@ -232,8 +232,9 @@ def _close(*sections: _Section):
 #
 # prepare_*(params, schedule, survival) reads the config's sections into
 # locals, closes them, then validates and returns a "plan": a dict with
-#   run_block(stream, count, offset) -> dict of per-draw arrays, for one
-#     block or, given lists of streams and counts, for a super-block
+#   run_block(streams, counts, offset) -> dict of per-draw arrays for the
+#     blocks counts[b] replicates on streams[b], block after block; offset
+#     is the first block's first replicate
 #   meta: summary extras
 #   replicates_override (optional): fixed row count
 # Plans are cached per process keyed by the config JSON, so worker
@@ -255,8 +256,8 @@ ONE_BLOCK_EXPERIMENTS = ("logistic", "indep-sampler")
 
 
 def _lane_block(delta_batch, survival, dim_of_level):
-    def run_block(stream, count, offset: int):
-        out = estimate_block(delta_batch, survival, stream, count)
+    def run_block(streams, counts, offset: int):
+        out = estimate_block(delta_batch, survival, streams, counts)
         dims = [dim_of_level(i) for i in range(int(out["N"].max()) + 1)]
         out["level_max_dim"] = np.array(dims, dtype=np.int64)[out["N"]]
         return out
@@ -284,9 +285,9 @@ def _prepare_contracting(params: _Section, sched: _Section, spec: _Section) -> d
     default = tuning.contracting_optimal_survival(rho, m) if optimal else None
     survival = _finite_work_survival(None if optimal else spec, default, *_ARITHMETIC_WORK)
 
-    def run_block(stream, count, offset: int):
+    def run_block(streams, counts, offset: int):
         out = models.contracting_unbiased_block(
-            rho, schedule, survival, stream, count, x0=x0
+            rho, schedule, survival, streams, counts, x0=x0
         )
         out["level_max_dim"] = np.ones(out["N"].size, dtype=np.int64)
         return out
@@ -609,8 +610,8 @@ def _prepare_tune(params: _Section, sched: _Section, spec: _Section) -> dict:
         rows.append((rho, m, product, ergodic, product / ergodic))
     arr = np.asarray(rows, dtype=float)
 
-    def run_block(stream, count, offset: int):
-        sl = arr[offset : offset + int(np.sum(count))]
+    def run_block(streams, counts, offset: int):
+        sl = arr[offset : offset + sum(counts)]
         return {
             "N": sl[:, 1].astype(np.int64),
             "z": sl[:, 4],

@@ -228,12 +228,12 @@ def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, 
     lane-leading, so a super-block's lane draws reject it."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     # _delta is looked up at call time, as the benchmark's trace probe needs.
-    return _run_batches(schedule, lambda first, counts, rng: _delta(
-        model, schedule, first, counts, f, _tile(x0, sum(map(sum, counts))), rng
+    return _run_batches(schedule, lambda first, counts, rngs: _delta(
+        model, schedule, first, counts, f, _tile(x0, sum(map(sum, counts))), rngs
     ))
 
 
-def _delta(model, schedule, first, counts, f, x0, rng):
+def _delta(model, schedule, first, counts, f, x0, rngs):
     def kernel(j):
         def step(x, rng):
             return split_step(model, j, x, draw_randomness(model, j, rng, x.shape[:-1]))[0]
@@ -249,7 +249,7 @@ def _delta(model, schedule, first, counts, f, x0, rng):
 
         return step
 
-    return _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, pad_to)
+    return _level_difference(schedule, first, counts, x0, f, rngs, kernel, joint, pad_to)
 
 
 def make_schedule(

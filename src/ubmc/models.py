@@ -85,20 +85,21 @@ def contracting_unbiased_block(
     rho: float,
     schedule: LevelSchedule,
     survival: SurvivalDistribution,
-    stream: Stream,
-    count: int,
+    streams: list[Stream],
+    counts: list[int],
     x0: float = 0.0,
 ) -> dict:
-    """One block of unbiased draws: the model's kernel and coupling bound
-    by :func:`~ubmc.couplings.contraction_delta_batch` into
+    """Blocks of unbiased draws, ``counts[b]`` on ``streams[b]``: the
+    model's kernel and coupling bound by
+    :func:`~ubmc.couplings.contraction_delta_batch` into
     :func:`~ubmc.estimator.estimate_block`.  Returns arrays ``N``, ``z``
-    and ``work``.
+    and ``work``, block after block.
     """
     model = ContractingNormalsModel(rho)
     delta_batch = contraction_delta_batch(
         model.kernel(), model.coupling(), schedule, lambda x: x, x0
     )
-    return estimate_block(delta_batch, survival, stream, count)
+    return estimate_block(delta_batch, survival, streams, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,20 @@ def msework_report(
     survival: SurvivalDistribution,
     mean: float = 0.0,
 ) -> MseWorkReport:
-    """Evaluate the MSE-work product ``(sum nu/Fbar - mean^2)(sum Fbar t)``."""
+    """Evaluate the MSE-work product ``(sum nu/Fbar - mean^2)(sum Fbar t)``
+    over the levels ``0..len(nus) - 1``.
+
+    At ``mean = 0`` the variance term is the second moment
+    ``E[Z^2] = sum_i nu_i / Fbar_i``, where ``nu_i`` are the level
+    second-moment coefficients ``var(delta_i) + (EY - EY_{i-1})^2 -
+    (EY - EY_i)^2``; the expected work is ``E[work] = sum_i t_i Fbar_i``.
+    """
     nus = np.asarray(nus, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    if nus.shape != ts.shape:
-        raise ValueError("nu and t sequences must have equal length")
+    if nus.size == 0 or nus.shape != ts.shape:
+        raise ValueError("need equally sized, nonempty nu and t sequences")
+    if not np.all(np.isfinite(nus)):
+        raise ValueError("nu_i must be finite")
     fbar = survival.survival_array(nus.size)
     if np.any(fbar <= 0.0):
         raise ValueError("survival vanishes inside the summation range")

@@ -70,15 +70,15 @@ class ConstantStreamDouble:
 
 def per_lane(gen):
     """Lift a per-draw reference ``gen(level, rng) -> (delta, work)`` into a
-    ``delta_batch``: level ``i``'s lanes run one after another on
-    ``level_rng(i)``, each on a fresh segment of that i.i.d. stream, so
-    every draw keeps the law of one ``gen`` draw."""
+    ``delta_batch``: level ``i``'s lanes of each block run one after another
+    on that block's generator in ``level_rng(i)``, each on a fresh segment
+    of that i.i.d. stream, so every draw keeps the law of one ``gen`` draw."""
 
     def delta_batch(counts, level_rng):
         levels = []
-        for level, lanes in enumerate(counts):
-            rng = level_rng(level)
-            pairs = [gen(level, rng) for _ in range(lanes)]
+        for level in range(len(counts[0])):
+            lanes = [row[level] for row in counts if row[level]]
+            pairs = [gen(level, rng) for rng, n in zip(level_rng(level), lanes) for _ in range(n)]
             levels.append((
                 np.array([delta for delta, _ in pairs], dtype=float),
                 np.array([t for _, t in pairs], dtype=float),
@@ -89,11 +89,11 @@ def per_lane(gen):
 
 
 def recording_level_rng(seed: int, asked: list):
-    """A ``level_rng`` that records which levels it was asked for."""
+    """A one-block ``level_rng`` that records which levels it was asked for."""
 
     def level_rng(i):
         asked.append(i)
-        return Stream(seed).child(1 + i).generator()
+        return [Stream(seed).child(1 + i).generator()]
 
     return level_rng
 

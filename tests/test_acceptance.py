@@ -13,7 +13,6 @@ from scipy import stats
 import ubmc.pcn as pcn
 from ubmc import LevelSchedule, Stream, SurvivalDistribution, estimate_batch
 from ubmc.couplings import estimate_contraction
-from ubmc.estimator import second_moment_formula
 from ubmc.gaussian_linear import (
     GaussianLinearModel,
     delta_batch as gl_delta_batch,
@@ -47,6 +46,7 @@ from ubmc.tuning import (
     contracting_optimal_survival,
     ergodic_msework_limit,
     msework_optimum,
+    msework_report,
     optimal_w,
     step_multiplier,
     unbiased_msework,
@@ -66,7 +66,7 @@ def tuned_batch(replicates: int, seed: int):
     rho, m = 0.8, 4
     schedule = LevelSchedule.arithmetic(m)
     survival = contracting_optimal_survival(rho, m)
-    out = contracting_unbiased_block(rho, schedule, survival, Stream(seed), replicates)
+    out = contracting_unbiased_block(rho, schedule, survival, [Stream(seed)], [replicates])
     return out, survival
 
 
@@ -87,7 +87,7 @@ def test_criterion_02_second_moment_identity():
     levels = survival.table.size
     steps = [4 * (i + 1) for i in range(levels)]
     nus = contracting_delta_variances(0.8, steps, levels)
-    formula = second_moment_formula(nus, survival)
+    formula = msework_report(nus, np.asarray(steps, dtype=float), survival).variance_term
     zsq = out["z"] ** 2
     se = zsq.std(ddof=1) / math.sqrt(zsq.size)
     report(
@@ -291,7 +291,7 @@ def test_criterion_09_independence_sampler():
     schedule, _ = is_schedule(is_model, q=2.6, beta=beta, kappa=kappa)  # t: the interval's midpoint
     f = lambda u: np.sum(u, axis=-1)
     levels = is_delta_batch(is_model, schedule, f, np.zeros(1))(
-        [250] * 7, lambda level: Stream(93 + level).generator()
+        [[250] * 7], lambda level: [Stream(93 + level).generator()]
     )
     rms, j_prev = [], []
     for level in range(2, 7):

@@ -13,12 +13,10 @@ from ubmc import (
     SurvivalDistribution,
     estimate_batch,
     estimate_once,
-    expected_work,
     sample_truncation,
-    second_moment_formula,
 )
 from ubmc.estimator import estimate_block
-from ubmc.tuning import contracting_delta_variances, contracting_optimal_survival
+from ubmc.tuning import contracting_delta_variances, contracting_optimal_survival, msework_report
 
 from conftest import ForcedTruncationStream, four_se, per_lane
 
@@ -172,7 +170,7 @@ class TestEstimateOnce:
 
         for seed in range(20):
             draw = estimate_once(per_lane(gen), GEOM_HALF, Stream(seed))
-            out = estimate_block(per_lane(gen), GEOM_HALF, Stream(seed), 1)
+            out = estimate_block(per_lane(gen), GEOM_HALF, [Stream(seed)], [1])
             assert draw.value == out["z"][0]
             assert draw.level == out["N"][0]
             assert draw.work == out["work"][0]
@@ -190,7 +188,7 @@ class TestEstimateBlock:
     def test_forced_level_hand_value(self):
         # Every lane draws N = 2 (see TestEstimateOnce): Z = 3, work = 3.
         delta_batch = per_lane(stub_generator(lambda i: 2.0**-i))
-        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 5)
+        out = estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2)], [5])
         assert out["N"].tolist() == [2] * 5
         assert out["z"] == pytest.approx(np.full(5, 3.0))
         assert out["work"].tolist() == [3.0] * 5
@@ -198,7 +196,7 @@ class TestEstimateBlock:
     def test_lanes_run_in_order_on_one_stream_per_level(self):
         # Level i of the block reads child 1 + i, lane after lane.
         delta_batch = per_lane(lambda level, rng: (rng.random(), 1.0))
-        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2, seed=9), 4)
+        out = estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2, seed=9)], [4])
         expected = sum(
             Stream(9).child(1 + i).generator().random(4) / GEOM_HALF.survival(i)
             for i in range(3)
@@ -208,7 +206,7 @@ class TestEstimateBlock:
     def test_non_finite_lane_reports_level(self):
         def delta_batch(counts, level_rng):
             levels = []
-            for level, lanes in enumerate(counts):
+            for level, lanes in enumerate(counts[0]):
                 deltas = np.ones(lanes)
                 if level == 1:
                     deltas[lanes // 2] = math.nan
@@ -216,27 +214,54 @@ class TestEstimateBlock:
             return levels
 
         with pytest.raises(NonFiniteDeltaError) as err:
-            estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.1), 8)
+            estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.1)], [8])
         assert err.value.level == 1
 
     def test_improper_survival_rejected(self):
         flat = SurvivalDistribution.tabulated([1.0, 1.0], tail_ratio=1.0)
         with pytest.raises(EstimatorError):
-            estimate_block(per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0), 4)
+            estimate_block(per_lane(stub_generator(lambda i: 0.0)), flat, [Stream(0)], [4])
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_block_rejected(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            estimate_block(per_lane(stub_generator(lambda i: 0.0)), GEOM_HALF, Stream(0), count)
+            estimate_block(per_lane(stub_generator(lambda i: 0.0)), GEOM_HALF, [Stream(0)], [count])
 
     def test_vector_valued_lanes(self):
         # z takes the shape of the level-0 deltas: one row per lane.
         def delta_batch(counts, level_rng):
-            return [(np.ones((lanes, 3)) * 2.0**-level, np.ones(lanes)) for level, lanes in enumerate(counts)]
+            return [(np.ones((lanes, 3)) * 2.0**-level, np.ones(lanes)) for level, lanes in enumerate(counts[0])]
 
-        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 6)
+        out = estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2)], [6])
         assert out["z"].shape == (6, 3)
         assert out["z"] == pytest.approx(np.full((6, 3), 3.0))
+
+    def test_streams_and_counts_must_pair_up(self):
+        delta_batch = per_lane(stub_generator(lambda i: 0.0))
+        with pytest.raises(ValueError, match="one per stream"):
+            estimate_block(delta_batch, GEOM_HALF, [Stream(0), Stream(1)], [4])
+        with pytest.raises(ValueError, match="one per stream"):
+            estimate_block(delta_batch, GEOM_HALF, [Stream(0)], [4, 4])
+
+    def test_too_few_levels_rejected(self):
+        # Level 0 alone would cut every draw with N >= 1 short.
+        def delta_batch(counts, level_rng):
+            return [(np.ones(counts[0][0]), 1.0)]
+
+        with pytest.raises(EstimatorError, match="levels"):
+            estimate_batch(delta_batch, GEOM_HALF, 1000, seed=3)
+
+    @pytest.mark.parametrize("shape", [(), (1,)], ids=["scalar", "one-row"])
+    def test_one_delta_for_many_lanes_rejected(self, shape):
+        # Every lane reaches levels 0..2; level 1 gives one delta for all 5.
+        def delta_batch(counts, level_rng):
+            return [
+                (np.ones(shape) if level == 1 else np.ones(lanes), 1.0)
+                for level, lanes in enumerate(counts[0])
+            ]
+
+        with pytest.raises(EstimatorError, match="level 1"):
+            estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2)], [5])
 
 
 class TestEstimateBatch:
@@ -299,7 +324,7 @@ class TestEstimateBatch:
 
         law = SurvivalDistribution.polynomial(2.5)
         batch = estimate_batch(per_lane(gen), law, 700, seed=23)
-        out = estimate_block(per_lane(gen), law, Stream(23), 700)
+        out = estimate_block(per_lane(gen), law, [Stream(23)], [700])
         assert np.array_equal(batch.z, out["z"])
         assert np.array_equal(batch.N, out["N"])
         assert np.array_equal(batch.work, out["work"])
@@ -316,7 +341,7 @@ class TestEstimateBatch:
             return levels
 
         survival = SurvivalDistribution.tabulated([1.0, 1.0, 0.5], tail_ratio=0.5)
-        out = estimate_block(delta_batch, survival, Stream(19), 20_000)
+        out = estimate_block(delta_batch, survival, [Stream(19)], [20_000])
         reached = out["N"] >= 1
         pairs = np.column_stack([recorded[0][reached], recorded[1]])
         corr = np.corrcoef(pairs.T)[0, 1]
@@ -354,19 +379,31 @@ class TestEstimateBatch:
 
 
 class TestMomentFormulas:
+    """``msework_report`` at ``mean = 0``: the variance term is
+    ``E[Z^2] = sum_i nu_i / Fbar_i`` and the work ``sum_i t_i Fbar_i``."""
+
     def test_single_level(self):
         point = SurvivalDistribution.tabulated([1.0])
-        assert second_moment_formula([1.0], point) == pytest.approx(1.0)
+        assert msework_report([1.0], [1.0], point).variance_term == pytest.approx(1.0)
 
     def test_contracting_levels_hand_value(self):
         nus = contracting_delta_variances(0.5, [1, 2], 2)
         law = SurvivalDistribution.tabulated([1.0, 0.5], tail_ratio=0.5)
-        assert second_moment_formula(nus, law) == pytest.approx(1.125)
+        assert msework_report(nus, [1.0, 2.0], law).variance_term == pytest.approx(1.125)
 
     def test_zero_survival_inside_range_rejected(self):
         law = SurvivalDistribution.tabulated([1.0, 0.5, 0.0])
-        with pytest.raises(EstimatorError):
-            second_moment_formula([1.0, 1.0, 1.0], law)
+        with pytest.raises(ValueError, match="survival vanishes"):
+            msework_report([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], law)
+
+    def test_non_finite_nu_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            msework_report([1.0, math.inf], [1.0, 1.0], GEOM_HALF)
+
+    @pytest.mark.parametrize("nus, ts", [([], []), ([1.0], [1.0, 1.0])], ids=["empty", "unequal"])
+    def test_empty_or_unequal_series_rejected(self, nus, ts):
+        with pytest.raises(ValueError, match="equally sized, nonempty"):
+            msework_report(nus, ts, GEOM_HALF)
 
     def test_second_moment_matches_monte_carlo(self):
         # Coupled-simulation second moment against the formula, 3 SE.
@@ -374,24 +411,24 @@ class TestMomentFormulas:
         steps = [m * (i + 1) for i in range(levels)]
         nus = contracting_delta_variances(rho, steps, levels)
         survival = contracting_optimal_survival(rho, m, levels=levels)
-        formula = second_moment_formula(nus, survival)
+        formula = msework_report(nus, np.asarray(steps, dtype=float), survival).variance_term
         schedule = LevelSchedule.arithmetic(m)
         from ubmc.models import contracting_unbiased_block
 
-        out = contracting_unbiased_block(rho, schedule, survival, Stream(31), 200_000)
+        out = contracting_unbiased_block(rho, schedule, survival, [Stream(31)], [200_000])
         zsq = out["z"] ** 2
         se = zsq.std(ddof=1) / math.sqrt(zsq.size)
         assert abs(zsq.mean() - formula) <= 3.0 * se
 
     def test_expected_work_examples(self):
-        assert expected_work(lambda i: 1.0, GEOM_HALF, 60) == pytest.approx(2.0)
+        assert msework_report(np.zeros(61), np.ones(61), GEOM_HALF).expected_work == pytest.approx(2.0)
         point = SurvivalDistribution.tabulated([1.0])
-        assert expected_work([7.0], point, 0) == pytest.approx(7.0)
+        assert msework_report([0.0], [7.0], point).expected_work == pytest.approx(7.0)
 
     def test_expected_work_partial_sums_monotone_convergent(self):
         rho, m = 0.8, 4
         survival = contracting_optimal_survival(rho, m)
-        steps = lambda i: float(m * (i + 1))
-        partials = [expected_work(steps, survival, n) for n in range(1, 60)]
+        steps = np.array([float(m * (i + 1)) for i in range(60)])
+        partials = [msework_report(np.zeros(n + 1), steps[: n + 1], survival).expected_work for n in range(1, 60)]
         assert all(b >= a for a, b in zip(partials, partials[1:]))
         assert partials[-1] - partials[-10] < 1e-9  # converged tail

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch, second_moment_formula
+from ubmc import LevelSchedule, SurvivalDistribution, estimate_batch
 from ubmc.gaussian_linear import (
     GaussianLinearModel,
     delta_batch,
@@ -17,6 +17,7 @@ from ubmc.gaussian_linear import (
     truncation_gap_second_moment,
 )
 from ubmc.rng import Stream
+from ubmc.tuning import msework_report
 
 from conftest import ScriptedNormals, four_se
 
@@ -210,7 +211,7 @@ class TestUnbiasedness:
         mean_k, var_k = posterior_spectral(model, coord)
         nus = np.zeros(6)
         nus[level_star] = var_k + mean_k**2
-        formula = second_moment_formula(nus, survival)
+        formula = msework_report(nus, np.ones(6), survival).variance_term
         f = lambda u: u[:, coord - 1] if u.shape[1] >= coord else np.zeros(len(u))
         batch = estimate_batch(delta_batch(truncation_delta, model, schedule, f), survival, 50_000, seed=8)
         zsq = batch.z ** 2

@@ -232,7 +232,7 @@ class TestLanePathLaw:
         )
         schedule, _ = pcn.make_schedule(model, "bounded", m=2, r=0.6, eps=0.25)
         f, x0 = lambda x: min(1.0, float(np.linalg.norm(x))), np.zeros(schedule.dims_at(0))
-        gen = lambda level, rng: pcn._delta(model, schedule, level, [1], f, x0, rng)[0]
+        gen = lambda level, rng: pcn._delta(model, schedule, level, [[1]], f, x0, [rng])[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
         reference = estimate_batch(per_lane(gen), law, replicates=6000, seed=4)
         assert_same_law(records["z"], reference.z)
@@ -249,7 +249,7 @@ class TestLanePathLaw:
         model = CircleChainModel()
         kernel, coupling, schedule = model.kernel(), model.coupling(), LevelSchedule.arithmetic(1)
         gen = lambda level, rng: couplings._delta(
-            kernel, coupling, schedule, level, [1], 0.0, math.cos, rng
+            kernel, coupling, schedule, level, [[1]], 0.0, math.cos, [rng]
         )[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
         reference = estimate_batch(per_lane(gen), law, replicates=6000, seed=4)
@@ -274,7 +274,7 @@ class TestLanePathLaw:
         kernel, coupling = pcn.kernel(chain), pcn.coupling(chain)
         schedule = LevelSchedule.arithmetic(meta["step_multiplier"])
         gen = lambda level, rng: couplings._delta(
-            kernel, coupling, schedule, level, [1], center, lambda beta: float(beta[0]), rng
+            kernel, coupling, schedule, level, [[1]], center, lambda beta: float(beta[0]), [rng]
         )[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
         reference = estimate_batch(per_lane(gen), law, replicates=4000, seed=6)
@@ -301,7 +301,7 @@ class TestLanePathLaw:
         )
         schedule = LevelSchedule(lambda i: 2 * (i + 1), lambda i: min(i + 1, 2))
         f = lambda u: float(u[0])
-        gen = lambda level, rng: isamp._delta(model, schedule, level, [1], f, np.zeros(1), rng)[0]
+        gen = lambda level, rng: isamp._delta(model, schedule, level, [[1]], f, np.zeros(1), [rng])[0]
         law = SurvivalDistribution.tabulated(self.SHORT_LAW["values"])
         reference = estimate_batch(per_lane(gen), law, replicates=6000, seed=4)
         assert_same_law(records["z"], reference.z)
@@ -351,7 +351,7 @@ class TestEllipticIsPlan:
 
         config = ExperimentConfig.from_json(self.CONFIG)
         plan = harness._prepare_cached(harness._config_key(config))
-        out = plan["run_block"](Stream(config.seed).child(0), 1024, 0)
+        out = plan["run_block"]([Stream(config.seed).child(0)], [1024], 0)
         digests = {
             "z": "0c20f6ca6fc623e949af117ba7466dfea8dae25f157291c90601dc27e1762e2b",
             "N": "929f1103a179d9e7cec97300ea7ec3b856e1f8eb819d7ab1dba976e0f1fe130b",
@@ -395,7 +395,7 @@ class TestLinearGaussianPlan:
         config = ExperimentConfig.from_dict(raw)
         assert config.params["variant"] == variant
         plan = harness._prepare_cached(harness._config_key(config))
-        out = plan["run_block"](Stream(config.seed).child(0), 1024, 0)
+        out = plan["run_block"]([Stream(config.seed).child(0)], [1024], 0)
         for name, digest in digests.items():
             assert hashlib.sha256(out[name].tobytes()).hexdigest() == digest, name
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ubmc import LevelSchedule, Stream, SurvivalDistribution, expected_work, harness
+from ubmc import LevelSchedule, Stream, SurvivalDistribution, harness
 from ubmc import independence_sampler
 from ubmc.couplings import pad_to
 from ubmc.estimator import estimate_block
+from ubmc.tuning import msework_report
 from ubmc.independence_sampler import (
     AcceptanceFloorError,
     Branch,
@@ -320,7 +321,7 @@ class TestUnbiasedDelta:
         model = constant_forward_model(alpha_star=1.0)
         schedule = LevelSchedule([2, 4, 6], [1, 2, 3])
         levels = delta_batch(model, schedule, lambda u: np.sum(u, axis=-1), np.zeros(1))(
-            [50] * 3, lambda level: stream.child(level).generator()
+            [[50] * 3], lambda level: [stream.child(level).generator()]
         )
         for level in (1, 2):
             j_lo, j_hi = schedule.dims_at(level - 1), schedule.dims_at(level)
@@ -332,7 +333,7 @@ class TestUnbiasedDelta:
         model = constant_forward_model(alpha_star=1.0)
         schedule = LevelSchedule([1, 3], [1, 2])
         _, (delta, work) = delta_batch(model, schedule, lambda u: u[:, 0], np.zeros(1))(
-            [1, 1], lambda level: stream.child(level).generator()
+            [[1, 1]], lambda level: [stream.child(level).generator()]
         )
         assert delta.tolist() == [0.0]
         assert work == pytest.approx(3 * 2.0)  # a_1 * j_1^theta, theta = 1
@@ -356,7 +357,7 @@ class TestUnbiasedDelta:
         survival = SurvivalDistribution.geometric(0.6)
         # The replicates run as the lanes of one block.
         lanes = delta_batch(model, schedule, lambda u: u[..., 0], np.zeros(1))
-        values = estimate_block(lanes, survival, Stream(3), 20_000)["z"]
+        values = estimate_block(lanes, survival, [Stream(3)], [20_000])["z"]
         assert abs(values.mean() - target) <= four_se(values)
 
 
@@ -371,9 +372,9 @@ class TestLaneDelta:
         x0 = np.zeros(2)
         lanes = delta_batch(model, schedule, lambda u: np.sum(u, axis=-1), x0)
         f = lambda u: float(np.sum(u))
-        gen = lambda level, rng: independence_sampler._delta(model, schedule, level, [1], f, x0, rng)[0]
+        gen = lambda level, rng: independence_sampler._delta(model, schedule, level, [[1]], f, x0, [rng])[0]
         n = 1000
-        levels = lanes([4 * n] * 3, lambda i: Stream(11).child(i).generator())
+        levels = lanes([[4 * n] * 3], lambda i: [Stream(11).child(i).generator()])
         for level in (1, 2):
             lane_deltas, lane_work = levels[level]
             draws = [gen(level, Stream(12).child(level, k).generator()) for k in range(n)]
@@ -397,11 +398,11 @@ class TestLaneDelta:
         schedule = LevelSchedule(lambda i: i + 1, lambda i: min(i + 1, 2))
         f = lambda u: u[..., 0]
         n, asked = 20_000, []
-        fused = delta_batch(model, schedule, f, np.zeros(1))([n] * 5, recording_level_rng(41, asked))
+        fused = delta_batch(model, schedule, f, np.zeros(1))([[n] * 5], recording_level_rng(41, asked))
         assert asked == [0, 1, 2]
         for level in range(2, 5):
             (single, work), = independence_sampler._delta(
-                model, schedule, level, [n], f, np.zeros((n, 1)), Stream(42).child(level).generator()
+                model, schedule, level, [[n]], f, np.zeros((n, 1)), [Stream(42).child(level).generator()]
             )
             assert fused[level][1] == work
             assert np.any(fused[level][0] != 0.0)
@@ -464,5 +465,5 @@ class TestMakeSchedule:
         # law's i^-t: the partial sums settle near 100, where linear steps
         # would give 1311 at 10^4 levels and keep growing.
         schedule, law, _, theta = shipped
-        cost = lambda i: schedule.steps_at(i) * schedule.dims_at(i) ** theta
-        assert expected_work(cost, law, 10_000) < 150.0
+        cost = [schedule.steps_at(i) * schedule.dims_at(i) ** theta for i in range(10_001)]
+        assert msework_report(np.zeros(10_001), cost, law).expected_work < 150.0

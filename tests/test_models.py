@@ -120,7 +120,7 @@ class TestContractingNormals:
         m = tuning.step_multiplier(0.8)
         out = contracting_unbiased_block(
             0.8, LevelSchedule.arithmetic(m), tuning.contracting_optimal_survival(0.8, m),
-            Stream(11).child(0), 1024,
+            [Stream(11).child(0)], [1024],
         )
         digests = {
             "z": "266d3dc000aa1a06afa78fd60de3f264b3d0b2a1dd4c7a081d3839fc7ea1b4b1",
@@ -141,11 +141,11 @@ class TestContractingNormals:
         rho, m, n = 0.6, 2, 30_000
         schedule = LevelSchedule.arithmetic(m)
         survival = contracting_optimal_survival(rho, m)
-        vector = contracting_unbiased_block(rho, schedule, survival, Stream(51), n)
+        vector = contracting_unbiased_block(rho, schedule, survival, [Stream(51)], [n])
         model = ContractingNormalsModel(rho)
         kernel, coupling = model.kernel(), model.coupling()
         gen = lambda level, rng: couplings._delta(
-            kernel, coupling, schedule, level, [1], 0.0, lambda x: x, rng
+            kernel, coupling, schedule, level, [[1]], 0.0, lambda x: x, [rng]
         )[0]
         scalar = estimate_batch(per_lane(gen), survival, n, seed=52)
         zs = scalar.z

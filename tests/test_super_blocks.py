@@ -57,7 +57,7 @@ def test_super_blocks_equal_separate_blocks(case):
         got_first, out = harness._run_block_task(key, first, tuple(counts), seed)
         assert got_first == first
         alone = [
-            plan["run_block"](Stream(seed).child(b), count, b * BLOCK_SIZE)
+            plan["run_block"]([Stream(seed).child(b)], [count], b * BLOCK_SIZE)
             for b, count in enumerate(counts, start=first)
         ]
         # Some block stops short of its super-block's deepest level: with

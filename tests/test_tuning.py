@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ubmc import LevelSchedule, Stream
-from ubmc.estimator import SurvivalDistribution, expected_work, second_moment_formula
+from ubmc.estimator import SurvivalDistribution
 from ubmc.couplings import contraction_delta_batch, level_runs
 from ubmc.models import ContractingNormalsModel, contracting_unbiased_block
 from ubmc.tuning import (
@@ -48,7 +48,7 @@ class TestDeltaVariances:
         )
         # Levels 0..3 are one fused run: every pair steps on one stream.
         assert level_runs(schedule, 3) == [range(4)]
-        levels = delta_batch([200_000] * 4, lambda i: stream.child(i).generator())
+        levels = delta_batch([[200_000] * 4], lambda i: [stream.child(i).generator()])
         for level, (draws, _) in enumerate(levels):
             if level == 0:
                 draws = draws - 0.0  # delta_0 = f(endpoint), mean 0
@@ -96,10 +96,9 @@ class TestOptimalSurvival:
         assert report.product == pytest.approx(
             report.variance_term * report.expected_work
         )
-        assert report.variance_term == pytest.approx(
-            second_moment_formula(nus, survival) - 0.09
-        )
-        assert report.expected_work == pytest.approx(expected_work(ts, survival, 1))
+        fbar = [survival.survival(i) for i in range(2)]
+        assert report.variance_term == pytest.approx(sum(nu / f for nu, f in zip(nus, fbar)) - 0.09)
+        assert report.expected_work == pytest.approx(sum(t * f for t, f in zip(ts, fbar)))
 
 
 class TestErgodicLimit:
@@ -196,7 +195,7 @@ class TestEmpiricalProduct:
         rho, m = 0.8, 8
         schedule = LevelSchedule.arithmetic(m)
         survival = contracting_optimal_survival(rho, m)
-        out = contracting_unbiased_block(rho, schedule, survival, Stream(3), 100_000)
+        out = contracting_unbiased_block(rho, schedule, survival, [Stream(3)], [100_000])
         product = out["z"].var(ddof=1) * out["work"].mean()
         assert product == pytest.approx(unbiased_msework(rho, m), rel=0.10)
 
