@@ -5,10 +5,11 @@ like 1/L while the expected work grows like L, so their product
 
     (sum_i nu_i / Fbar_i - (E Y)^2) * (sum_i Fbar_i t_i)
 
-is the scale-free figure of merit.  This module evaluates it, optimizes
-the truncation law against it (the square-root rule and its
-partial-knowledge variant), and provides the closed-form optimum and the
-step-multiplier ansatz for the contracting Gaussian autoregression.
+is the scale-free figure of merit.  This module evaluates it, builds the
+truncation law that minimizes it (the square-root rule, also from
+partially known level variances), and provides the closed-form optimum
+and the step-multiplier ansatz for the contracting Gaussian
+autoregression.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "MseWorkReport",
     "msework_report",
     "contracting_delta_variances",
-    "optimal_survival",
     "msework_optimum",
     "contracting_optimal_survival",
     "ergodic_msework_limit",
@@ -33,7 +33,6 @@ __all__ = [
     "unbiased_msework",
     "optimal_w",
     "step_multiplier",
-    "PartialKnowledgeResult",
     "partial_knowledge_optimize",
 ]
 
@@ -51,23 +50,23 @@ OPTIMAL_W = -1.6329583898965268
 class MseWorkReport:
     """Variance term, expected work, and their product for one tuning.
 
-    ``converged`` records whether both partial sums had decayed below the
-    series tolerance at the truncation level; ``proper`` whether the
-    survival law itself decays (an everywhere-constant law has infinite
-    expected work and is flagged, not silently accepted).
+    ``survival`` is the law evaluated; ``converged`` records whether both
+    partial sums had decayed below the series tolerance at the truncation
+    level, which an improper law (``survival.proper`` false: it never
+    decays, so its expected work is infinite) never does.
     """
 
     variance_term: float
     expected_work: float
     product: float
-    proper: bool
+    survival: SurvivalDistribution
     converged: bool
 
 
 def msework_report(
     nus: Sequence[float],
     ts: Sequence[float],
-    survival: SurvivalDistribution,
+    survival: SurvivalDistribution | None = None,
     mean: float = 0.0,
 ) -> MseWorkReport:
     """Evaluate the MSE-work product ``(sum nu/Fbar - mean^2)(sum Fbar t)``
@@ -77,6 +76,9 @@ def msework_report(
     ``E[Z^2] = sum_i nu_i / Fbar_i``, where ``nu_i`` are the level
     second-moment coefficients ``var(delta_i) + (EY - EY_{i-1})^2 -
     (EY - EY_i)^2``; the expected work is ``E[work] = sum_i t_i Fbar_i``.
+
+    With no ``survival`` it builds and evaluates the square-root law
+    ``Fbar_i = sqrt(nu_i / t_i) / sqrt(nu_0 / t_0)`` (:func:`_square_root_law`).
     """
     nus = np.asarray(nus, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -84,6 +86,8 @@ def msework_report(
         raise ValueError("need equally sized, nonempty nu and t sequences")
     if not np.all(np.isfinite(nus)):
         raise ValueError("nu_i must be finite")
+    if survival is None:
+        survival = _square_root_law(nus, ts)
     fbar = survival.survival_array(nus.size)
     if np.any(fbar <= 0.0):
         raise ValueError("survival vanishes inside the summation range")
@@ -96,13 +100,42 @@ def msework_report(
         and var_terms[-1] <= SERIES_RTOL * max(math.fsum(var_terms), 1e-300)
         and work_terms[-1] <= SERIES_RTOL * max(work, 1e-300)
     )
-    return MseWorkReport(
-        variance_term=variance,
-        expected_work=work,
-        product=variance * work,
-        proper=survival.proper,
-        converged=converged,
-    )
+    return MseWorkReport(variance, work, variance * work, survival, converged)
+
+
+def _square_root_law(nus: np.ndarray, ts: np.ndarray, project: bool = False) -> SurvivalDistribution:
+    """Square-root rule ``Fbar_i = sqrt(nu_i / t_i) / sqrt(nu_0 / t_0)``.
+
+    Feasible (and optimal, by Cauchy-Schwarz) exactly when ``nu_i / t_i``
+    is nonincreasing; the first offending index is reported otherwise,
+    unless ``project`` asks for the rule capped at 1 and made
+    nonincreasing instead.  The law is tabulated over the supplied levels
+    and continued geometrically with the last observed ratio; a constant
+    rule (``nu/t`` flat) yields an improper law, which callers must treat
+    as an infeasibility warning.
+    """
+    if np.any(nus < 0.0) or np.any(ts <= 0.0):
+        raise ValueError("nu_i and t_i must be positive")
+    ratios = nus / ts
+    zero = np.flatnonzero(ratios == 0.0)
+    if zero.size:
+        k = int(zero[0])
+        raise ValueError(
+            f"nu_i / t_i is 0 at level {k} (nu_{k} = {nus[k]!r}, t_{k} = {ts[k]!r}): "
+            f"the square-root law cannot be tabulated that deep; keep fewer levels"
+        )
+    worse = np.nonzero(np.diff(ratios) > ratios[:-1] * 1e-12)[0]
+    if worse.size and not project:
+        raise ValueError(
+            f"nu_i / t_i must be nonincreasing for the square-root rule; "
+            f"first violation at index {int(worse[0]) + 1}"
+        )
+    fbar = np.sqrt(ratios / ratios[0])
+    fbar[0] = 1.0
+    if project:
+        fbar = np.minimum.accumulate(np.minimum(fbar, 1.0))
+    tail = min(float(fbar[-1] / fbar[-2]), 1.0) if fbar.size > 1 else None
+    return SurvivalDistribution.tabulated(fbar, tail_ratio=tail)
 
 
 def contracting_delta_variances(rho: float, steps, levels: int) -> np.ndarray:
@@ -119,38 +152,6 @@ def contracting_delta_variances(rho: float, steps, levels: int) -> np.ndarray:
         a_prev = steps[i - 1] if i > 0 else 0
         out[i] = rho ** (2 * a_prev) * (1.0 - rho ** (2 * (steps[i] - a_prev)))
     return out
-
-
-def optimal_survival(nus: Sequence[float], ts: Sequence[float]) -> SurvivalDistribution:
-    """Square-root rule ``Fbar_i = sqrt(nu_i / t_i) / sqrt(nu_0 / t_0)``.
-
-    Feasible (and optimal, by Cauchy-Schwarz) exactly when ``nu_i / t_i``
-    is nonincreasing; the first offending index is reported otherwise.
-    The returned law is tabulated over the supplied levels and continued
-    geometrically with the last observed ratio; a constant rule
-    (``nu/t`` flat) yields an improper law, which callers must treat as an
-    infeasibility warning.
-    """
-    nus = np.asarray(nus, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if nus.size == 0 or nus.size != ts.size:
-        raise ValueError("need equally sized, nonempty nu and t sequences")
-    if np.any(nus <= 0.0) or np.any(ts <= 0.0):
-        raise ValueError("nu_i and t_i must be positive")
-    ratios = nus / ts
-    worse = np.nonzero(np.diff(ratios) > ratios[:-1] * 1e-12)[0]
-    if worse.size:
-        k = int(worse[0]) + 1
-        raise ValueError(
-            f"nu_i / t_i must be nonincreasing for the square-root rule; "
-            f"first violation at index {k}"
-        )
-    fbar = np.sqrt(ratios / ratios[0])
-    fbar[0] = 1.0
-    if fbar.size == 1:
-        return SurvivalDistribution.tabulated(fbar)
-    tail = min(float(fbar[-1] / fbar[-2]), 1.0)
-    return SurvivalDistribution.tabulated(fbar, tail_ratio=tail)
 
 
 def msework_optimum(nus: Sequence[float], ts: Sequence[float]) -> float:
@@ -185,7 +186,7 @@ def contracting_optimal_survival(
         levels = _adaptive_levels(rho, m)
     steps = [m * (i + 1) for i in range(levels)]
     nus = contracting_delta_variances(rho, steps, levels)
-    return optimal_survival(nus, np.asarray(steps, dtype=float))
+    return msework_report(nus, np.asarray(steps, dtype=float)).survival
 
 
 def ergodic_msework_limit(rho: float) -> float:
@@ -281,91 +282,24 @@ def step_multiplier(rho: float, w: float = OPTIMAL_W) -> int:
     return max(1, math.ceil(w / math.log(rho)))
 
 
-@dataclass
-class PartialKnowledgeResult:
-    """Outcome of :func:`partial_knowledge_optimize`.
-
-    ``head`` holds ``Fbar_0 .. Fbar_{i0}``, ``tail_scale`` the constant C
-    of the parametric tail ``Fbar_i = C * rho_bound^(a_{i-1})``, and
-    ``objective`` the minimized surrogate product.  ``survival`` tabulates
-    the combined law up to the optimization horizon.
-    """
-
-    head: np.ndarray
-    tail_scale: float
-    objective: float
-    survival: SurvivalDistribution
-
-
 def partial_knowledge_optimize(
-    nu_exact: Sequence[float],
-    rho_bound: float,
-    steps,
-    horizon: int,
-    tol: float = 1e-8,
-    max_sweeps: int = 500,
-) -> PartialKnowledgeResult:
+    nu_exact: Sequence[float], rho_bound: float, steps, horizon: int
+) -> MseWorkReport:
     """Tune the truncation law from exact low-level variances plus a bound.
 
-    The first ``i0 + 1 = len(nu_exact)`` level variances are taken as
-    known; beyond ``i0`` only the geometric bound with rate ``rho_bound``
-    is available, and the law is restricted to the parametric family
-    ``Fbar_i = C * rho_bound^(a_{i-1})`` there.  The surrogate MSE-work
-    product is minimized over ``(Fbar_1 .. Fbar_{i0}, C)`` subject to the
-    monotonicity chain ``1 >= Fbar_1 >= ... >= Fbar_{i0} >= Fbar_{i0+1}(C)``
-    by projected coordinate descent from the square-root-rule start; each
-    coordinate's restricted objective is unimodal, so clipping the
-    unconstrained minimizer into its interval is exact.
+    The level variances ``nu_exact`` are taken as known; beyond them, up
+    to ``horizon``, the autoregression's variances at the bounding rate
+    ``rho_bound`` stand in.  The law is the square-root rule on these
+    surrogate variances, capped at 1 and made nonincreasing (the bound can
+    raise ``nu_i / t_i`` past the exact head), and the report evaluates it
+    against the surrogate.
     """
     nu_head = np.asarray(nu_exact, dtype=float)
-    i0 = nu_head.size - 1
-    if i0 < 1:
+    if nu_head.size < 2:
         raise ValueError("need exact variances for at least levels 0 and 1")
-    if not 0.0 < rho_bound < 1.0:
-        raise ValueError("rho_bound must lie in (0, 1)")
-    if np.any(nu_head <= 0.0):
-        raise ValueError("exact variances must be positive")
-    if horizon <= i0:
+    if horizon < nu_head.size:
         raise ValueError("horizon must exceed the exactly-known range")
-    a = np.asarray(steps[: horizon + 1], dtype=float)
-    a_head, a_tail = a[: i0 + 1], a[i0 + 1 :]
-    nu_tail = contracting_delta_variances(rho_bound, steps, horizon + 1)[i0 + 1 :]
-    tail_shape = rho_bound ** a[i0:horizon]  # Fbar_i / C on the tail
-    s_nu = math.fsum(nu_tail / tail_shape)
-    s_w = math.fsum(a_tail * tail_shape)
-
-    # Square-root-rule start, projected onto the monotone cone.
-    fbar = np.sqrt((nu_head / a_head) / (nu_head[0] / a_head[0]))
-    fbar[0] = 1.0
-    fbar = np.minimum.accumulate(np.minimum(fbar, 1.0))
-    c_cap = fbar[i0] / tail_shape[0]
-    c = min(math.sqrt((nu_tail[0] / a_tail[0]) / (nu_head[0] / a_head[0])) / tail_shape[0], c_cap)
-
-    def objective(f, cc):
-        var = math.fsum(nu_head / f) + s_nu / cc
-        work = math.fsum(a_head * f) + cc * s_w
-        return var * work
-
-    obj = objective(fbar, c)
-    for _ in range(max_sweeps):
-        prev = obj
-        for k in range(1, i0 + 1):
-            var_rest = math.fsum(np.delete(nu_head, k) / np.delete(fbar, k)) + s_nu / c
-            work_rest = math.fsum(np.delete(a_head, k) * np.delete(fbar, k)) + c * s_w
-            star = math.sqrt(nu_head[k] * work_rest / (a_head[k] * var_rest))
-            upper = fbar[k - 1]
-            lower = fbar[k + 1] if k < i0 else c * tail_shape[0]
-            fbar[k] = min(max(star, lower), upper)
-        var_rest = math.fsum(nu_head / fbar)
-        work_rest = math.fsum(a_head * fbar)
-        star = math.sqrt(s_nu * work_rest / (s_w * var_rest))
-        c = min(star, fbar[i0] / tail_shape[0])
-        obj = objective(fbar, c)
-        if abs(prev - obj) <= tol * abs(obj):
-            break
-    table = np.concatenate([fbar, c * tail_shape])
-    ratio = min(float(table[-1] / table[-2]), 1.0)
-    survival = SurvivalDistribution.tabulated(table, tail_ratio=ratio)
-    return PartialKnowledgeResult(
-        head=fbar, tail_scale=float(c), objective=float(obj), survival=survival
-    )
+    bound = contracting_delta_variances(rho_bound, steps, horizon + 1)
+    nus = np.concatenate([nu_head, bound[nu_head.size :]])
+    ts = np.asarray(steps[: horizon + 1], dtype=float)
+    return msework_report(nus, ts, _square_root_law(nus, ts, project=True))

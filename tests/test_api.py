@@ -6,7 +6,8 @@ module defines a per-draw generator factory again; and schedules are their
 formulas, checked by one finite-work rule, so none of the bump, the second
 schedule cache, the arithmetic-only law check or the distance wrapper
 returns; nor does any other name or field that no experiment reaches.
-The package's exports are pinned, so adding or dropping one shows in review.
+The package's and the tuning module's exports are pinned, so adding or
+dropping one shows in review.
 """
 
 import importlib
@@ -14,6 +15,7 @@ import pkgutil
 from dataclasses import fields
 
 import ubmc
+from ubmc import tuning
 from ubmc.couplings import CoupledKernel, MarkovKernel
 from ubmc.independence_sampler import UniformPriorModel
 from ubmc.models import EllipticModel
@@ -25,7 +27,8 @@ DELETED = {
     "strictly_increasing", "_checked_prefix", "_arithmetic_survival", "DistanceLike",
     "minorized_step", "subgeometric_schedule", "PcnDistance", "pcn_distance",
     "pcn_acceptance", "circle_arc", "elliptic_observation_gap", "_dims_pair",
-    "_block_rows", "second_moment_formula", "expected_work",
+    "_block_rows", "second_moment_formula", "expected_work", "optimal_survival",
+    "PartialKnowledgeResult",
 }
 
 
@@ -62,6 +65,22 @@ def test_public_names_are_pinned():
         "estimate_once",
         "estimate_contraction",
         "sample_truncation",
+    }
+
+
+def test_tuning_names_are_pinned():
+    assert set(tuning.__all__) == {
+        "MseWorkReport",
+        "msework_report",
+        "contracting_delta_variances",
+        "msework_optimum",
+        "contracting_optimal_survival",
+        "ergodic_msework_limit",
+        "polylog_minus_half",
+        "unbiased_msework",
+        "optimal_w",
+        "step_multiplier",
+        "partial_knowledge_optimize",
     }
 
 

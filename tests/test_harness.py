@@ -36,6 +36,47 @@ def contracting_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def _edge_records(rows: int) -> dict:
+    hard = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 0.1, 1 / 3,
+            math.nan, math.inf, -math.inf]
+    info = np.iinfo(np.int64)
+    ints = [info.min, info.max, 0, -1]
+    return {
+        "N": np.resize(np.array(ints, dtype=np.int64), rows),
+        "z": np.resize(np.array(hard), rows),
+        "work": np.resize(np.array([3.0, -0.0, 1e16, 2.0**60]), rows),
+        "level_max_dim": np.arange(rows, dtype=np.int64)[::-1].copy(),
+    }
+
+
+def _random_float_bits(rng, rows: int) -> np.ndarray:
+    """Random float64 bit patterns: every exponent (subnormals and NaN
+    included), both signs, and an infinity of each sign."""
+    every = np.resize(np.arange(2048, dtype=np.uint64), rows - 2)
+    # Two more all-ones exponents, made the infinities below.
+    exponent = rng.permutation(np.concatenate([every, np.array([2047, 2047], dtype=np.uint64)]))
+    mantissa = rng.integers(0, 2**52, size=rows, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=rows, dtype=np.uint64)
+    top = np.flatnonzero(exponent == 2047)
+    mantissa[top[:2]] = 0
+    sign[top[:2]] = [0, 1]
+    values = ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa).view(np.float64)
+    assert np.isnan(values).any() and np.isposinf(values).any() and np.isneginf(values).any()
+    assert ((values != 0) & (np.abs(values) < np.finfo(np.float64).tiny)).any()
+    return values
+
+
+def _random_bit_records(rows: int) -> dict:
+    rng = np.random.default_rng(20_241)
+    info = np.iinfo(np.int64)
+    return {
+        "N": rng.integers(info.min, info.max, size=rows, dtype=np.int64, endpoint=True),
+        "z": _random_float_bits(rng, rows),
+        "work": _random_float_bits(rng, rows),
+        "level_max_dim": rng.integers(info.min, info.max, size=rows, dtype=np.int64, endpoint=True),
+    }
+
+
 class TestRunExperiment:
     def test_summary_mean_unbiased(self, tmp_path):
         summary = run_experiment(contracting_config(out=str(tmp_path)))
@@ -100,18 +141,13 @@ class TestRunExperiment:
         assert "NaN" not in text
         assert math.isfinite(written["mean"])
 
-    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
-    def test_csv_bytes_equal_per_cell_format(self, tmp_path, rows):
-        hard = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 0.1, 1 / 3,
-                math.nan, math.inf, -math.inf]
-        info = np.iinfo(np.int64)
-        ints = [info.min, info.max, 0, -1]
-        records = {
-            "N": np.resize(np.array(ints, dtype=np.int64), rows),
-            "z": np.resize(np.array(hard), rows),
-            "work": np.resize(np.array([3.0, -0.0, 1e16, 2.0**60]), rows),
-            "level_max_dim": np.arange(rows, dtype=np.int64)[::-1].copy(),
-        }
+    @pytest.mark.parametrize(
+        "rows,make",
+        [pytest.param(rows, _edge_records, id=str(rows)) for rows in (1, 1023, 1024, 1025, 2049)]
+        + [pytest.param(4096, _random_bit_records, id="random-bits")],
+    )
+    def test_csv_bytes_equal_per_cell_format(self, tmp_path, rows, make):
+        records = make(rows)
         summary = {"rows": rows}
         config = contracting_config(out=str(tmp_path))
         harness._write_outputs(config, records, summary)

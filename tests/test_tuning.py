@@ -15,7 +15,6 @@ from ubmc.tuning import (
     ergodic_msework_limit,
     msework_optimum,
     msework_report,
-    optimal_survival,
     optimal_w,
     partial_knowledge_optimize,
     polylog_minus_half,
@@ -61,27 +60,44 @@ class TestOptimalSurvival:
     def test_square_root_rule(self):
         nus = [4.0**-i for i in range(6)]
         ts = [1.0] * 6
-        survival = optimal_survival(nus, ts)
+        survival = msework_report(nus, ts).survival
         for i in range(6):
             assert survival.survival(i) == pytest.approx(2.0**-i)
 
     def test_constant_ratio_is_improper(self):
-        survival = optimal_survival([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        survival = msework_report([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]).survival
         assert not survival.proper
         report = msework_report([1.0] * 3, [1.0] * 3, survival)
-        assert not report.proper
+        assert not report.survival.proper
         assert not report.converged
 
     def test_increasing_ratio_rejected(self):
         with pytest.raises(ValueError, match="index 1"):
-            optimal_survival([1.0, 2.0], [1.0, 1.0])
+            msework_report([1.0, 2.0], [1.0, 1.0])
+
+    def test_underflowed_ratio_names_its_level(self):
+        # Criterion 4's arrays: nu_i / t_i underflows to 0 before nu_i does.
+        rho, m, levels = 0.5, 8, 400
+        steps = np.array([m * (i + 1) for i in range(levels)], dtype=float)
+        nus = contracting_delta_variances(rho, steps, levels)
+        first = int(np.flatnonzero(nus / steps == 0.0)[0])
+        assert nus[first] > 0.0
+        with pytest.raises(ValueError, match=f"nu_i / t_i is 0 at level {first} "):
+            msework_report(nus, steps)
+        # The same through contracting_optimal_survival, whose nu_i also
+        # reach 0 inside the kept levels.
+        nus = contracting_delta_variances(rho, steps, 150)
+        assert nus[-1] == 0.0
+        first = int(np.flatnonzero(nus / steps[:150] == 0.0)[0])
+        with pytest.raises(ValueError, match=f"nu_i / t_i is 0 at level {first} "):
+            contracting_optimal_survival(rho, m, levels=150)
 
     def test_cauchy_schwarz_equality(self):
         # The rule attains (sum sqrt(nu t))^2 exactly.
         rho, m, levels = 0.8, 4, 60
         steps = np.array([m * (i + 1) for i in range(levels)], dtype=float)
         nus = contracting_delta_variances(rho, steps, levels)
-        survival = optimal_survival(nus, steps)
+        survival = msework_report(nus, steps).survival
         report = msework_report(nus, steps, survival)
         assert report.product == pytest.approx(
             msework_optimum(nus, steps), rel=1e-10
@@ -91,7 +107,7 @@ class TestOptimalSurvival:
     def test_report_consistency(self):
         nus = [1.0, 0.25]
         ts = [1.0, 2.0]
-        survival = optimal_survival(nus, ts)
+        survival = msework_report(nus, ts).survival
         report = msework_report(nus, ts, survival, mean=0.3)
         assert report.product == pytest.approx(
             report.variance_term * report.expected_work
@@ -234,7 +250,7 @@ class TestPartialKnowledge:
             # pessimistic variances, evaluated under the true ones.
             nus_bound = contracting_delta_variances(rho_bound, self.steps, 60)
             all_bound = self.true_product(
-                optimal_survival(nus_bound, np.asarray(self.steps[:60], float))
+                msework_report(nus_bound, np.asarray(self.steps[:60], float)).survival
             )
             assert optimum <= achieved <= all_bound
             assert achieved < all_bound  # strict improvement from exact head
@@ -255,7 +271,6 @@ class TestPartialKnowledge:
 
     def test_objective_not_worse_than_start(self):
         result = partial_knowledge_optimize(self.nus[:4], 0.7, self.steps, horizon=40)
-        # The optimized objective cannot exceed the square-root-rule start
-        # projected into the constraint set (coordinate descent only
-        # improves); sanity: it is also at least the true optimum.
-        assert result.objective >= unbiased_msework(self.rho, self.m) * 0.99
+        # The reported product is the surrogate's, whose tail variances
+        # bound the true ones from above: it is at least the true optimum.
+        assert result.product >= unbiased_msework(self.rho, self.m) * 0.99
