@@ -231,15 +231,15 @@ def _close(*sections: _Section):
 # ---------------------------------------------------------------------------
 #
 # prepare_*(params, schedule, survival) reads the config's sections into
-# locals, closes them, then validates and returns a "plan": a dict with
-#   run_block(streams, counts, offset) -> dict of per-draw arrays for the
-#     blocks counts[b] replicates on streams[b], block after block; offset
-#     is the first block's first replicate
-#   meta: summary extras
-#   replicates_override (optional): fixed row count
+# locals, closes them, then validates and returns a "plan", a dict of
+#   draws(streams, counts) -> arrays N, z, work of counts[b] replicates on
+#     streams[b], block after block, and dims(i), level i's dimension, from
+#     which _run_block_task derives each draw's level_max_dim; or instead
+#   table: columns written as they stand, with no sampling (tune's grid);
+#   meta: summary extras.
 # Plans are cached per process keyed by the config JSON, so worker
-# processes validate once.  Each plan checks its truncation law, default
-# or override, with _finite_work_survival before any block runs.
+# processes validate once.  Each sampling plan checks its truncation law,
+# default or override, with _finite_work_survival before any block runs.
 
 # Level i of a_i = m (i + 1) steps in a fixed dimension costs t_i ~ i.
 _ARITHMETIC_WORK = (1.0, 1.0, "arithmetic levels")
@@ -253,16 +253,6 @@ SUPER_BLOCK = 8
 # forward maps), and OpenBLAS may round a row differently depending on the
 # rows beside it, so a super-block could move a draw's last bit.
 ONE_BLOCK_EXPERIMENTS = ("logistic", "indep-sampler")
-
-
-def _lane_block(delta_batch, survival, dim_of_level):
-    def run_block(streams, counts, offset: int):
-        out = estimate_block(delta_batch, survival, streams, counts)
-        dims = [dim_of_level(i) for i in range(int(out["N"].max()) + 1)]
-        out["level_max_dim"] = np.array(dims, dtype=np.int64)[out["N"]]
-        return out
-
-    return run_block
 
 
 def _prepare_contracting(params: _Section, sched: _Section, spec: _Section) -> dict:
@@ -285,15 +275,12 @@ def _prepare_contracting(params: _Section, sched: _Section, spec: _Section) -> d
     default = tuning.contracting_optimal_survival(rho, m) if optimal else None
     survival = _finite_work_survival(None if optimal else spec, default, *_ARITHMETIC_WORK)
 
-    def run_block(streams, counts, offset: int):
-        out = models.contracting_unbiased_block(
-            rho, schedule, survival, streams, counts, x0=x0
-        )
-        out["level_max_dim"] = np.ones(out["N"].size, dtype=np.int64)
-        return out
-
     return {
-        "run_block": run_block,
+        # Looked up at call time, so a wrapper of the name sees every block.
+        "draws": lambda streams, counts: models.contracting_unbiased_block(
+            rho, schedule, survival, streams, counts, x0=x0
+        ),
+        "dims": schedule.dims_at,
         "meta": {"target_mean": 0.0, "step_multiplier": m},
     }
 
@@ -316,7 +303,8 @@ def _prepare_circle(params: _Section, sched: _Section, spec: _Section) -> dict:
         model.kernel(), model.coupling(), schedule, np.cos, x0
     )
     return {
-        "run_block": _lane_block(delta_batch, survival, schedule.dims_at),
+        "draws": functools.partial(estimate_block, delta_batch, survival),
+        "dims": schedule.dims_at,
         "meta": {"target_mean": 0.0},
     }
 
@@ -347,10 +335,10 @@ def _prepare_linear_gaussian(params: _Section, sched: _Section, spec: _Section) 
     else:
         level_delta, f = gaussian_linear.prior_tail_delta, {coord: 1.0}
     target, _ = gaussian_linear.posterior_spectral(model, coord)
+    delta_batch = gaussian_linear.delta_batch(level_delta, model, schedule, f)
     return {
-        "run_block": _lane_block(
-            gaussian_linear.delta_batch(level_delta, model, schedule, f), survival, schedule.dims_at
-        ),
+        "draws": functools.partial(estimate_block, delta_batch, survival),
+        "dims": schedule.dims_at,
         "meta": {"target_mean": target, "coordinate": coord},
     }
 
@@ -490,7 +478,8 @@ def _prepare_indep_sampler(params: _Section, sched: _Section, spec: _Section) ->
     x0 = np.zeros(schedule.dims_at(0))
     delta_batch = independence_sampler.delta_batch(is_model, schedule, f, x0)
     return {
-        "run_block": _lane_block(delta_batch, survival, schedule.dims_at),
+        "draws": functools.partial(estimate_block, delta_batch, survival),
+        "dims": schedule.dims_at,
         "meta": {"alpha_star": is_model.alpha_star},
     }
 
@@ -528,9 +517,10 @@ def _prepare_pcn(params: _Section, sched: _Section, spec: _Section) -> dict:
     # Level i costs t_i = m (i + 1) j_i^theta, and j_i grows like g^i.
     cost_growth = pcn.dimension_growth(model, variant, m, r) ** model.work_exponent
     survival = _finite_work_survival(spec, survival, cost_growth, 1.0, "pcn levels")
-    x0 = np.zeros(schedule.dims_at(0))
+    delta_batch = pcn.delta_batch(model, schedule, f, np.zeros(schedule.dims_at(0)))
     return {
-        "run_block": _lane_block(pcn.delta_batch(model, schedule, f, x0), survival, schedule.dims_at),
+        "draws": functools.partial(estimate_block, delta_batch, survival),
+        "dims": schedule.dims_at,
         "meta": meta,
     }
 
@@ -582,7 +572,8 @@ def _prepare_logistic(params: _Section, sched: _Section, spec: _Section) -> dict
         law = _finite_work_survival(None, SurvivalDistribution.geometric(r**m), *_ARITHMETIC_WORK)
     delta_batch = pcn.delta_batch(chain, schedule, lambda beta: beta[:, coord - 1], center)
     return {
-        "run_block": _lane_block(delta_batch, law, schedule.dims_at),
+        "draws": functools.partial(estimate_block, delta_batch, law),
+        "dims": schedule.dims_at,
         "meta": {
             "contraction_slope": pilot.slope,
             "contraction_rate": r,
@@ -596,38 +587,18 @@ def _prepare_logistic(params: _Section, sched: _Section, spec: _Section) -> dict
 def _prepare_tune(params: _Section, sched: _Section, spec: _Section) -> dict:
     from . import tuning
 
-    # No sampling: one CSV row per grid point, reusing the draw schema
-    # (N = step multiplier, z = tuned/ergodic ratio, work = tuned product).
+    # No sampling: one row per grid point, the ansatz-tuned step multiplier
+    # and MSE-work product against the ergodic average's limit.
     grid = params.reals("rho_grid", [round(0.50 + 0.05 * k, 2) for k in range(10)])
     _close(params, sched, spec)
     params.check(len(grid) > 0, "rho_grid", "must be a nonempty list")
     w = tuning.OPTIMAL_W
-    rows = []
-    for rho in grid:
-        m = tuning.step_multiplier(rho, w)
-        product = tuning.unbiased_msework(rho, m)
-        ergodic = tuning.ergodic_msework_limit(rho)
-        rows.append((rho, m, product, ergodic, product / ergodic))
-    arr = np.asarray(rows, dtype=float)
-
-    def run_block(streams, counts, offset: int):
-        sl = arr[offset : offset + sum(counts)]
-        return {
-            "N": sl[:, 1].astype(np.int64),
-            "z": sl[:, 4],
-            "work": sl[:, 2],
-            "level_max_dim": np.ones(len(sl), dtype=np.int64),
-        }
-
-    return {
-        "run_block": run_block,
-        "meta": {
-            "w": w,
-            "rho_grid": [float(r) for r in grid],
-            "max_ratio": float(arr[:, 4].max()),
-        },
-        "replicates_override": len(rows),
-    }
+    m = [tuning.step_multiplier(rho, w) for rho in grid]
+    product = np.array([tuning.unbiased_msework(rho, k) for rho, k in zip(grid, m)])
+    ergodic = np.array([tuning.ergodic_msework_limit(rho) for rho in grid])
+    table = {"rho": np.array(grid), "m": np.array(m, dtype=np.int64), "product": product, "ergodic": ergodic}
+    table["ratio"] = product / ergodic
+    return {"table": table, "meta": {"w": w, "rho_grid": grid, "max_ratio": float(table["ratio"].max())}}
 
 
 EXPERIMENTS: dict[str, Callable[[_Section, _Section, _Section], dict]] = {
@@ -682,14 +653,17 @@ def _run_block_task(config_json: str, first: int, counts: tuple, seed: int):
     block."""
     plan = _prepare_cached(config_json)
     streams = [Stream(seed).child(first + k) for k in range(len(counts))]
-    return first, plan["run_block"](streams, list(counts), first * BLOCK_SIZE)
+    out = plan["draws"](streams, list(counts))
+    dims = [plan["dims"](i) for i in range(int(out["N"].max()) + 1)]
+    out["level_max_dim"] = np.array(dims, dtype=np.int64)[out["N"]]
+    return first, out
 
 
 def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
     """Prepare the plan and run every block; returns ``(plan, records)``.
 
     Records are the per-draw columns concatenated in block order, so they
-    do not depend on ``config.parallel``.
+    do not depend on ``config.parallel``; a table plan's are its table.
     """
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -699,8 +673,9 @@ def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError("seed must be >= 0")
     key = _config_key(config)
     plan = _prepare_cached(key)
-    replicates = plan.get("replicates_override", config.replicates)
-    counts = [min(BLOCK_SIZE, replicates - lo) for lo in range(0, replicates, BLOCK_SIZE)]
+    if "table" in plan:
+        return plan, plan["table"]
+    counts = [min(BLOCK_SIZE, config.replicates - lo) for lo in range(0, config.replicates, BLOCK_SIZE)]
     per_task = 1 if config.experiment in ONE_BLOCK_EXPERIMENTS else SUPER_BLOCK
     tasks = [
         (key, b, tuple(counts[b : b + per_task]), config.seed) for b in range(0, len(counts), per_task)
@@ -730,7 +705,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     JSON summary carrying the batch statistics and the config echo.  With
     a fixed seed the bytes are identical for every parallelism degree.
     A single draw has no sample variance: ``variance``, ``se`` and
-    ``msework_product`` are then ``None`` (JSON ``null``).
+    ``msework_product`` are then ``None`` (JSON ``null``).  A table plan
+    draws nothing: it emits its table (``<experiment>-table.csv``) and a
+    summary of its ``rows`` and ``columns``, with no estimator figures.
     """
     if config.out is not None:  # an unusable output path fails before sampling
         try:
@@ -738,26 +715,27 @@ def run_experiment(config: ExperimentConfig) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from exc
     plan, records = _run_blocks(config)
-    z = records["z"]
-    n = z.size
-    mean, variance, total_work = draw_statistics(z, records["work"])
-    expected_work = total_work / n
-    if n == 1:
-        variance = None
-    summary = {
-        "experiment": config.experiment,
-        "replicates": n,
-        "seed": config.seed,
-        "mean": mean,
-        "variance": variance,
-        "se": None if variance is None else math.sqrt(variance / n),
-        "expected_work": expected_work,
-        "msework_product": None if variance is None else variance * expected_work,
-        "max_level": int(records["N"].max()),
-        "columns": ["replicate"] + list(records.keys()),
-        "config": config.to_dict(),
-    }
-    summary.update(plan.get("meta", {}))
+    if "table" in plan:
+        summary = {"rows": len(next(iter(records.values()))), "columns": list(records)}
+    else:
+        z = records["z"]
+        n = z.size
+        mean, variance, total_work = draw_statistics(z, records["work"])
+        expected_work = total_work / n
+        if n == 1:
+            variance = None
+        summary = {
+            "replicates": n,
+            "seed": config.seed,
+            "mean": mean,
+            "variance": variance,
+            "se": None if variance is None else math.sqrt(variance / n),
+            "expected_work": expected_work,
+            "msework_product": None if variance is None else variance * expected_work,
+            "max_level": int(records["N"].max()),
+            "columns": ["replicate"] + list(records.keys()),
+        }
+    summary.update(experiment=config.experiment, config=config.to_dict(), **plan["meta"])
     if config.out is not None:
         _write_outputs(config, records, summary)
     return summary
@@ -765,15 +743,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 def _write_outputs(config: ExperimentConfig, records: dict, summary: dict):
     columns = list(records.keys())
-    csv_path = Path(config.out) / f"{config.experiment}-draws.csv"
+    # Draws (N, z, work, ...) lead with their replicate index; a table's
+    # rows are written as they stand.
+    draws = "z" in records
+    csv_path = Path(config.out) / f"{config.experiment}-{'draws' if draws else 'table'}.csv"
     # Integer columns as %d, the rest as %.17g: the routine of format(x, ".17g").
     kinds = ["%d" if records[c].dtype.kind in "iu" else "%.17g" for c in columns]
-    template = ",".join(["%d"] + kinds) + "\n"
+    template = ",".join(["%d"] * draws + kinds) + "\n"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["replicate"] + columns) + "\n")
+        fh.write(",".join(["replicate"] * draws + columns) + "\n")
         for lo in range(0, records[columns[0]].size, BLOCK_SIZE):
             chunk = [records[c][lo : lo + BLOCK_SIZE].tolist() for c in columns]
-            rows = zip(itertools.count(lo), *chunk)
+            rows = zip(itertools.count(lo), *chunk) if draws else zip(*chunk)
             fh.write((template * len(chunk[0])) % tuple(itertools.chain.from_iterable(rows)))
     json_path = Path(config.out) / f"{config.experiment}-summary.json"
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:

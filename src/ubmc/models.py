@@ -108,7 +108,8 @@ def contracting_unbiased_block(
 
 
 def _circle_step(x, rng: np.random.Generator):
-    return (x + rng.uniform(-2.0, 2.0, getattr(x, "shape", None) or None)) % TWO_PI
+    # U ~ U[-2, 2) as -2 + 4 u: the bits Generator.uniform(-2.0, 2.0) gives.
+    return (x + (-2.0 + 4.0 * rng.random(getattr(x, "shape", None) or None))) % TWO_PI
 
 
 @dataclass(frozen=True)

@@ -112,11 +112,6 @@ class LaneGenerator:
     def random(self, size) -> np.ndarray:
         return self._fill("random", size)
 
-    def uniform(self, low, high, size) -> np.ndarray:
-        shape = self._shape(size)
-        parts = [g.uniform(low, high, (n, *shape[1:])) for g, n in zip(self.generators, self.sizes)]
-        return np.concatenate(parts) if parts else np.empty(shape)
-
     def where(self, mask: np.ndarray) -> "LaneGenerator | np.random.Generator":
         """The draws of the lanes ``mask`` selects, each block on its own."""
         chosen = np.cumsum(mask)[[rows.stop - 1 for rows in self._rows]]

@@ -133,7 +133,9 @@ def _square_root_law(nus: np.ndarray, ts: np.ndarray, project: bool = False) -> 
     fbar = np.sqrt(ratios / ratios[0])
     fbar[0] = 1.0
     if project:
-        fbar = np.minimum.accumulate(np.minimum(fbar, 1.0))
+        fbar = np.minimum(fbar, 1.0)
+    # A rise of nu_i / t_i within rounding, let through above, makes the law flat.
+    fbar = np.minimum.accumulate(fbar)
     tail = min(float(fbar[-1] / fbar[-2]), 1.0) if fbar.size > 1 else None
     return SurvivalDistribution.tabulated(fbar, tail_ratio=tail)
 

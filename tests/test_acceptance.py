@@ -5,6 +5,7 @@ line per criterion.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,8 +461,8 @@ def test_criterion_13_determinism(experiment, params, schedule, tmp_path):
         summary = run_experiment(config)
         outputs.append(
             (
-                (tmp_path / f"p{parallel}" / f"{experiment}-draws.csv").read_bytes(),
-                summary["mean"],
+                Path(summary["csv_path"]).read_bytes(),
+                summary.get("mean"),
             )
         )
     identical = outputs[0][0] == outputs[1][0]

@@ -6,8 +6,8 @@ module defines a per-draw generator factory again; and schedules are their
 formulas, checked by one finite-work rule, so none of the bump, the second
 schedule cache, the arithmetic-only law check or the distance wrapper
 returns; nor does any other name or field that no experiment reaches.
-The package's and the tuning module's exports are pinned, so adding or
-dropping one shows in review.
+The exports of the package, the tuning module and the harness are
+pinned, so adding or dropping one shows in review.
 """
 
 import importlib
@@ -15,7 +15,7 @@ import pkgutil
 from dataclasses import fields
 
 import ubmc
-from ubmc import tuning
+from ubmc import harness, tuning
 from ubmc.couplings import CoupledKernel, MarkovKernel
 from ubmc.independence_sampler import UniformPriorModel
 from ubmc.models import EllipticModel
@@ -28,7 +28,7 @@ DELETED = {
     "minorized_step", "subgeometric_schedule", "PcnDistance", "pcn_distance",
     "pcn_acceptance", "circle_arc", "elliptic_observation_gap", "_dims_pair",
     "_block_rows", "second_moment_formula", "expected_work", "optimal_survival",
-    "PartialKnowledgeResult",
+    "PartialKnowledgeResult", "_lane_block",
 }
 
 
@@ -81,6 +81,19 @@ def test_tuning_names_are_pinned():
         "optimal_w",
         "step_multiplier",
         "partial_knowledge_optimize",
+    }
+
+
+def test_harness_names_are_pinned():
+    assert set(harness.__all__) == {
+        "ConfigError",
+        "ExperimentConfig",
+        "run_experiment",
+        "ergodic_baseline",
+        "BaselineResult",
+        "compare_msework",
+        "EXPERIMENTS",
+        "BLOCK_SIZE",
     }
 
 

@@ -220,9 +220,39 @@ class TestRunExperiment:
         summary = run_experiment(
             ExperimentConfig(experiment="tune", params={"rho_grid": [0.5, 0.8]})
         )
-        assert summary["replicates"] == 2
+        assert summary["rows"] == 2
         assert summary["max_ratio"] <= 1.6
         assert summary["w"] == pytest.approx(-1.632, abs=0.01)
+
+    def test_tune_writes_a_table_not_draws(self, tmp_path):
+        # The grid is analytic: its table and its summary, less the config
+        # echo, depend on no seed, replicate count or worker count, and the
+        # summary carries no estimator figures.
+        outputs = []
+        for seed, replicates, parallel in [(0, 1000, 1), (11, 3000, 2), (7, 1, 1)]:
+            out = tmp_path / f"seed{seed}"
+            summary = run_experiment(ExperimentConfig(
+                experiment="tune", params={"rho_grid": [0.5, 0.7, 0.9]},
+                seed=seed, replicates=replicates, parallel=parallel, out=str(out),
+            ))
+            assert Path(summary["csv_path"]) == out / "tune-table.csv"
+            assert not (out / "tune-draws.csv").exists()
+            written = json.loads(Path(summary["json_path"]).read_text())
+            del written["config"]
+            outputs.append((Path(summary["csv_path"]).read_text(), written))
+        assert outputs[0] == outputs[1] == outputs[2]
+        table, written = outputs[0]
+        columns = ["rho", "m", "product", "ergodic", "ratio"]
+        assert written["rows"] == 3 and written["columns"] == columns
+        estimator = {"mean", "se", "variance", "expected_work", "msework_product", "max_level", "replicates"}
+        assert not estimator & set(written)
+        lines = table.splitlines()
+        assert lines[0] == ",".join(columns) and len(lines) == 4
+        for line, rho in zip(lines[1:], [0.5, 0.7, 0.9]):
+            cells = dict(zip(columns, line.split(",")))
+            assert float(cells["rho"]) == rho
+            assert int(cells["m"]) == ubmc.tuning.step_multiplier(rho)
+            assert float(cells["ratio"]) == float(cells["product"]) / float(cells["ergodic"])
 
 
 def assert_same_law(z_lanes, z_reference):
@@ -383,11 +413,8 @@ class TestEllipticIsPlan:
         # stream: fusing the runs of fixed-space chains leaves it as it was.
         import hashlib
 
-        from ubmc import Stream
-
         config = ExperimentConfig.from_json(self.CONFIG)
-        plan = harness._prepare_cached(harness._config_key(config))
-        out = plan["run_block"]([Stream(config.seed).child(0)], [1024], 0)
+        out = harness._run_block_task(harness._config_key(config), 0, (1024,), config.seed)[1]
         digests = {
             "z": "0c20f6ca6fc623e949af117ba7466dfea8dae25f157291c90601dc27e1762e2b",
             "N": "929f1103a179d9e7cec97300ea7ec3b856e1f8eb819d7ab1dba976e0f1fe130b",
@@ -424,14 +451,11 @@ class TestLinearGaussianPlan:
         # each lane drew its normals on its own.
         import hashlib
 
-        from ubmc import Stream
-
         raw = json.loads(self.CONFIG.read_text())
         raw["params"].update(params)
         config = ExperimentConfig.from_dict(raw)
         assert config.params["variant"] == variant
-        plan = harness._prepare_cached(harness._config_key(config))
-        out = plan["run_block"]([Stream(config.seed).child(0)], [1024], 0)
+        out = harness._run_block_task(harness._config_key(config), 0, (1024,), config.seed)[1]
         for name, digest in digests.items():
             assert hashlib.sha256(out[name].tobytes()).hexdigest() == digest, name
 
@@ -580,9 +604,14 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=lambda path: str(path.relative_to(ROOT)),
 )
 def test_shipped_config_prepares(path):
-    # Every key of every config we ship is one its plan reads.
+    # Every key of every config we ship is one its plan reads, and every
+    # plan samples (its draws and level dimensions) or gives a table.
     plan = harness._prepare_cached(harness._config_key(ExperimentConfig.from_json(path)))
-    assert callable(plan["run_block"])
+    if "table" in plan:
+        assert set(plan) == {"table", "meta"}
+    else:
+        assert set(plan) == {"draws", "dims", "meta"}
+        assert callable(plan["draws"]) and callable(plan["dims"])
 
 
 class TestCli:

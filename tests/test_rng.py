@@ -19,13 +19,12 @@ def generators() -> list:
 def test_each_block_draws_its_rows_alone(width):
     lanes = LaneGenerator(generators(), SIZES)
     total = (sum(SIZES), *width)
-    got = [lanes.standard_normal(total), lanes.random(total), lanes.uniform(-2.0, 2.0, total)]
+    got = [lanes.standard_normal(total), lanes.random(total)]
     # The blocks' generators advance as they would alone: the draws come in turn.
     alone = generators()
     want = [
         np.concatenate([g.standard_normal((n, *width)) for g, n in zip(alone, SIZES)]),
         np.concatenate([g.random((n, *width)) for g, n in zip(alone, SIZES)]),
-        np.concatenate([g.uniform(-2.0, 2.0, (n, *width)) for g, n in zip(alone, SIZES)]),
     ]
     for a, b in zip(got, want):
         assert a.shape == total
@@ -41,7 +40,7 @@ def test_integer_size_leads_with_the_lanes():
 @pytest.mark.parametrize("size", [9, (2, 10), 2 * 10 * 5], ids=["short", "lanes-second", "flat"])
 def test_draw_not_leading_with_the_lanes_raises(size):
     lanes = LaneGenerator(generators(), SIZES)
-    for method in (lanes.standard_normal, lanes.random, lambda s: lanes.uniform(0.0, 1.0, s)):
+    for method in (lanes.standard_normal, lanes.random):
         with pytest.raises(ValueError, match="lead with them"):
             method(size)
 
@@ -59,8 +58,8 @@ def test_where_draws_each_blocks_masked_lanes_from_that_block():
     mask = np.array([1, 0, 1, 0, 0, 0, 0, 0, 1, 1], dtype=bool)
     chosen = [2, 0, 2]
     lanes = LaneGenerator(generators(), SIZES)
-    got = lanes.where(mask).uniform(-2.0, 2.0, int(mask.sum()))
-    want = np.concatenate([g.uniform(-2.0, 2.0, n) for g, n in zip(generators(), chosen) if n])
+    got = lanes.where(mask).random(int(mask.sum()))
+    want = np.concatenate([g.random(n) for g, n in zip(generators(), chosen) if n])
     assert np.array_equal(got, want)
 
 

@@ -14,8 +14,7 @@ import pytest
 
 from ubmc import harness
 from ubmc.cli import main as cli_main
-from ubmc.harness import BLOCK_SIZE, SUPER_BLOCK, ExperimentConfig, _config_key, _prepare_cached
-from ubmc.rng import Stream
+from ubmc.harness import BLOCK_SIZE, SUPER_BLOCK, ExperimentConfig, _config_key
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,14 +49,13 @@ def _bits(out: dict) -> dict:
 @pytest.mark.parametrize("case", sorted(PLANS))
 def test_super_blocks_equal_separate_blocks(case):
     key, seed = _plan_key(case), 13
-    plan = _prepare_cached(key)
     tasks = [(0, COUNTS[:SUPER_BLOCK]), (SUPER_BLOCK, COUNTS[SUPER_BLOCK:])]
     joined = []
     for first, counts in tasks:
         got_first, out = harness._run_block_task(key, first, tuple(counts), seed)
         assert got_first == first
         alone = [
-            plan["run_block"]([Stream(seed).child(b)], [count], b * BLOCK_SIZE)
+            harness._run_block_task(key, b, (count,), seed)[1]
             for b, count in enumerate(counts, start=first)
         ]
         # Some block stops short of its super-block's deepest level: with

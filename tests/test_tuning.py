@@ -71,6 +71,13 @@ class TestOptimalSurvival:
         assert not report.survival.proper
         assert not report.converged
 
+    def test_rise_within_rounding_is_flat(self):
+        # nu_1 / t_1 rises by 1e-13 relative, inside the rule's tolerance:
+        # the law is flat, hence improper, not a rising table.
+        report = msework_report([1.0, 1.0 + 1e-13], [1.0, 1.0])
+        assert np.array_equal(report.survival.survival_array(2), [1.0, 1.0])
+        assert not report.survival.proper
+
     def test_increasing_ratio_rejected(self):
         with pytest.raises(ValueError, match="index 1"):
             msework_report([1.0, 2.0], [1.0, 1.0])
