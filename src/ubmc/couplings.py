@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -97,7 +97,12 @@ class LevelSchedule:
         levels = self._levels
         while len(levels) <= i:
             k = len(levels)
-            a, j = int(self._steps(k)), int(self._dims(k))
+            a_k, j_k = self._steps(k), self._dims(k)
+            a, j = int(a_k), int(j_k)
+            if a != a_k or j != j_k:
+                raise ValueError(
+                    f"a and j must be integers; got a_{k} = {a_k}, j_{k} = {j_k} at level {k}"
+                )
             if not levels:
                 if a < 1 or j < 1:
                     raise ValueError(f"need a_0, j_0 >= 1; got a_0 = {a}, j_0 = {j}")
@@ -315,37 +320,36 @@ class ContractionFit:
 def estimate_contraction(
     coupling: CoupledKernel,
     distance: Callable[[object, object], float],
-    pairs: Sequence[tuple],
+    pair: tuple,
     n_steps: int,
     replicates: int,
     stream: Stream,
 ) -> ContractionFit:
     """Fit the per-step log-contraction slope of a coupling.
 
-    The replicates of each pair evolve jointly for ``n_steps`` steps as
-    lanes on one generator per pair (``distance`` maps rows to values); a
-    start is an array or a dataclass of arrays, such as a
+    The replicates of ``pair`` evolve jointly for ``n_steps`` steps as
+    lanes on one generator, ``stream.child(0)`` (``distance`` maps rows
+    to values); a start is an array or a dataclass of arrays, such as a
     :class:`~ubmc.pcn.PcnState`, whose fields are tiled alike;
     distances are averaged per step and a line is fitted to ``log`` mean
     distance over the strictly positive prefix.
     The step-0 distance (the artificial initial gap) is discarded before
-    fitting, and degenerate pairs ``x == y`` are rejected.
+    fitting, and a degenerate pair ``x == y`` is rejected.
     """
     if n_steps < 2:
         raise ValueError("need at least two steps to fit a slope")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    totals = np.zeros(n_steps)
-    for p, pair in enumerate(pairs):
-        rng = stream.child(p).generator()
-        x, y = (_tile(s, replicates) for s in pair)
-        gap = distance(x, y)
-        if np.shape(gap) != (replicates,) or np.any(gap == 0.0):
-            raise ValueError(f"pair {p}: need d(x, y) > 0, one value per lane row")
-        for k in range(n_steps):
-            x, y = coupling.step((x, y), rng)
-            totals[k] += np.sum(distance(x, y))
-    means = totals / (len(pairs) * replicates)
+    rng = stream.child(0).generator()
+    x, y = (_tile(s, replicates) for s in pair)
+    gap = distance(x, y)
+    if np.shape(gap) != (replicates,) or np.any(gap == 0.0):
+        raise ValueError("need d(x, y) > 0, one value per lane row")
+    totals = np.empty(n_steps)
+    for k in range(n_steps):
+        x, y = coupling.step((x, y), rng)
+        totals[k] = np.sum(distance(x, y))
+    means = totals / replicates
     positive = means > 0.0
     cut = int(np.argmin(positive)) if not positive.all() else n_steps
     if cut < 2:

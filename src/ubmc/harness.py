@@ -37,7 +37,6 @@ __all__ = [
     "run_experiment",
     "ergodic_baseline",
     "BaselineResult",
-    "compare_msework",
     "EXPERIMENTS",
     "BLOCK_SIZE",
 ]
@@ -560,7 +559,7 @@ def _prepare_logistic(params: _Section, sched: _Section, spec: _Section) -> dict
     pilot = estimate_contraction(
         pcn.coupling(chain),
         lambda s, t: np.linalg.norm(s.x - t.x, axis=-1),
-        pairs=[(pcn.PcnState(center + spread), pcn.PcnState(center - spread))],
+        pair=(pcn.PcnState(center + spread), pcn.PcnState(center - spread)),
         n_steps=pilot_steps,
         replicates=pilot_reps,
         stream=Stream(pilot_seed),
@@ -765,7 +764,7 @@ def _write_outputs(config: ExperimentConfig, records: dict, summary: dict):
 
 
 # ---------------------------------------------------------------------------
-# Ergodic baseline and MSE-work comparison
+# Ergodic baseline
 # ---------------------------------------------------------------------------
 
 
@@ -819,74 +818,3 @@ def ergodic_baseline(
     return BaselineResult(
         averages=averages, mse=mse, work=steps * kernel.work_per_step
     )
-
-
-def compare_msework(
-    unbiased: dict,
-    baseline: dict,
-    bootstrap: int = 1000,
-    seed: int = 0,
-) -> dict:
-    """MSE-work products of the two estimators and their ratio with a CI.
-
-    ``unbiased`` carries per-draw values and works (or a config to run);
-    ``baseline`` either per-restart squared errors plus the per-restart
-    work, or an analytic constant.  The confidence interval is the 95%
-    pivotal bootstrap over ``bootstrap`` resamples of both sides.
-    """
-    z, work = _side_unbiased(unbiased)
-    if z.size < 2 or float(np.var(z)) == 0.0:
-        raise ValueError("unbiased side is degenerate (zero variance)")
-    sq_err, base_work, base_const = _side_baseline(baseline)
-
-    def products(zv, wv, sq):
-        pu = float(np.var(zv, ddof=1)) * float(np.mean(wv))
-        pb = base_const if sq is None else float(np.mean(sq)) * base_work
-        return pu, pb
-
-    p_unbiased, p_baseline = products(z, work, sq_err)
-    if p_baseline == 0.0:
-        raise ValueError("baseline side is degenerate (zero MSE)")
-    ratio = p_unbiased / p_baseline
-    rng = Stream(seed).generator()
-    stats = np.empty(bootstrap)
-    n = z.size
-    m = sq_err.size if sq_err is not None else 0
-    for b in range(bootstrap):
-        idx = rng.integers(0, n, n)
-        sq_b = sq_err[rng.integers(0, m, m)] if sq_err is not None else None
-        pu, pb = products(z[idx], work[idx], sq_b)
-        stats[b] = pu / pb if pb > 0 else np.nan
-    stats = stats[np.isfinite(stats)]
-    lo, hi = np.quantile(stats, [0.025, 0.975])
-    return {
-        "unbiased_product": p_unbiased,
-        "baseline_product": p_baseline,
-        "ratio": ratio,
-        "ratio_ci": (2.0 * ratio - float(hi), 2.0 * ratio - float(lo)),
-        "bootstrap": bootstrap,
-    }
-
-
-def _side_unbiased(spec: dict):
-    if "values" in spec:
-        return (
-            np.asarray(spec["values"], dtype=float),
-            np.asarray(spec["work"], dtype=float),
-        )
-    if "config" in spec:
-        config = spec["config"]
-        if isinstance(config, dict):
-            config = ExperimentConfig.from_dict(config)
-        _, records = _run_blocks(config)
-        return records["z"], records["work"]
-    raise ValueError("unbiased side needs 'values'/'work' or 'config'")
-
-
-def _side_baseline(spec: dict):
-    if "product" in spec:
-        return None, None, float(spec["product"])
-    if "squared_errors" in spec:
-        sq = np.asarray(spec["squared_errors"], dtype=float)
-        return sq, float(spec["work"]), None
-    raise ValueError("baseline side needs 'product' or 'squared_errors'/'work'")

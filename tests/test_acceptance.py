@@ -415,7 +415,7 @@ def test_criterion_12_logistic():
     fit = estimate_contraction(
         pcn.coupling(chain),
         lambda x, y: np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1),
-        pairs=[(center + spread, center - spread)],
+        pair=(center + spread, center - spread),
         n_steps=30,
         replicates=150,
         stream=Stream(123),

@@ -28,7 +28,8 @@ DELETED = {
     "minorized_step", "subgeometric_schedule", "PcnDistance", "pcn_distance",
     "pcn_acceptance", "circle_arc", "elliptic_observation_gap", "_dims_pair",
     "_block_rows", "second_moment_formula", "expected_work", "optimal_survival",
-    "PartialKnowledgeResult", "_lane_block",
+    "PartialKnowledgeResult", "_lane_block", "compare_msework", "_side_unbiased",
+    "_side_baseline",
 }
 
 
@@ -91,7 +92,6 @@ def test_harness_names_are_pinned():
         "run_experiment",
         "ergodic_baseline",
         "BaselineResult",
-        "compare_msework",
         "EXPERIMENTS",
         "BLOCK_SIZE",
     }

@@ -35,6 +35,17 @@ class TestLevelSchedule:
         with pytest.raises(ValueError):
             LevelSchedule([0, 1]).steps_at(0)
 
+    def test_fractional_terms_rejected(self):
+        # int() would cut 2.5 (i + 1) to 2, 5, 7, ... without a word.
+        with pytest.raises(ValueError, match=r"a_0 = 2\.5, j_0 = 1 at level 0"):
+            LevelSchedule.arithmetic(2.5).steps_at(0)
+        sched = LevelSchedule([1.0, 2, 3], [1, 1.5, 2])
+        assert sched.steps_at(0) == 1
+        with pytest.raises(ValueError, match=r"a_1 = 2, j_1 = 1\.5 at level 1"):
+            sched.dims_at(1)
+        with pytest.raises(ValueError, match="at level 0"):
+            LevelSchedule([1.5, 2.5, 3.9]).steps_at(2)
+
     def test_dims_nondecreasing(self):
         sched = LevelSchedule([1, 2, 3], [2, 2, 1])
         assert sched.dims_at(1) == 2
@@ -271,7 +282,7 @@ class TestEstimateContraction:
         fit = estimate_contraction(
             model.coupling(),
             lambda x, y: abs(x - y),
-            pairs=[(2.0, -1.0)],
+            pair=(2.0, -1.0),
             n_steps=12,
             replicates=50,
             stream=stream,
@@ -281,7 +292,7 @@ class TestEstimateContraction:
     def test_identity_coupling_zero_slope(self, stream):
         frozen = CoupledKernel(step=lambda pair, rng: pair)
         fit = estimate_contraction(
-            frozen, lambda x, y: abs(x - y), [(1.0, 0.0)], 8, 5, stream
+            frozen, lambda x, y: abs(x - y), (1.0, 0.0), 8, 5, stream
         )
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
@@ -289,7 +300,7 @@ class TestEstimateContraction:
         model = ContractingNormalsModel(0.5)
         with pytest.raises(ValueError):
             estimate_contraction(
-                model.coupling(), lambda x, y: abs(x - y), [(1.0, 1.0)], 5, 5, stream
+                model.coupling(), lambda x, y: abs(x - y), (1.0, 1.0), 5, 5, stream
             )
 
     def test_positive_prefix_only(self, stream):
@@ -305,7 +316,7 @@ class TestEstimateContraction:
 
         frozen = CoupledKernel(step=step)
         fit = estimate_contraction(
-            frozen, lambda x, y: abs(x - y), [(1.0, 0.0)], 8, 1, stream
+            frozen, lambda x, y: abs(x - y), (1.0, 0.0), 8, 1, stream
         )
         assert fit.slope == pytest.approx(math.log(0.5), abs=1e-9)
         assert len(fit.steps) == 3
@@ -316,7 +327,7 @@ class TestEstimateContraction:
         model = ContractingNormalsModel(0.7)
         d = lambda x, y: abs(x - y)
         pilot = estimate_contraction(
-            model.coupling(), d, [(3.0, -1.0)], 10, 200, stream.child(0)
+            model.coupling(), d, (3.0, -1.0), 10, 200, stream.child(0)
         )
         c, r = math.exp(pilot.intercept), math.exp(pilot.slope)
         n = 20

@@ -325,7 +325,7 @@ class TestUnbiasedDelta:
         pilot = estimate_contraction(
             pcn.coupling(model, 8),
             capped_distance,
-            pairs=[(np.full(8, 0.5), np.full(8, -0.5))],
+            pair=(np.full(8, 0.5), np.full(8, -0.5)),
             n_steps=12,
             replicates=300,
             stream=Stream(9),
@@ -422,7 +422,7 @@ class TestStationarity:
         fit = estimate_contraction(
             pcn.coupling(row_norm_model(rho=0.7, a=2.0), j),
             capped_distance,
-            [(np.full(j, -1.0), np.full(j, 1.0))],
+            (np.full(j, -1.0), np.full(j, 1.0)),
             n_steps=20,
             replicates=4000,
             stream=Stream(60 + j),
@@ -463,7 +463,7 @@ class TestStationarity:
             fit = estimate_contraction(
                 pcn.coupling(model, j),
                 capped_distance,
-                [pair],
+                pair,
                 n_steps=10,
                 replicates=300,
                 stream=Stream(40 + j),
@@ -574,7 +574,7 @@ class TestRecentred:
             fits.append(estimate_contraction(
                 pcn.coupling(model),
                 lambda s, t: np.linalg.norm(getattr(s, "x", s) - getattr(t, "x", t), axis=-1),
-                pairs=[(wrap(center + spread), wrap(center - spread))],
+                pair=(wrap(center + spread), wrap(center - spread)),
                 n_steps=12, replicates=50, stream=Stream(55),
             ))
             evaluations.append(len(calls))
