@@ -7,8 +7,7 @@ a "top" chain for ``a_i`` steps and a "bottom" chain for ``a_{i-1}`` steps,
 evolving the pair jointly over the final ``a_{i-1}`` steps so that a
 contracting coupling drives ``f(top) - f(bottom)`` to zero geometrically.
 Levels that share both dimensions and the lone-phase length form a run,
-and one driver steps every pair of a run, of one block or of several, as
-one lane array.
+and one driver steps every pair of a run as one lane array.
 
 Also provided: a least-squares contraction-rate estimator and the level
 schedule.
@@ -22,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import Stream, lane_rng
+from .rng import Stream
 
 __all__ = [
     "MarkovKernel",
@@ -121,7 +120,7 @@ def contraction_delta_batch(
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], np.ndarray],
     x0,
-) -> Callable[[list, Callable[[int], list]], list]:
+) -> Callable[[list, Callable[[int], np.random.Generator]], list]:
     """Coupled level differences of a fixed-space chain, as the
     ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`.
 
@@ -134,16 +133,16 @@ def contraction_delta_batch(
     ``f`` must act on a leading lane axis.
     """
     # _delta is looked up at call time, as the benchmark's trace probe needs.
-    return _run_batches(schedule, lambda first, counts, rngs: _delta(
-        kernel, coupling, schedule, first, counts, _tile(x0, sum(map(sum, counts))), f, rngs,
+    return _run_batches(schedule, lambda first, counts, rng: _delta(
+        kernel, coupling, schedule, first, counts, _tile(x0, sum(counts)), f, rng,
     ))
 
 
-def _delta(kernel, coupling, schedule, first, counts, x0, f, rngs):
+def _delta(kernel, coupling, schedule, first, counts, x0, f, rng):
     # The kernel's own step functions are handed through unwrapped: the
     # inner loops are the hot path of every generic chain.
     return _level_difference(
-        schedule, first, counts, x0, f, rngs,
+        schedule, first, counts, x0, f, rng,
         lambda j: kernel, lambda j_lo, j_hi: coupling.step, lambda x, j: x,
     )
 
@@ -179,97 +178,76 @@ def level_runs(schedule: LevelSchedule, top: int) -> list[range]:
 
 
 def _run_batches(schedule: LevelSchedule, run_delta: Callable) -> Callable:
-    """A ``delta_batch`` that calls ``run_delta(first, counts, rngs)`` once
+    """A ``delta_batch`` that calls ``run_delta(first, counts, rng)`` once
     per run of :func:`level_runs`: ``counts`` lists the run's per-level
-    counts of each block that reaches it, and ``rngs`` those blocks'
-    ``level_rng(first)``.  It joins the runs' per-level results."""
+    lane counts, and ``rng`` is ``level_rng(first)``.  It joins the runs'
+    per-level results."""
 
     def delta_batch(counts: list, level_rng: Callable) -> list:
         levels = []
-        for run in level_runs(schedule, len(counts[0]) - 1):
-            live = [row[run.start : run.stop] for row in counts if row[run.start]]
-            levels += run_delta(run.start, live, level_rng(run.start))
+        for run in level_runs(schedule, len(counts) - 1):
+            levels += run_delta(run.start, counts[run.start : run.stop], level_rng(run.start))
         return levels
 
     return delta_batch
 
 
-def _level_difference(schedule, first, counts, x0, f, rngs, kernel, joint, embed):
+def _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, embed):
     """The lone and joint phases of one run of levels, shared by every chain.
 
-    The run is levels ``first, first + 1, ...``, ``counts[b][k]`` pairs of
-    chains of block ``b`` at level ``first + k``, all sharing ``j_i``,
-    ``j_{i-1}`` and ``a_i - a_{i-1}`` (one level is always a run);
-    ``rngs`` lists the blocks' generators.  ``kernel(j)`` is the chain's
+    The run is levels ``first, first + 1, ...``, ``counts[k]`` pairs of
+    chains at level ``first + k``, all sharing ``j_i``, ``j_{i-1}`` and
+    ``a_i - a_{i-1}`` (one level is always a run), and every step draws
+    from the generator ``rng``.  ``kernel(j)`` is the chain's
     :class:`MarkovKernel` at dimension ``j``, whose step the lone phase
     takes and whose ``work_per_step`` is the cost of one step there;
     ``joint(j_lo, j_hi)`` is the step ``((top, bottom), rng) -> (top,
     bottom)`` and ``embed(x, j)`` maps a state into dimension ``j``.
-    ``x0`` holds one start per pair, block after block and in each block
-    deeper levels first (a single level may take one unbatched state), so
-    each block's pairs still running are a prefix of its rows.
-    Start-aligned, every top chain takes the shared lone steps from
-    ``embed(x0, j_i)``, then every pair of level >= 1 steps jointly, its
-    bottom chain from ``embed(x0, j_{i-1})``; level ``i``'s deltas are
-    taken when ``a_i`` steps are done, ``f`` seeing both chains at
-    ``j_i``, and its pairs are cut off.  Each step takes its lane count
-    from the state it is handed and draws through
-    :func:`~ubmc.rng.lane_rng`, each block's rows on that block's
-    generator.  Returns ``(deltas, a_i * kernel(j_i).work_per_step)`` per
-    level, in level order, the deltas block after block.
+    ``x0`` holds one start per pair, deeper levels first (a single level
+    may take one unbatched state), so the pairs still running are a
+    prefix of the rows.  Start-aligned, every top chain takes the shared
+    lone steps from ``embed(x0, j_i)``, then every pair of level >= 1
+    steps jointly, its bottom chain from ``embed(x0, j_{i-1})``; level
+    ``i``'s deltas are taken when ``a_i`` steps are done, ``f`` seeing
+    both chains at ``j_i``, and its pairs are cut off.  Each step takes
+    its lane count from the state it is handed.  Returns ``(deltas, a_i *
+    kernel(j_i).work_per_step)`` per level, in level order.
     """
     j_hi = schedule.dims_at(first)
     a_lone = schedule.steps_at(first) - (schedule.steps_at(first - 1) if first > 0 else 0)
-    # ends[k][b]: block b's pairs of levels >= first + k; level first + k
-    # owns the last ends[k][b] - ends[k + 1][b] of them.
-    ends = [[sum(row[k:]) for row in counts] for k in range(len(counts[0]) + 1)]
+    # ends[k]: the pairs of levels >= first + k; level first + k owns the
+    # last ends[k] - ends[k + 1] of them.
+    ends = [sum(counts[k:]) for k in range(len(counts) + 1)]
     lone = kernel(j_hi)
     step = lone.step
-    draws = lane_rng(rngs, ends[0])
     top = embed(x0, j_hi)
     for _ in range(a_lone):
-        top = step(top, draws)
+        top = step(top, rng)
     levels, done, bottom = [], 0, None
-    for k, level in enumerate(range(first, first + len(counts[0]))):
+    for k, level in enumerate(range(first, first + len(counts))):
         if level > 0:
             if bottom is None:
                 j_lo = schedule.dims_at(level - 1)
                 step = joint(j_lo, j_hi)
                 # k is 1 when level 0 ended first: its pairs have no bottom chain.
-                bottom = embed(x0[: sum(ends[k])] if k else x0, j_lo)
+                bottom = embed(x0[: ends[k]] if k else x0, j_lo)
             a_lo = schedule.steps_at(level - 1)
-            draws = lane_rng(rngs, ends[k])
             for _ in range(a_lo - done):
-                top, bottom = step((top, bottom), draws)
+                top, bottom = step((top, bottom), rng)
             done = a_lo
-        running = _running(ends[k], ends[k + 1])
-        top, top_end = _split(top, running)
+        top, top_end = _split(top, ends[k + 1])
         if level == 0:
             deltas = f(top_end)
         else:
-            bottom, bottom_end = _split(bottom, running)
+            bottom, bottom_end = _split(bottom, ends[k + 1])
             deltas = f(embed(top_end, j_hi)) - f(embed(bottom_end, j_hi))
         levels.append((deltas, schedule.steps_at(level) * lone.work_per_step))
     return levels
 
 
-def _running(before: list, after: list):
-    """The rows that keep running of a lane array of ``before[b]`` rows of
-    each block ``b``, when each block keeps its first ``after[b]``: their
-    count, a prefix, when one block has rows, else a mask."""
-    if sum(n > 0 for n in before) <= 1:
-        return sum(after)
-    before = np.asarray(before)
-    block_start = np.repeat(np.cumsum(before) - before, before)
-    return np.arange(block_start.size) - block_start < np.repeat(after, before)
-
-
-def _split(state, running) -> tuple:
-    """``(state[running], the rest)``: the pairs still running and those of
-    the level that ends, for a prefix count or a mask ``running``; ``None``
-    runs on when no pair does."""
-    if isinstance(running, np.ndarray):
-        return (state[running] if running.any() else None), state[~running]
+def _split(state, running: int) -> tuple:
+    """``(state[:running], the rest)``: the pairs still running and those
+    of the level that ends; ``None`` runs on when no pair does."""
     return (state[:running], state[running:]) if running else (None, state)
 
 

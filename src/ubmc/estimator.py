@@ -10,7 +10,7 @@ random truncation level ``N`` with survival probabilities
 gives an unbiased estimator whenever each level difference is generated
 independently.  This module houses the truncation law and the block
 driver that every draw runs through (one draw, a batch, or an
-experiment's blocks of lanes).
+experiment's worker task of lanes).
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .rng import Stream, lane_rng
+from .rng import Stream
 
 __all__ = [
     "SurvivalDistribution",
@@ -43,9 +43,9 @@ __all__ = [
 # as malformed.
 MAX_LEVEL = 10**9
 
-# Replicates per execution block, and rows per chunk of the row-wise
-# reference fit.  Fixed: results must not depend on the worker count, only
-# on (seed, block, offset).
+# Replicates per block (a worker task of the harness holds a fixed number
+# of blocks), and rows per chunk of the row-wise reference fit.  Fixed:
+# results must not depend on the worker count.
 BLOCK_SIZE = 1024
 
 # Sub-stream keys: the truncation draw and each level difference consume
@@ -285,7 +285,7 @@ def sample_truncation(survival: SurvivalDistribution, rng: np.random.Generator) 
 
 
 def estimate_once(
-    delta_batch: Callable[[list, Callable[[int], list]], list],
+    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
     survival: SurvivalDistribution,
     stream: Stream,
 ) -> UnbiasedDraw:
@@ -293,7 +293,7 @@ def estimate_once(
 
     The draw is a one-lane :func:`estimate_block` on ``stream``.
     """
-    out = estimate_block(delta_batch, survival, [stream], [1])
+    out = estimate_block(delta_batch, survival, stream, 1)
     value = out["z"][0]
     return UnbiasedDraw(
         value=value if value.ndim else float(value),
@@ -303,25 +303,23 @@ def estimate_once(
 
 
 def estimate_block(
-    delta_batch: Callable[[list, Callable[[int], list]], list],
+    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
     survival: SurvivalDistribution,
-    streams: Sequence[Stream],
-    counts: Sequence[int],
+    stream: Stream,
+    count: int,
 ) -> dict:
-    """Independent draws of ``Z`` for the blocks ``streams[b]`` of
-    ``counts[b]`` lanes each, stepped as one lane array.
+    """``count`` independent draws of ``Z`` on ``stream``, stepped as one
+    lane array.
 
-    Every lane of block ``b`` draws ``N`` from child 0 of ``streams[b]``.
-    One call ``delta_batch(rows, level_rng)`` then gives every level's
-    differences: ``rows[b][i]`` is the number of block ``b``'s lanes with
-    ``N >= i``, for ``i`` up to the largest ``N`` of any block (zero past
-    the block's own), and ``level_rng(i)`` lists the child-``1 + i``
-    generators of the blocks with a lane at level ``i``, in block order.
+    Every lane draws ``N`` from child 0 of ``stream``.  One call
+    ``delta_batch(rows, level_rng)`` then gives every level's differences:
+    ``rows[i]`` is the number of lanes with ``N >= i``, for ``i`` up to the
+    largest ``N``, and ``level_rng(i)`` is the child-``1 + i`` generator.
     It returns one ``(deltas, works)`` per level, the deltas of the lanes
-    with ``N >= i`` in lane order, block after block; too few levels, or
-    deltas that do not lead with one row per such lane, raise
-    :class:`EstimatorError`.  A chain's ``delta_batch`` steps each run of
-    levels (see :func:`~ubmc.couplings.level_runs`) as one lane array on
+    with ``N >= i`` in lane order; too few levels, or deltas that do not
+    lead with one row per such lane, raise :class:`EstimatorError`.  A
+    chain's ``delta_batch`` steps each run of levels (see
+    :func:`~ubmc.couplings.level_runs`) as one lane array on
     ``level_rng(<first level of the run>)``.
 
     Why the levels stay independent when a run shares one stream: every
@@ -330,29 +328,20 @@ def estimate_block(
     chains are independent of each other and of ``N``, each with the law
     of a level difference run on a stream of its own, as the lanes of one
     level already are; ``Z`` is Rhee and Glynn's independent-sum
-    estimator.  Blocks share a lane array, never a generator: each block's
-    rows draw from its own streams, in the order the block alone would
-    draw them (:func:`~ubmc.rng.lane_rng`), so each block's draws are bit
-    for bit those of the block run alone, and blocks stay independent of
-    each other.  The result is a pure function of ``(streams, counts)``.
-    Returns the arrays ``N``, ``z`` and ``work``, block after block; ``z``
-    takes the shape of the level-0 deltas, which every lane reaches, so
-    vector-valued targets give one row per lane.
+    estimator.  The result is a pure function of ``(stream, count)``.
+    Returns the arrays ``N``, ``z`` and ``work``, one entry per lane;
+    ``z`` takes the shape of the level-0 deltas, which every lane
+    reaches, so vector-valued targets give one row per lane.
     """
-    if min(counts, default=0) < 1 or len(streams) != len(counts):
-        raise ValueError("count must be >= 1, one per stream")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if not survival.proper:
         raise EstimatorError("cannot draw from an improper survival distribution")
-    truncation = [s.child(_KEY_TRUNCATION).generator() for s in streams]
-    ns = survival.sample_many(sum(counts), lane_rng(truncation, counts))
-    # rows[b][i]: block b's lanes with N >= i.
+    ns = survival.sample_many(count, stream.child(_KEY_TRUNCATION).generator())
+    # rows[i]: the lanes with N >= i.
     depth = int(ns.max()) + 1
-    block = np.repeat(np.arange(len(counts)), counts)
-    rows = np.bincount(block * depth + ns, minlength=len(counts) * depth).reshape(-1, depth)
-    rows = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1].tolist()
-    levels = delta_batch(rows, lambda i: [
-        s.child(_KEY_LEVEL_BASE + i).generator() for s, row in zip(streams, rows) if row[i]
-    ])
+    rows = np.cumsum(np.bincount(ns, minlength=depth)[::-1])[::-1].tolist()
+    levels = delta_batch(rows, lambda i: stream.child(_KEY_LEVEL_BASE + i).generator())
     if len(levels) != depth:
         raise EstimatorError(f"delta_batch gave {len(levels)} levels; the deepest N needs {depth}")
     work = np.zeros(ns.size)
@@ -377,7 +366,7 @@ def estimate_block(
 
 
 def estimate_batch(
-    delta_batch: Callable[[list, Callable[[int], list]], list],
+    delta_batch: Callable[[list, Callable[[int], np.random.Generator]], list],
     survival: SurvivalDistribution,
     replicates: int,
     seed: int,
@@ -388,7 +377,7 @@ def estimate_batch(
     ``Stream(seed)``, so a batch is reproducible draw-for-draw, and its
     statistics are those of :func:`draw_statistics`.
     """
-    out = estimate_block(delta_batch, survival, [Stream(seed)], [replicates])
+    out = estimate_block(delta_batch, survival, Stream(seed), replicates)
     mean, var, total_work = draw_statistics(out["z"], out["work"])
     return BatchResult(
         mean=mean,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .couplings import LevelSchedule, _run_batches
 from .estimator import SurvivalDistribution
-from .rng import lane_rng
 
 __all__ = [
     "GaussianLinearModel",
@@ -176,13 +175,12 @@ def delta_batch(level_delta: Callable, model: GaussianLinearModel, schedule: Lev
     """The ``delta_batch`` of :func:`~ubmc.estimator.estimate_block` for
     ``level_delta``, :func:`truncation_delta` (``f`` row-wise) or
     :func:`prior_tail_delta` (``f`` the coefficient map): one call per
-    level on ``level_rng(i)``, with a row for each of its lanes, each
-    block's rows drawn from the block's own generator.  Every level is a
-    run of its own (``a_i = 1`` and ``j_i`` rises at every level)."""
+    level on ``level_rng(i)``, with a row for each of its lanes.  Every
+    level is a run of its own (``a_i = 1`` and ``j_i`` rises at every
+    level)."""
 
-    def run_delta(i, counts, rngs):
-        lanes = [row[0] for row in counts]
-        return [level_delta(model, schedule, i, f, lane_rng(rngs, lanes), (sum(lanes),))]
+    def run_delta(i, counts, rng):
+        return [level_delta(model, schedule, i, f, rng, (counts[0],))]
 
     return _run_batches(schedule, run_delta)
 

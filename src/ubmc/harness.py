@@ -1,17 +1,15 @@
 """Reproduction harness: config-driven experiments with deterministic output.
 
-Replicates are processed in fixed-size blocks; block ``b`` of an
-experiment consumes the stream ``(seed, b)`` regardless of how blocks are
-distributed over workers, and records are concatenated in block order, so
-the emitted files are byte-identical across parallelism degrees.  A
-worker task is a super-block: ``SUPER_BLOCK`` consecutive blocks, a fixed
-number that never depends on the worker count, whose chains step as one
-lane array while each block still draws from its own streams, so a block
-gives the same bits in a super-block as alone.  The plans whose lane rows
-go through BLAS products (``ONE_BLOCK_EXPERIMENTS``) run one block per
-task instead: OpenBLAS may round a row differently next to other rows.
-Work is measured in model-declared units (kernel steps times dimension
-cost), not wall-clock.
+Replicates are processed in worker tasks of ``SUPER_BLOCK * BLOCK_SIZE``
+replicates (the last task takes the rest), a fixed size that never
+depends on the worker count.  Task ``t`` of an experiment consumes the
+stream ``(seed, t)`` regardless of how tasks are distributed over
+workers, its chains step as one lane array, and records are concatenated
+in task order, so the emitted files are byte-identical across
+parallelism degrees.  A run of at most one task's replicates is one
+task, which ``parallel`` cannot split.  Work is measured in
+model-declared units (kernel steps times dimension cost), not
+wall-clock.
 """
 
 from __future__ import annotations
@@ -231,27 +229,22 @@ def _close(*sections: _Section):
 #
 # prepare_*(params, schedule, survival) reads the config's sections into
 # locals, closes them, then validates and returns a "plan", a dict of
-#   draws(streams, counts) -> arrays N, z, work of counts[b] replicates on
-#     streams[b], block after block, and dims(i), level i's dimension, from
-#     which _run_block_task derives each draw's level_max_dim; or instead
+#   draws(stream, count) -> arrays N, z, work of count replicates on stream,
+#     and dims(i), level i's dimension, from which _run_block_task derives
+#     each draw's level_max_dim; or instead
 #   table: columns written as they stand, with no sampling (tune's grid);
 #   meta: summary extras.
 # Plans are cached per process keyed by the config JSON, so worker
 # processes validate once.  Each sampling plan checks its truncation law,
-# default or override, with _finite_work_survival before any block runs.
+# default or override, with _finite_work_survival before any task runs.
 
 # Level i of a_i = m (i + 1) steps in a fixed dimension costs t_i ~ i.
 _ARITHMETIC_WORK = (1.0, 1.0, "arithmetic levels")
 
-# Blocks per worker task.  Fixed, never derived from --parallel: results
-# depend only on (seed, block), and a task's blocks step as one lane array.
+# Blocks of BLOCK_SIZE replicates per worker task.  Fixed, never derived
+# from --parallel: results depend only on (seed, task), and a task's
+# replicates step as one lane array on the task's stream.
 SUPER_BLOCK = 8
-
-# Experiments that run one block per task: their lane rows go through BLAS
-# products (logistic's log-density row sums, the independence sampler's
-# forward maps), and OpenBLAS may round a row differently depending on the
-# rows beside it, so a super-block could move a draw's last bit.
-ONE_BLOCK_EXPERIMENTS = ("logistic", "indep-sampler")
 
 
 def _prepare_contracting(params: _Section, sched: _Section, spec: _Section) -> dict:
@@ -275,9 +268,9 @@ def _prepare_contracting(params: _Section, sched: _Section, spec: _Section) -> d
     survival = _finite_work_survival(None if optimal else spec, default, *_ARITHMETIC_WORK)
 
     return {
-        # Looked up at call time, so a wrapper of the name sees every block.
-        "draws": lambda streams, counts: models.contracting_unbiased_block(
-            rho, schedule, survival, streams, counts, x0=x0
+        # Looked up at call time, so a wrapper of the name sees every task.
+        "draws": lambda stream, count: models.contracting_unbiased_block(
+            rho, schedule, survival, stream, count, x0=x0
         ),
         "dims": schedule.dims_at,
         "meta": {"target_mean": 0.0, "step_multiplier": m},
@@ -646,22 +639,20 @@ def _config_key(config: ExperimentConfig) -> str:
     return json.dumps(plan_fields, sort_keys=True)
 
 
-def _run_block_task(config_json: str, first: int, counts: tuple, seed: int):
-    """Blocks ``first, first + 1, ...`` of ``counts[k]`` replicates each, as
-    one super-block; returns ``(first, records)``, the records block after
-    block."""
+def _run_block_task(config_json: str, task: int, count: int, seed: int):
+    """Task ``task``: ``count`` replicates on the stream ``(seed, task)``;
+    returns ``(task, records)``."""
     plan = _prepare_cached(config_json)
-    streams = [Stream(seed).child(first + k) for k in range(len(counts))]
-    out = plan["draws"](streams, list(counts))
+    out = plan["draws"](Stream(seed).child(task), count)
     dims = [plan["dims"](i) for i in range(int(out["N"].max()) + 1)]
     out["level_max_dim"] = np.array(dims, dtype=np.int64)[out["N"]]
-    return first, out
+    return task, out
 
 
 def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
-    """Prepare the plan and run every block; returns ``(plan, records)``.
+    """Prepare the plan and run every task; returns ``(plan, records)``.
 
-    Records are the per-draw columns concatenated in block order, so they
+    Records are the per-draw columns concatenated in task order, so they
     do not depend on ``config.parallel``; a table plan's are its table.
     """
     if config.replicates < 1:
@@ -674,10 +665,10 @@ def _run_blocks(config: ExperimentConfig) -> tuple[dict, dict]:
     plan = _prepare_cached(key)
     if "table" in plan:
         return plan, plan["table"]
-    counts = [min(BLOCK_SIZE, config.replicates - lo) for lo in range(0, config.replicates, BLOCK_SIZE)]
-    per_task = 1 if config.experiment in ONE_BLOCK_EXPERIMENTS else SUPER_BLOCK
+    size = SUPER_BLOCK * BLOCK_SIZE
     tasks = [
-        (key, b, tuple(counts[b : b + per_task]), config.seed) for b in range(0, len(counts), per_task)
+        (key, t, min(size, config.replicates - lo), config.seed)
+        for t, lo in enumerate(range(0, config.replicates, size))
     ]
     # Never more workers than tasks: a fork start launches every worker at once.
     workers = min(config.parallel, len(tasks))

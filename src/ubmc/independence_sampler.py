@@ -223,17 +223,15 @@ def delta_batch(model: UniformPriorModel, schedule: LevelSchedule, f: Callable, 
     steps at dimensions ``j_i`` (top) and ``j_{i-1}`` (bottom), all step
     randomness drawn at the top dimension, and work ``a_i * j_i^theta``.
     Each run of levels steps as one zero-padded ``(pairs, j_i)`` split
-    chain; ``f`` and the model's forward map act row-wise.  It runs one
-    block at a time: a step draws its randomness as one flat call, not
-    lane-leading, so a super-block's lane draws reject it."""
+    chain; ``f`` and the model's forward map act row-wise."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     # _delta is looked up at call time, as the benchmark's trace probe needs.
-    return _run_batches(schedule, lambda first, counts, rngs: _delta(
-        model, schedule, first, counts, f, _tile(x0, sum(map(sum, counts))), rngs
+    return _run_batches(schedule, lambda first, counts, rng: _delta(
+        model, schedule, first, counts, f, _tile(x0, sum(counts)), rng
     ))
 
 
-def _delta(model, schedule, first, counts, f, x0, rngs):
+def _delta(model, schedule, first, counts, f, x0, rng):
     def kernel(j):
         def step(x, rng):
             return split_step(model, j, x, draw_randomness(model, j, rng, x.shape[:-1]))[0]
@@ -249,7 +247,7 @@ def _delta(model, schedule, first, counts, f, x0, rngs):
 
         return step
 
-    return _level_difference(schedule, first, counts, x0, f, rngs, kernel, joint, pad_to)
+    return _level_difference(schedule, first, counts, x0, f, rng, kernel, joint, pad_to)
 
 
 def make_schedule(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .couplings import CoupledKernel, LevelSchedule, MarkovKernel, contraction_delta_batch, pad_to
 from .estimator import BLOCK_SIZE, SurvivalDistribution, estimate_block
-from .rng import LaneGenerator, Stream
+from .rng import Stream
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,21 +85,20 @@ def contracting_unbiased_block(
     rho: float,
     schedule: LevelSchedule,
     survival: SurvivalDistribution,
-    streams: list[Stream],
-    counts: list[int],
+    stream: Stream,
+    count: int,
     x0: float = 0.0,
 ) -> dict:
-    """Blocks of unbiased draws, ``counts[b]`` on ``streams[b]``: the
-    model's kernel and coupling bound by
-    :func:`~ubmc.couplings.contraction_delta_batch` into
+    """``count`` unbiased draws on ``stream``: the model's kernel and
+    coupling bound by :func:`~ubmc.couplings.contraction_delta_batch` into
     :func:`~ubmc.estimator.estimate_block`.  Returns arrays ``N``, ``z``
-    and ``work``, block after block.
+    and ``work``.
     """
     model = ContractingNormalsModel(rho)
     delta_batch = contraction_delta_batch(
         model.kernel(), model.coupling(), schedule, lambda x: x, x0
     )
-    return estimate_block(delta_batch, survival, streams, counts)
+    return estimate_block(delta_batch, survival, stream, count)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +148,7 @@ def circle_maximal_coupling(pair, rng: np.random.Generator) -> tuple:
     width = np.minimum(np.minimum(gap, TWO_PI - gap), TWO_PI - 4.0)
     start = np.where(gap <= math.pi, x1 + 2.0, x1 - 2.0 - width)
     y2 = np.array(y1, dtype=float)
-    # A super-block's residual uniforms come from each block's apart lanes.
-    residual = rng.where(apart) if isinstance(rng, LaneGenerator) else rng
-    y2[apart] = (start[apart] + residual.random(np.count_nonzero(apart)) * width[apart]) % TWO_PI
+    y2[apart] = (start[apart] + rng.random(np.count_nonzero(apart)) * width[apart]) % TWO_PI
     return y1, y2[()]
 
 

@@ -232,7 +232,7 @@ def delta_batch(
     schedule: LevelSchedule,
     f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-) -> Callable[[list, Callable[[int], list]], list]:
+) -> Callable[[list, Callable[[int], np.random.Generator]], list]:
     """Coupled level differences of the truncation hierarchy, as the
     ``delta_batch`` of :func:`~ubmc.estimator.estimate_block`: phases as
     in :func:`ubmc.couplings.contraction_delta_batch` at dimensions
@@ -250,15 +250,12 @@ def delta_batch(
         start = PcnState(x0, model.log_change(x0))
         return contraction_delta_batch(kernel(model), coupling(model), schedule, lambda s: f(s.x), start)
     # _delta is looked up at call time, as the benchmark's trace probe needs.
-    return _run_batches(schedule, lambda first, counts, rngs: _delta(
-        model, schedule, first, counts, f, _tile(x0, sum(map(sum, counts))), rngs
+    return _run_batches(schedule, lambda first, counts, rng: _delta(
+        model, schedule, first, counts, f, _tile(x0, sum(counts)), rng
     ))
 
 
-def _delta(model, schedule, first, counts, f, x0, rngs):
-    if model.recentred:
-        raise ValueError("truncation levels require the diagonal reference")
-
+def _delta(model, schedule, first, counts, f, x0, rng):
     def joint(j_lo, j_hi):
         def step(pair, rng):
             top, bottom = pair
@@ -272,7 +269,7 @@ def _delta(model, schedule, first, counts, f, x0, rngs):
         return PcnState(pad_to(x.x if isinstance(x, PcnState) else x, j))
 
     return _level_difference(
-        schedule, first, counts, x0, lambda s: f(s.x), rngs, lambda j: kernel(model, j), joint, embed
+        schedule, first, counts, x0, lambda s: f(s.x), rng, lambda j: kernel(model, j), joint, embed
     )
 
 

@@ -67,7 +67,7 @@ def tuned_batch(replicates: int, seed: int):
     rho, m = 0.8, 4
     schedule = LevelSchedule.arithmetic(m)
     survival = contracting_optimal_survival(rho, m)
-    out = contracting_unbiased_block(rho, schedule, survival, [Stream(seed)], [replicates])
+    out = contracting_unbiased_block(rho, schedule, survival, Stream(seed), replicates)
     return out, survival
 
 
@@ -292,7 +292,7 @@ def test_criterion_09_independence_sampler():
     schedule, _ = is_schedule(is_model, q=2.6, beta=beta, kappa=kappa)  # t: the interval's midpoint
     f = lambda u: np.sum(u, axis=-1)
     levels = is_delta_batch(is_model, schedule, f, np.zeros(1))(
-        [[250] * 7], lambda level: [Stream(93 + level).generator()]
+        [250] * 7, lambda level: Stream(93 + level).generator()
     )
     rms, j_prev = [], []
     for level in range(2, 7):

@@ -29,7 +29,7 @@ DELETED = {
     "pcn_acceptance", "circle_arc", "elliptic_observation_gap", "_dims_pair",
     "_block_rows", "second_moment_formula", "expected_work", "optimal_survival",
     "PartialKnowledgeResult", "_lane_block", "compare_msework", "_side_unbiased",
-    "_side_baseline",
+    "_side_baseline", "LaneGenerator", "lane_rng", "ONE_BLOCK_EXPERIMENTS", "_running",
 }
 
 

@@ -169,7 +169,7 @@ class TestPositiveNonincreasing:
 
 def one_draw(model, sched, level, rng):
     """One level difference of the 1-d chain from 0: the per-draw reference."""
-    return couplings._delta(model.kernel(), model.coupling(), sched, level, [[1]], 0.0, lambda x: x, [rng])[0]
+    return couplings._delta(model.kernel(), model.coupling(), sched, level, [1], 0.0, lambda x: x, rng)[0]
 
 
 class TestCoupledDriver:
@@ -224,7 +224,7 @@ class TestCoupledDriver:
         delta_batch = contraction_delta_batch(
             model.kernel(), model.coupling(), sched, lambda x: x, 0.0
         )
-        levels = delta_batch([[100_000] * 3], lambda i: [stream.child(i).generator()])
+        levels = delta_batch([100_000] * 3, lambda i: stream.child(i).generator())
         (d1, _), (d2, _) = levels[1], levels[2]
         c_pilot = np.sqrt(np.mean(d1**2)) / rho ** sched.steps_at(0)
         rms2 = np.sqrt(np.mean(d2**2))
@@ -255,7 +255,7 @@ class TestLevelRuns:
             model.kernel(), model.coupling(), LevelSchedule.arithmetic(2), lambda x: x, 0.0
         )
         asked = []
-        levels = delta_batch([[8, 5, 3, 1]], recording_level_rng(3, asked))
+        levels = delta_batch([8, 5, 3, 1], recording_level_rng(3, asked))
         assert asked == [0]
         assert [np.shape(d) for d, _ in levels] == [(8,), (5,), (3,), (1,)]
         assert [w for _, w in levels] == [2.0, 4.0, 6.0, 8.0]
@@ -266,11 +266,11 @@ class TestLevelRuns:
         schedule, n = LevelSchedule.arithmetic(1), 20_000
         fused = contraction_delta_batch(
             model.kernel(), model.coupling(), schedule, np.cos, 0.0
-        )([[n] * 6], lambda i: [Stream(31).child(i).generator()])
+        )([n] * 6, lambda i: Stream(31).child(i).generator())
         for level in range(6):
             (single, _), = couplings._delta(
-                model.kernel(), model.coupling(), schedule, level, [[n]], np.zeros(n),
-                np.cos, [Stream(32).child(level).generator()],
+                model.kernel(), model.coupling(), schedule, level, [n], np.zeros(n),
+                np.cos, Stream(32).child(level).generator(),
             )
             assert fused[level][0].shape == (n,)
             moments_agree(fused[level][0], single)

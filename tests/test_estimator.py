@@ -170,7 +170,7 @@ class TestEstimateOnce:
 
         for seed in range(20):
             draw = estimate_once(per_lane(gen), GEOM_HALF, Stream(seed))
-            out = estimate_block(per_lane(gen), GEOM_HALF, [Stream(seed)], [1])
+            out = estimate_block(per_lane(gen), GEOM_HALF, Stream(seed), 1)
             assert draw.value == out["z"][0]
             assert draw.level == out["N"][0]
             assert draw.work == out["work"][0]
@@ -188,7 +188,7 @@ class TestEstimateBlock:
     def test_forced_level_hand_value(self):
         # Every lane draws N = 2 (see TestEstimateOnce): Z = 3, work = 3.
         delta_batch = per_lane(stub_generator(lambda i: 2.0**-i))
-        out = estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2)], [5])
+        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 5)
         assert out["N"].tolist() == [2] * 5
         assert out["z"] == pytest.approx(np.full(5, 3.0))
         assert out["work"].tolist() == [3.0] * 5
@@ -196,7 +196,7 @@ class TestEstimateBlock:
     def test_lanes_run_in_order_on_one_stream_per_level(self):
         # Level i of the block reads child 1 + i, lane after lane.
         delta_batch = per_lane(lambda level, rng: (rng.random(), 1.0))
-        out = estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2, seed=9)], [4])
+        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2, seed=9), 4)
         expected = sum(
             Stream(9).child(1 + i).generator().random(4) / GEOM_HALF.survival(i)
             for i in range(3)
@@ -206,7 +206,7 @@ class TestEstimateBlock:
     def test_non_finite_lane_reports_level(self):
         def delta_batch(counts, level_rng):
             levels = []
-            for level, lanes in enumerate(counts[0]):
+            for level, lanes in enumerate(counts):
                 deltas = np.ones(lanes)
                 if level == 1:
                     deltas[lanes // 2] = math.nan
@@ -214,39 +214,32 @@ class TestEstimateBlock:
             return levels
 
         with pytest.raises(NonFiniteDeltaError) as err:
-            estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.1)], [8])
+            estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.1), 8)
         assert err.value.level == 1
 
     def test_improper_survival_rejected(self):
         flat = SurvivalDistribution.tabulated([1.0, 1.0], tail_ratio=1.0)
         with pytest.raises(EstimatorError):
-            estimate_block(per_lane(stub_generator(lambda i: 0.0)), flat, [Stream(0)], [4])
+            estimate_block(per_lane(stub_generator(lambda i: 0.0)), flat, Stream(0), 4)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_block_rejected(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            estimate_block(per_lane(stub_generator(lambda i: 0.0)), GEOM_HALF, [Stream(0)], [count])
+            estimate_block(per_lane(stub_generator(lambda i: 0.0)), GEOM_HALF, Stream(0), count)
 
     def test_vector_valued_lanes(self):
         # z takes the shape of the level-0 deltas: one row per lane.
         def delta_batch(counts, level_rng):
-            return [(np.ones((lanes, 3)) * 2.0**-level, np.ones(lanes)) for level, lanes in enumerate(counts[0])]
+            return [(np.ones((lanes, 3)) * 2.0**-level, np.ones(lanes)) for level, lanes in enumerate(counts)]
 
-        out = estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2)], [6])
+        out = estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 6)
         assert out["z"].shape == (6, 3)
         assert out["z"] == pytest.approx(np.full((6, 3), 3.0))
-
-    def test_streams_and_counts_must_pair_up(self):
-        delta_batch = per_lane(stub_generator(lambda i: 0.0))
-        with pytest.raises(ValueError, match="one per stream"):
-            estimate_block(delta_batch, GEOM_HALF, [Stream(0), Stream(1)], [4])
-        with pytest.raises(ValueError, match="one per stream"):
-            estimate_block(delta_batch, GEOM_HALF, [Stream(0)], [4, 4])
 
     def test_too_few_levels_rejected(self):
         # Level 0 alone would cut every draw with N >= 1 short.
         def delta_batch(counts, level_rng):
-            return [(np.ones(counts[0][0]), 1.0)]
+            return [(np.ones(counts[0]), 1.0)]
 
         with pytest.raises(EstimatorError, match="levels"):
             estimate_batch(delta_batch, GEOM_HALF, 1000, seed=3)
@@ -257,11 +250,11 @@ class TestEstimateBlock:
         def delta_batch(counts, level_rng):
             return [
                 (np.ones(shape) if level == 1 else np.ones(lanes), 1.0)
-                for level, lanes in enumerate(counts[0])
+                for level, lanes in enumerate(counts)
             ]
 
         with pytest.raises(EstimatorError, match="level 1"):
-            estimate_block(delta_batch, GEOM_HALF, [ForcedTruncationStream(0.2)], [5])
+            estimate_block(delta_batch, GEOM_HALF, ForcedTruncationStream(0.2), 5)
 
 
 class TestEstimateBatch:
@@ -324,7 +317,7 @@ class TestEstimateBatch:
 
         law = SurvivalDistribution.polynomial(2.5)
         batch = estimate_batch(per_lane(gen), law, 700, seed=23)
-        out = estimate_block(per_lane(gen), law, [Stream(23)], [700])
+        out = estimate_block(per_lane(gen), law, Stream(23), 700)
         assert np.array_equal(batch.z, out["z"])
         assert np.array_equal(batch.N, out["N"])
         assert np.array_equal(batch.work, out["work"])
@@ -341,7 +334,7 @@ class TestEstimateBatch:
             return levels
 
         survival = SurvivalDistribution.tabulated([1.0, 1.0, 0.5], tail_ratio=0.5)
-        out = estimate_block(delta_batch, survival, [Stream(19)], [20_000])
+        out = estimate_block(delta_batch, survival, Stream(19), 20_000)
         reached = out["N"] >= 1
         pairs = np.column_stack([recorded[0][reached], recorded[1]])
         corr = np.corrcoef(pairs.T)[0, 1]
@@ -415,7 +408,7 @@ class TestMomentFormulas:
         schedule = LevelSchedule.arithmetic(m)
         from ubmc.models import contracting_unbiased_block
 
-        out = contracting_unbiased_block(rho, schedule, survival, [Stream(31)], [200_000])
+        out = contracting_unbiased_block(rho, schedule, survival, Stream(31), 200_000)
         zsq = out["z"] ** 2
         se = zsq.std(ddof=1) / math.sqrt(zsq.size)
         assert abs(zsq.mean() - formula) <= 3.0 * se

@@ -303,7 +303,7 @@ class TestUnbiasedDelta:
         sched = LevelSchedule.arithmetic(2, dims=lambda i: i + 1)
         f = lambda x: np.full(len(x), 4.5)
         levels = pcn.delta_batch(model, sched, f, np.zeros(1))(
-            [[1] * 4], lambda level: [stream.child(level).generator()]
+            [1] * 4, lambda level: stream.child(level).generator()
         )
         for level in (1, 2, 3):
             delta, _ = levels[level]
@@ -315,7 +315,7 @@ class TestUnbiasedDelta:
         model = flat_model()
         sched = LevelSchedule.arithmetic(2, dims=lambda i: i + 1)
         deltas, _ = pcn.delta_batch(model, sched, lambda x: x[:, 0], np.zeros(1))(
-            [[4000] * 3], lambda level: [stream.child(level).generator()]
+            [4000] * 3, lambda level: stream.child(level).generator()
         )[2]
         assert abs(deltas.mean()) <= four_se(deltas)
 
@@ -335,7 +335,7 @@ class TestUnbiasedDelta:
         sched, _ = pcn.make_schedule(model, "bounded", m=2, r=r, eps=0.2)
         f = lambda x: np.minimum(1.0, np.linalg.norm(x, axis=-1))
         levels = pcn.delta_batch(model, sched, f, np.zeros(1))(
-            [[400] * 7], lambda i: [Stream(100 + i).generator()]
+            [400] * 7, lambda i: Stream(100 + i).generator()
         )
         rms = []
         for i in range(1, 7):
@@ -350,7 +350,7 @@ class TestUnbiasedDelta:
         model.work_exponent = 1.5
         sched = LevelSchedule([2, 5], [2, 3])
         _, (_, work) = pcn.delta_batch(model, sched, lambda x: np.zeros(len(x)), np.zeros(2))(
-            [[1, 1]], lambda level: [stream.child(level).generator()]
+            [1, 1], lambda level: stream.child(level).generator()
         )
         assert work == pytest.approx(5 * 3.0**1.5)
 
@@ -447,7 +447,7 @@ class TestStationarity:
             np.zeros(schedule.dims_at(0)),
         )
         ratios = []
-        levels = delta_batch([[2000] * 7], lambda i: [Stream(70).child(i).generator()])
+        levels = delta_batch([2000] * 7, lambda i: Stream(70).child(i).generator())
         for i, (delta, _) in enumerate(levels):
             ratios.append(np.mean(delta**2) / law.survival(i))
         assert max(ratios[3:]) < ratios[1] / 2, ratios
@@ -547,12 +547,13 @@ class TestRecentred:
         assert np.all(np.abs(mean) <= 0.05)
 
     def test_truncation_machinery_rejected(self):
+        # A recentred chain has no truncation hierarchy: its dimension is
+        # the reference's, so no schedule of growing dimensions is built.
         model = pcn.PcnModel.gaussian_reference(
             0.5, lambda x: 0.0, np.zeros(2), np.eye(2)
         )
-        sched = LevelSchedule.arithmetic(1, dims=lambda i: i + 1)
-        with pytest.raises(ValueError):
-            pcn._delta(model, sched, 1, [[1]], lambda x: 0.0, np.zeros(1), [Stream(0).generator()])
+        with pytest.raises(ValueError, match="diagonal model"):
+            pcn.make_schedule(model, "bounded", m=2, r=0.5, eps=0.5)
 
     def test_pilot_on_states_evaluates_proposals_only(self):
         # Pairs given as PcnStates carry g(x) from step to step: the same
@@ -598,6 +599,6 @@ class TestRecentred:
         model = pcn.PcnModel.gaussian_reference(0.5, neg_log_target, center, cov)
         delta_batch = pcn.delta_batch(model, LevelSchedule.arithmetic(2), lambda b: b[:, 0], center)
         stream = Stream(3)
-        levels = delta_batch([[50, 20, 5]], lambda i: [stream.child(i).generator()])
+        levels = delta_batch([50, 20, 5], lambda i: stream.child(i).generator())
         assert [np.shape(deltas) for deltas, _ in levels] == [(50,), (20,), (5,)]
         assert starts == [(2,)]

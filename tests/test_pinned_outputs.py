@@ -3,11 +3,11 @@
 Each case runs ``--replicates 3000 --seed 5`` and compares the SHA-256 of
 the draws CSV and of the summary JSON (re-serialized without the
 ``out`` and ``parallel`` config fields, which name the run, not its
-result) with hashes recorded before the independence-sampler lane step
-and the elliptic forward map were rewritten (logistic: once its
-log-density took its row sums as BLAS products).  Acceptance probabilities
-go through BLAS products whose last bit depends on the batch shape, so a
-draw could only move if a uniform fell within that bit of a threshold.
+result) with hashes recorded once a worker task's replicates all drew
+from the task's one stream: the 3000 replicates are one task.
+Acceptance probabilities go through BLAS products whose last bit depends
+on the batch shape, so a draw could only move if a uniform fell within
+that bit of a threshold.
 """
 
 import hashlib
@@ -26,55 +26,53 @@ HOLDER = {"experiment": "linear-gaussian", "params": {"a": 1.5, "coordinate": 3}
 PINNED = {
     "elliptic-is": (
         "perfbench/configs/elliptic-is.json",
-        "44f6a3565d58584af29b90c6944bf3b98ae7de9e23aa506901cf31a6cfc9587c",
-        "671f02023e0fb3df04ce612c614e449fe0964649b359f3a077558d2f5b52bbe9",
+        "30f9e6db6cc7f2cdf40ffcf993a37b0f7a7eaa1161608ac000e1d1a4cf18e2bf",
+        "b0ceaf3a3be1fb4bfd9093e10864ba9ac27363987f8e37fc25b60cd21fc9fedd",
     ),
     "indep-sampler": (
         "configs/indep-sampler.json",
-        "44f6a3565d58584af29b90c6944bf3b98ae7de9e23aa506901cf31a6cfc9587c",
-        "85cb1528e99d4e57f16db82890d2ce71b7b85cc5d7bdba226b658f37a08005de",
+        "30f9e6db6cc7f2cdf40ffcf993a37b0f7a7eaa1161608ac000e1d1a4cf18e2bf",
+        "d656e5546910a172936fa9d42b99f64cef9952ed0dd2da7010f59384de50ef05",
     ),
     "linear2d": (
         LINEAR2D,
-        "00cef5c62cc20a52ee24ec9b6f525cd9bfec8a43bfeecb500b75456b0934dec9",
-        "0308638c28b45cdddb11863cd7db3d8aed05cd8f5bc8eb86e96b1182b13ce9fb",
+        "a4573f5021407c3dd8cc7108aafdf264177157c5c5b5f6411171d59e3247129d",
+        "ae9e363cfd51d79148f590e87a3684dfd90b0a221f9faafa533b1aeb109f9493",
     ),
-    # Logistic draws go through the log-density's BLAS row sums, pinned
-    # since they replaced the reductions.  As with alpha_star, the
-    # summary's reference_center and contraction_* come from BLAS products
-    # whose last bit depends on the batch shape, so a change of batching
-    # in the fit or the pilot can move them, and the draws with them.
+    # Logistic draws go through the log-density's BLAS row sums.  As with
+    # alpha_star, the summary's reference_center and contraction_* come
+    # from BLAS products whose last bit depends on the batch shape, so a
+    # change of batching in the fit or the pilot can move them, and the
+    # draws with them.
     "logistic-fit": (
         "perfbench/configs/logistic-fit.json",
-        "a4b6400ce0c8242c979a723c0a4698461016f04f77dde2af07d1181bde13b062",
-        "46d0785ddd9f83ae8d78fd18bd23e0b49165584082963419c6afd91117389b3b",
+        "19cca0dcdd39da2d3480568cbe5fec0c1cdfa2501856c8475e32ccfa77095de8",
+        "9a15537f8a38e120544ee485e2dbd0c6c9de5dfe206ee5e719da80e4bc67e528",
     ),
     "contracting-normals": (
         "configs/contracting-normals.json",
-        "27e722581a318b52278dbc9d06d714dcc8250912f6239348f056fb32fda8f323",
-        "485af827c0232e35d45978a718e44c33f493ef444a016e195cbbd9bf784394db",
+        "f70ac24a74ed0fb9174a40c3ba39f1a60f2a6b207b743d9edf1711b4ea83a4c6",
+        "20cc966d64a333f5d1d058b52de7977e043e85fa0837bd60057992751e454c5f",
     ),
-    # Recorded before linear-gaussian moved onto LevelSchedule and the
-    # level difference took its work per step from the chain's kernel.
     "circle": (
         "configs/circle.json",
-        "084ad2265f022ac707400cb8a3bc2c93fbb29f9e4f6314d4b25fb39bc60ac4fd",
-        "1294f2eee77141866ef741825ff41707fb334f6215bf856119bae573bb2e7eaf",
+        "8a1e75f4a25f950af22a54cd7c32b434e00c3c63bcdf97b499d1b4875283c49f",
+        "0852cbb99056a3b337c2acb1e479a232b4d597769c78622069dd4274bfc4a201",
     ),
     "pcn": (
         "configs/pcn.json",
-        "82326e2efd4d43022315d46e18e72cf8026eff94a9f1c7dc76a9d89101208d29",
-        "06febbef7fd0623e23b03b6e4417fd5f8acada5a97e0c9c3f211c20601a582e6",
+        "6014d8b75ff1df097f2a29e282779ece8d1b03dfd5f7d800981ca0bb6b6f3f79",
+        "d4bfa7ac49e3019e7ac69eb3329c6b8d6eac1c1ab026738372c085e43db9ca8e",
     ),
     "linear-tail": (
         "configs/linear-gaussian.json",
-        "fc3401151130b48674ef750320ebac39d05933764e4523b6c1b7cd46230ee080",
-        "32104cbdc3918bb2337fe29d65cadaffd2686b45c05aca9940f2d0bfc3a4f5ad",
+        "cc0752114fa50faa0cf52911e234990ee628c470fd6288f476e3e4072ae86ee4",
+        "a643dd7d7c491a5521c8fab7b5ef32cec80abb96d2ccf4032f922b65f746ca35",
     ),
     "holder": (
         HOLDER,
-        "2eeb75f8b8642621126e30cedcda212412f7181b9a3b6710ca6480e273c2d25e",
-        "2234544b7cb96cb624356f04a8410928fa4cdd4e6cf1fd47fedb781f6fb090c5",
+        "27117047074e7e6c396c8e51d1016c6ac780790ffbebb5abe6d39629ef41119f",
+        "918a4f2643f5935c0f1ccfc31e3e1160fe076ac74c36da2dd0227e99c0a84e66",
     ),
 }
 
@@ -95,5 +93,5 @@ def test_outputs_match_pinned_hashes(tmp_path, case):
     if isinstance(config, str):
         config = json.loads((ROOT / config).read_text())
     assert output_hashes(config, tmp_path / "p1", 1) == (csv, summary)
-    if case in ("elliptic-is", "logistic-fit"):  # three blocks over two workers: the same bytes
+    if case in ("elliptic-is", "logistic-fit"):  # one task: --parallel 2 starts no worker, same bytes
         assert output_hashes(config, tmp_path / "p2", 2) == (csv, summary)

@@ -1,83 +1,52 @@
-"""Super-blocks: a worker task steps ``SUPER_BLOCK`` blocks' lanes as one
-array, and every block still draws from its own streams, so each block
-gives the bits it gives alone.  The plans whose lane rows go through BLAS
-products run one block per task, and a run never starts more workers than
-it has tasks.
+"""Worker tasks: a task steps ``SUPER_BLOCK * BLOCK_SIZE`` replicates as one
+lane array on the task's own stream, so a run's bytes do not depend on how
+many workers share its tasks, and a run never starts more workers than it
+has tasks.
 """
 
 import concurrent.futures
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ubmc import harness
 from ubmc.cli import main as cli_main
-from ubmc.harness import BLOCK_SIZE, SUPER_BLOCK, ExperimentConfig, _config_key
+from ubmc.harness import BLOCK_SIZE, SUPER_BLOCK, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
-HOLDER = {"experiment": "linear-gaussian", "params": {"a": 1.5, "coordinate": 3}}
+
+def _config(path: str) -> dict:
+    return json.loads((ROOT / path).read_text())
+
+
+# Every sampling plan: the chains of the generic driver, pcn, both
+# linear-Gaussian and both independence-sampler models, and logistic with
+# a short reference fit and pilot.
 PLANS = {
-    "contracting-normals": "configs/contracting-normals.json",
-    "circle": "configs/circle.json",
-    "pcn": "configs/pcn.json",
-    "linear-tail": "configs/linear-gaussian.json",
-    "holder": HOLDER,
+    "contracting-normals": _config("configs/contracting-normals.json"),
+    "circle": _config("configs/circle.json"),
+    "pcn": _config("configs/pcn.json"),
+    "linear-gaussian": _config("configs/linear-gaussian.json"),
+    "elliptic-is": _config("perfbench/configs/elliptic-is.json"),
+    "linear2d": {"experiment": "indep-sampler", "params": {"model": "linear2d"}},
+    "logistic": {"experiment": "logistic", "params": {"reference_draws": 10_000, "pilot_replicates": 50}},
 }
-# Blocks 0..K+2: a full super-block, then two full blocks and a 5-lane tail.
-COUNTS = [BLOCK_SIZE] * (SUPER_BLOCK + 2) + [5]
-
-
-def _plan_key(case: str) -> str:
-    config = PLANS[case]
-    if isinstance(config, str):
-        config = json.loads((ROOT / config).read_text())
-    return _config_key(ExperimentConfig.from_dict(config))
-
-
-def _bits(out: dict) -> dict:
-    return {
-        "N": out["N"],
-        "z": out["z"].view(np.uint64),
-        "work": out["work"].view(np.uint64),
-        "level_max_dim": out["level_max_dim"],
-    }
 
 
 @pytest.mark.parametrize("case", sorted(PLANS))
-def test_super_blocks_equal_separate_blocks(case):
-    key, seed = _plan_key(case), 13
-    tasks = [(0, COUNTS[:SUPER_BLOCK]), (SUPER_BLOCK, COUNTS[SUPER_BLOCK:])]
-    joined = []
-    for first, counts in tasks:
-        got_first, out = harness._run_block_task(key, first, tuple(counts), seed)
-        assert got_first == first
-        alone = [
-            harness._run_block_task(key, b, (count,), seed)[1]
-            for b, count in enumerate(counts, start=first)
-        ]
-        # Some block stops short of its super-block's deepest level: with
-        # one run per level (pcn, linear-gaussian), it never reaches the
-        # deepest run, and the tail block's five lanes stop early too.
-        tops = [int(block["N"].max()) for block in alone]
-        assert min(tops) < max(tops), tops
-        for name, values in _bits(out).items():
-            expected = np.concatenate([_bits(block)[name] for block in alone])
-            np.testing.assert_array_equal(values, expected, err_msg=f"{case} {name}")
-        joined.append(out)
-    assert sum(out["N"].size for out in joined) == sum(COUNTS)
-
-
-@pytest.mark.parametrize("experiment", ["contracting-normals", "circle", "pcn"])
-def test_cli_bytes_equal_across_parallel_degrees(tmp_path, experiment):
-    # 2 K blocks and a 5-lane tail: three tasks, over one worker and three.
+def test_cli_bytes_equal_across_parallel_degrees(tmp_path, case):
+    # Two full tasks and a 5-lane tail: three tasks, over one worker and three.
+    config = PLANS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    experiment = config["experiment"]
     replicates = 2 * SUPER_BLOCK * BLOCK_SIZE + 5
     outputs = []
     for parallel in (1, 3):
         out = tmp_path / f"p{parallel}"
-        args = [experiment, "--config", str(ROOT / "configs" / f"{experiment}.json")]
+        args = [experiment, "--config", str(path)]
         args += ["--replicates", str(replicates), "--seed", "7", "--out", str(out)]
         assert cli_main(args + ["--parallel", str(parallel)]) == 0
         csv = (out / f"{experiment}-draws.csv").read_bytes()
@@ -88,37 +57,21 @@ def test_cli_bytes_equal_across_parallel_degrees(tmp_path, experiment):
     assert outputs[0][0].count(b"\n") == replicates + 1
 
 
-def _task_blocks(monkeypatch, config: dict) -> list[int]:
-    """The number of blocks each task of a serial run carries."""
-    blocks = []
+def test_other_plans_run_super_blocks(monkeypatch):
+    # Every plan alike: tasks of SUPER_BLOCK blocks' replicates, the last
+    # taking the rest, each on the stream of its own index.
+    calls = []
     task = harness._run_block_task
 
-    def recording(key, first, counts, seed):
-        blocks.append(len(counts))
-        return task(key, first, counts, seed)
+    def recording(key, index, count, seed):
+        calls.append((index, count))
+        return task(key, index, count, seed)
 
     monkeypatch.setattr(harness, "_run_block_task", recording)
-    harness._run_blocks(ExperimentConfig.from_dict(config))
-    return blocks
-
-
-LOGISTIC = {"experiment": "logistic", "params": {"reference_draws": 10_000, "pilot_replicates": 50}}
-ELLIPTIC = json.loads((ROOT / "perfbench/configs/elliptic-is.json").read_text())
-LINEAR2D = {"experiment": "indep-sampler", "params": {"model": "linear2d"}}
-
-
-@pytest.mark.parametrize("config", [LOGISTIC, ELLIPTIC, LINEAR2D], ids=["logistic", "elliptic", "linear2d"])
-def test_blas_plans_run_one_block_per_task(monkeypatch, config):
-    # Their BLAS products must see the rows a block alone gives them.
-    assert config["experiment"] in harness.ONE_BLOCK_EXPERIMENTS
-    config = dict(config, replicates=2 * BLOCK_SIZE + 5, seed=3)
-    assert _task_blocks(monkeypatch, config) == [1, 1, 1]
-
-
-def test_other_plans_run_super_blocks(monkeypatch):
-    config = json.loads((ROOT / "configs/contracting-normals.json").read_text())
+    config = _config("configs/contracting-normals.json")
     config.update(replicates=2 * SUPER_BLOCK * BLOCK_SIZE + 5, seed=3)
-    assert _task_blocks(monkeypatch, config) == [SUPER_BLOCK, SUPER_BLOCK, 1]
+    harness._run_blocks(ExperimentConfig.from_dict(config))
+    assert calls == [(0, SUPER_BLOCK * BLOCK_SIZE), (1, SUPER_BLOCK * BLOCK_SIZE), (2, 5)]
 
 
 class _SerialExecutor:
@@ -145,7 +98,7 @@ def test_workers_capped_at_task_count(monkeypatch):
     # --parallel above the task count would fork workers with nothing to do.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialExecutor)
     monkeypatch.setattr(_SerialExecutor, "max_workers", [])
-    config = json.loads((ROOT / "configs/contracting-normals.json").read_text())
+    config = _config("configs/contracting-normals.json")
     config.update(replicates=2 * SUPER_BLOCK * BLOCK_SIZE + 5, seed=3, parallel=64)
     _, records = harness._run_blocks(ExperimentConfig.from_dict(config))
     assert _SerialExecutor.max_workers == [3]

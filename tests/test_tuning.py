@@ -47,7 +47,7 @@ class TestDeltaVariances:
         )
         # Levels 0..3 are one fused run: every pair steps on one stream.
         assert level_runs(schedule, 3) == [range(4)]
-        levels = delta_batch([[200_000] * 4], lambda i: [stream.child(i).generator()])
+        levels = delta_batch([200_000] * 4, lambda i: stream.child(i).generator())
         for level, (draws, _) in enumerate(levels):
             if level == 0:
                 draws = draws - 0.0  # delta_0 = f(endpoint), mean 0
@@ -218,7 +218,7 @@ class TestEmpiricalProduct:
         rho, m = 0.8, 8
         schedule = LevelSchedule.arithmetic(m)
         survival = contracting_optimal_survival(rho, m)
-        out = contracting_unbiased_block(rho, schedule, survival, [Stream(3)], [100_000])
+        out = contracting_unbiased_block(rho, schedule, survival, Stream(3), 100_000)
         product = out["z"].var(ddof=1) * out["work"].mean()
         assert product == pytest.approx(unbiased_msework(rho, m), rel=0.10)
 
