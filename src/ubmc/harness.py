@@ -352,6 +352,14 @@ def _elliptic_is_model(params: _Section, ready: Callable[[], None] = lambda: Non
     if alpha_star is None:  # the pilot calibrates the floor
         j_pilot, proposals = params.integer("pilot_dim", 32), params.integer("pilot_proposals", 512)
     ready()
+    if y is None or alpha_star is None:
+        data.check(data_seed >= 0, "seed", "must be a nonnegative integer")
+    if y is None:
+        data.check(dim >= 0, "dim", "must be >= 0")
+        data.check(noise >= 0.0, "noise", "must be >= 0")
+    if alpha_star is None:
+        params.check(j_pilot >= 1, "pilot_dim", "must be >= 1")
+        params.check(proposals >= 1, "pilot_proposals", "must be >= 1")
     model = models.EllipticModel(gamma=gamma)
     if y is None:
         stream = Stream(data_seed)
@@ -534,6 +542,11 @@ def _prepare_logistic(params: _Section, sched: _Section, spec: _Section) -> dict
     sched.close()
     given_both = alias is not None and "reference_draws" in params.values
     params.check(not given_both, "reference_draws", "or its alias rwm_steps: give one, not both")
+    for key, seed in (("data_seed", data_seed), ("fit_seed", fit_seed), ("pilot_seed", pilot_seed)):
+        params.check(seed >= 0, key, "must be a nonnegative integer")
+    params.check(n_obs >= 0, "n_obs", "must be >= 0 (0 is the prior)")
+    params.check(pilot_steps >= 2, "pilot_steps", "must be >= 2 to fit a contraction slope")
+    params.check(pilot_reps >= 1, "pilot_replicates", "must be >= 1")
     model = models.LogisticModel.synthetic(n_obs=n_obs, seed=data_seed)
     params.check(1 <= coord <= model.dim, "coordinate", f"must lie in 1..{model.dim}")
     fit = models.logistic_reference_fit(model, draws, seed=fit_seed)

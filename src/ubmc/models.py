@@ -230,9 +230,25 @@ class LogisticModel:
 
 def logistic_posterior_logdensity(model: LogisticModel, beta) -> float | np.ndarray:
     """Posterior log-density up to an additive constant; one value per row
-    of a ``(lanes, d)`` array of coefficients."""
+    of a ``(..., lanes, d)`` array of coefficients, a scalar for ``(d,)``.
+
+    Lanes are taken ``BLOCK_SIZE`` at a time, so each block's ``(lanes,
+    n_obs)`` buffer stays in cache.  Leading axes, such as the two chains
+    :func:`ubmc.pcn.coupling` stacks, stay stacked: each chain's rows get
+    the bits a call on that chain alone gives.
+    """
     beta = np.asarray(beta, dtype=float)
-    # -log h(z) = max(m, 0) + log1p(exp(-|m|)) at m = -z, in one (lanes, n_obs)
+    if beta.ndim == 1:
+        return _logdensity_rows(model, beta)
+    out = np.empty(beta.shape[:-1])
+    for lo in range(0, beta.shape[-2], BLOCK_SIZE):
+        out[..., lo : lo + BLOCK_SIZE] = _logdensity_rows(model, beta[..., lo : lo + BLOCK_SIZE, :])
+    return out
+
+
+def _logdensity_rows(model: LogisticModel, beta: np.ndarray) -> float | np.ndarray:
+    """:func:`logistic_posterior_logdensity` of one block of rows."""
+    # -log h(z) = max(m, 0) + log1p(exp(-|m|)) at m = -z, in one (..., n_obs)
     # buffer: the max terms sum to (sum m + sum |m|) / 2.  Row sums are BLAS
     # products, sum m taken from the margins' sums as beta @ _margin_sums.
     m = beta @ model._neg_margins

@@ -887,6 +887,34 @@ class TestCli:
         code, err = self.run_unsampled(tmp_path, capsys, monkeypatch, config)
         assert code == 2 and message in err, err
 
+    @pytest.mark.parametrize(
+        "experiment, params, key",
+        [
+            ("logistic", {"pilot_replicates": 0}, "params.pilot_replicates must be >= 1"),
+            ("logistic", {"fit_seed": -1}, "params.fit_seed must be a nonnegative integer"),
+            ("logistic", {"data_seed": -1}, "params.data_seed must be a nonnegative integer"),
+            ("logistic", {"pilot_seed": -1}, "params.pilot_seed must be a nonnegative integer"),
+            ("logistic", {"n_obs": -3}, "params.n_obs must be >= 0"),
+            ("logistic", {"pilot_steps": 1}, "params.pilot_steps must be >= 2"),
+            ("indep-sampler", {"pilot_proposals": 0}, "params.pilot_proposals must be >= 1"),
+            ("indep-sampler", {"pilot_dim": 0}, "params.pilot_dim must be >= 1"),
+            ("indep-sampler", {"data": {"seed": -1}}, "params.data.seed must be a nonnegative integer"),
+            ("indep-sampler", {"data": {"noise": -1}}, "params.data.noise must be >= 0"),
+            ("indep-sampler", {"data": {"dim": -3}}, "params.data.dim must be >= 0"),
+        ],
+        ids=[
+            "logistic-pilot-replicates", "logistic-fit-seed", "logistic-data-seed", "logistic-pilot-seed",
+            "logistic-n-obs", "logistic-pilot-steps", "elliptic-pilot-proposals", "elliptic-pilot-dim",
+            "elliptic-data-seed", "elliptic-data-noise", "elliptic-data-dim",
+        ],
+    )
+    def test_plan_value_names_its_key_exit_2(self, tmp_path, capsys, monkeypatch, experiment, params, key):
+        # Each exited 2 with another key's message or numpy's text; a negative noise ran.
+        schedule = ELLIPTIC_SCHEDULE if experiment == "indep-sampler" else {}
+        config = {"experiment": experiment, "params": params, "schedule": schedule}
+        code, err = self.run_unsampled(tmp_path, capsys, monkeypatch, config)
+        assert code == 2 and f"configuration error: {key}" in err, err
+
     def test_integral_float_count_runs(self):
         # Some JSON writers emit 10000.0 for a count: an integral float reads as the int.
         params = {"reference_draws": 10_000.0, "fit_seed": 6, "coordinate": 2.0}

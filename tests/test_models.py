@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from scipy import special, stats
 
 from ubmc import Stream
+from ubmc.estimator import BLOCK_SIZE
 from ubmc.models import (
     CircleChainModel,
     ContractingNormalsModel,
@@ -243,13 +245,14 @@ class TestLogistic:
         model = LogisticModel.synthetic()
         # Rows at beta scales from 0 near the posterior mass out to 300,
         # where margins reach |z| ~ 1e3 and the log-sigmoid saturates on
-        # both sides.  The row sums are BLAS products, whose rounding
-        # depends on the batch, so rows and 1-d calls each agree with the
-        # textbook sum of log h(y_i beta . T_i) to rounding, not bit for bit.
-        scales = np.concatenate([[0.0], np.geomspace(1e-3, 300.0, 63)])
-        betas = stream.generator().standard_normal((64, 3)) * scales[:, None]
+        # both sides, the sweep tiled past two blocks of rows.  The row
+        # sums are BLAS products, whose rounding depends on the batch, so
+        # rows and 1-d calls each agree with the textbook sum of
+        # log h(y_i beta . T_i) to rounding, not bit for bit.
+        scales = np.tile(np.concatenate([[0.0], np.geomspace(1e-3, 300.0, 63)]), 2 * BLOCK_SIZE // 64 + 1)
+        betas = stream.generator().standard_normal((scales.size, 3)) * scales[:, None]
         rows = logistic_posterior_logdensity(model, betas)
-        assert rows.shape == (64,)
+        assert rows.shape == (2 * BLOCK_SIZE + 64,)
         single = [logistic_posterior_logdensity(model, beta) for beta in betas]
         np.testing.assert_allclose(rows, single, rtol=1e-12, atol=0.0)
         textbook = [
@@ -258,6 +261,35 @@ class TestLogistic:
         ]
         np.testing.assert_allclose(rows, textbook, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(single, textbook, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(2 * BLOCK_SIZE + 5, 3), (2, BLOCK_SIZE + 3, 3)], ids=["rows", "stacked"])
+    def test_logdensity_equals_per_block_calls(self, stream, shape):
+        # Lanes are taken BLOCK_SIZE at a time, each chain of a stacked
+        # array on its own: the values are those calls' bits.
+        model = LogisticModel.synthetic()
+        betas = stream.generator().standard_normal(shape)
+        lanes = betas.reshape(-1, *shape[-2:])
+        blocks = [
+            logistic_posterior_logdensity(model, chain[lo : lo + BLOCK_SIZE])
+            for chain in lanes
+            for lo in range(0, shape[-2], BLOCK_SIZE)
+        ]
+        values = logistic_posterior_logdensity(model, betas)
+        assert values.shape == shape[:-1]
+        np.testing.assert_array_equal(values.ravel(), np.concatenate(blocks))
+
+    def test_logdensity_buffer_is_one_block(self, stream):
+        # A (lanes, n_obs) buffer over all 8 blocks would take 6.5 MB.
+        model = LogisticModel.synthetic(n_obs=100)
+        betas = stream.generator().standard_normal((8 * BLOCK_SIZE, 3))
+        logistic_posterior_logdensity(model, betas[:1])  # caches the model's margins
+        tracemalloc.start()
+        try:
+            logistic_posterior_logdensity(model, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * BLOCK_SIZE * 100 * 8, peak
 
     def test_gradient_matches_finite_differences(self, stream):
         model = LogisticModel.synthetic()
